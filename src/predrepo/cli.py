@@ -329,6 +329,9 @@ def _read_method_tables(paths: list[str]) -> list[MethodResults]:
                     per_method[name] = MethodResults(final, {}, {}, {})
                 m = per_method[name]
                 key = (row["dataset"], int(row["fold"]))
+                if key in m.losses:
+                    raise StoreError(f"{path}: duplicate row for method {name!r}, "
+                                     f"dataset {key[0]!r}, fold {key[1]}")
                 m.losses[key] = float(row["test_loss"])
                 if row.get("time_fit_s"):
                     m.time_fit[key] = float(row["time_fit_s"])

@@ -5,6 +5,14 @@ minimizes the validation loss of the running average, ties going to the
 lowest config ordinal. The full trajectory is recorded for every step; the
 returned weights come from the best prefix, which makes the ensemble's
 validation loss never worse than the best single candidate's.
+
+A task's candidate validation predictions are stacked once into an
+``(M, n, o)`` float64 array, and each step scores all M candidates in one
+array operation with :class:`metrics.StackLoss`, which checks and computes
+exactly what :func:`metrics.task_loss` does for each candidate. The scalar
+``task_loss`` stays the reference: the tests compare the batched picks
+against it, and the final validation and test losses of an ensemble come
+from it.
 """
 
 from __future__ import annotations
@@ -68,25 +76,19 @@ def caruana_select(task, candidate_configs, c_max: int, repo: Repository) -> Ens
     if c_max < 1:
         raise ValueError(f"c_max must be >= 1, got {c_max}")
     t = repo.task_index(task)
-    meta = repo.tasks[t]
     ordinals = _resolve_candidates(candidate_configs, repo)
-    y = repo.labels(t, VAL)
-    preds = {j: np.asarray(repo.predictions(t, j, VAL), dtype=np.float64) for j in ordinals}
+    loss_of = metrics.StackLoss(repo.tasks[t], repo.labels(t, VAL))
+    stack = np.stack([repo.predictions(t, j, VAL) for j in ordinals], dtype=np.float64)
 
-    running = np.zeros((meta.n_val, meta.o), dtype=np.float64)
+    running = np.zeros(stack.shape[1:], dtype=np.float64)
     trajectory: list[tuple[int, float]] = []
     picks: list[int] = []
     for step in range(1, c_max + 1):
-        best_j = -1
-        best_loss = np.inf
-        for j in ordinals:
-            loss = metrics.task_loss(meta, (running + preds[j]) / step, y)
-            if loss < best_loss:
-                best_loss = loss
-                best_j = j
-        running += preds[best_j]
-        picks.append(best_j)
-        trajectory.append((best_j, best_loss))
+        scores = loss_of((running + stack) / step)
+        k = int(np.argmin(scores))  # first minimum: the lowest ordinal wins ties
+        running += stack[k]
+        picks.append(ordinals[k])
+        trajectory.append((ordinals[k], float(scores[k])))
 
     losses = [loss for _, loss in trajectory]
     best_step = int(np.argmin(losses))  # earliest minimum

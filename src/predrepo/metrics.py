@@ -3,6 +3,11 @@
 All three are minimized; AUC is reported as 1 - AUC so downstream code never
 needs to know a metric's direction. Computation is float64 regardless of the
 input dtype.
+
+The scalar functions score one prediction matrix and are the reference.
+:class:`StackLoss` scores a stack of matrices in one array operation per
+metric, with the same checks and the same values; greedy ensemble selection
+uses it to score every candidate of a step at once.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import rankdata
 
-from .store import ProblemType, TaskMeta
+from .store import ROW_SUM_TOL, ProblemType, TaskMeta
 
 LOG_LOSS_EPS = 1e-15
 
@@ -92,3 +97,79 @@ def task_loss(task: TaskMeta, pred, target) -> float:
     if task.problem is ProblemType.BINARY:
         return auc_loss(p[:, 0], target)
     return log_loss(p, target)
+
+
+class StackLoss:
+    """Task loss of many prediction matrices at once.
+
+    ``StackLoss(task, target)(stack)`` maps an ``(M, n, o)`` stack of
+    prediction matrices to the ``(M,)`` array whose entry ``m`` equals
+    ``task_loss(task, stack[m], target)``. The labels are checked once, on
+    construction; every call checks the stack as ``task_loss`` checks each
+    matrix: its shape, finite values and, for multiclass tasks, rows that
+    sum to one within 1e-5. Any failed check raises ``ValueError``.
+
+    The AUC ranks ties by their average rank, as ``rankdata`` does. Those
+    ranks are half-integers, so rank sums are exact in float64 and the AUC
+    loss is bit-equal to :func:`auc_loss`.
+    """
+
+    def __init__(self, task: TaskMeta, target):
+        self.task = task
+        if task.problem is ProblemType.REGRESSION:
+            y = _as_1d(target, "target")
+        else:
+            y = np.asarray(target).reshape(-1)
+        if task.problem is ProblemType.BINARY:
+            if not np.all((y == 0) | (y == 1)):
+                raise ValueError("labels must be binary (0 or 1)")
+            self._pos = y == 1
+            self._n_pos = int(self._pos.sum())
+            self._n_neg = y.size - self._n_pos
+            if self._n_pos == 0 or self._n_neg == 0:
+                raise ValueError("AUC undefined: labels contain a single class")
+        elif task.problem is ProblemType.MULTICLASS:
+            if np.any(y < 0) or np.any(y >= task.o):
+                raise ValueError("label out of range")
+            y = y.astype(np.int64)
+        self._y = y
+
+    def __call__(self, stack) -> np.ndarray:
+        p = np.asarray(stack, dtype=np.float64)
+        expected = (self._y.size, self.task.o)
+        if p.ndim != 3 or p.shape[1:] != expected:
+            raise ValueError(f"prediction stack has shape {p.shape}, task {self.task.key} "
+                             f"needs (M, {expected[0]}, {expected[1]})")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("predictions contain NaN or infinity")
+        if self.task.problem is ProblemType.REGRESSION:
+            return np.sqrt(np.mean((p[:, :, 0] - self._y) ** 2, axis=1))
+        if self.task.problem is ProblemType.BINARY:
+            return self._auc_loss(p[:, :, 0])
+        if np.any(np.abs(p.sum(axis=2) - 1.0) > ROW_SUM_TOL):
+            raise ValueError("probs rows are not row-stochastic within 1e-5")
+        # take_along_axis gives C-contiguous rows, so the mean sums each row in
+        # the same order as log_loss does
+        true = np.take_along_axis(p, self._y[None, :, None], axis=2)[:, :, 0]
+        picked = np.clip(true, LOG_LOSS_EPS, 1.0 - LOG_LOSS_EPS)
+        return -np.mean(np.log(picked), axis=1)
+
+    def _auc_loss(self, scores: np.ndarray) -> np.ndarray:
+        m, n = scores.shape
+        order = np.argsort(scores, axis=1)
+        ranked = np.take_along_axis(scores, order, axis=1)
+        at = np.arange(n)
+        new_group = ranked[:, 1:] != ranked[:, :-1]  # a tie group starts at i + 1
+        # sorted positions of the first and the last member of each tie group
+        first = np.zeros((m, n), dtype=np.int64)
+        first[:, 1:] = np.where(new_group, at[1:], 0)
+        np.maximum.accumulate(first, axis=1, out=first)
+        last = np.full((m, n), n - 1, dtype=np.int64)
+        last[:, :-1] = np.where(new_group, at[:-1], n - 1)
+        last = np.minimum.accumulate(last[:, ::-1], axis=1)[:, ::-1]
+        # the average 1-based rank of a group is (first + last) / 2 + 1
+        twice = np.where(self._pos[order], first + last, 0).sum(axis=1)
+        rank_sum = twice / 2.0 + self._n_pos
+        n_pos, n_neg = self._n_pos, self._n_neg
+        auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        return 1.0 - auc

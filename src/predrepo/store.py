@@ -528,10 +528,24 @@ def write_repo(repo: Repository, path: str | Path) -> None:
         f.write("\n")
 
 
+def _check_label_checksums(path: Path, tasks: Sequence[TaskMeta], checksums: list) -> None:
+    """Compare each task's labels.bin chunk with its sha256 in the manifest."""
+    if len(checksums) != len(tasks):
+        raise StoreError(
+            f"manifest.json has {len(checksums)} label checksums for {len(tasks)} tasks")
+    with open(path, "rb") as f:
+        f.seek(8)
+        for task, checksum in zip(tasks, checksums):
+            chunk = f.read((task.n_val + task.n_test) * 8)
+            if hashlib.sha256(chunk).hexdigest() != checksum:
+                raise StoreError(f"label checksum mismatch in labels.bin for task {task.key}")
+
+
 def open_repo(path: str | Path) -> Repository:
     """Open an on-disk repository for reading.
 
-    Metadata is parsed fully; the prediction blob is memory-mapped and never
+    Metadata is parsed fully and each task's labels are checked against
+    their manifest checksum; the prediction blob is memory-mapped and never
     read in full at open time. The returned handle is immutable and safe for
     concurrent readers.
     """
@@ -550,28 +564,32 @@ def open_repo(path: str | Path) -> Repository:
     if manifest.get("version") != FORMAT_VERSION:
         raise StoreError(f"unsupported version {manifest.get('version')} in manifest.json")
 
-    tasks = [
-        TaskMeta(
-            dataset_id=t["dataset_id"],
-            fold=int(t["fold"]),
-            problem=ProblemType(t["problem"]),
-            n_val=int(t["n_val"]),
-            n_test=int(t["n_test"]),
-            o=int(t["o"]),
-            n_features=int(t.get("n_features", 0)),
-        )
-        for t in manifest["tasks"]
-    ]
-    configs = [
-        ConfigMeta(
-            config_id=c["config_id"],
-            family=c["family"],
-            is_default=bool(c["is_default"]),
-            hyperparams=c.get("hyperparams", ""),
-        )
-        for c in manifest["configs"]
-    ]
-    folds = int(manifest["folds_per_dataset"])
+    try:
+        tasks = [
+            TaskMeta(
+                dataset_id=t["dataset_id"],
+                fold=int(t["fold"]),
+                problem=ProblemType(t["problem"]),
+                n_val=int(t["n_val"]),
+                n_test=int(t["n_test"]),
+                o=int(t["o"]),
+                n_features=int(t.get("n_features", 0)),
+            )
+            for t in manifest["tasks"]
+        ]
+        configs = [
+            ConfigMeta(
+                config_id=c["config_id"],
+                family=c["family"],
+                is_default=bool(c["is_default"]),
+                hyperparams=c.get("hyperparams", ""),
+            )
+            for c in manifest["configs"]
+        ]
+        folds = int(manifest["folds_per_dataset"])
+        label_checksums = list(manifest["label_checksums"])
+    except KeyError as e:
+        raise StoreError(f"manifest.json is missing required field {e.args[0]!r}") from None
     T, M = len(tasks), len(configs)
 
     for name, magic in (("preds.blob", MAGIC_BLOB), ("preds.idx", MAGIC_INDEX),
@@ -620,6 +638,7 @@ def open_repo(path: str | Path) -> Repository:
     expected_labels = 8 + sum(t.n_val + t.n_test for t in tasks) * 8
     if labels_size != expected_labels:
         raise StoreError(f"labels.bin has {labels_size} bytes, expected {expected_labels}")
+    _check_label_checksums(path / "labels.bin", tasks, label_checksums)
 
     return Repository(
         tasks,

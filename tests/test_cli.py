@@ -119,6 +119,29 @@ class TestValidate:
         assert "loss_val mismatch" in out
 
 
+    def test_missing_manifest_field_exits_2(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, seed=233)
+        run(capsys, "generate", "--spec", str(spec_path), "--out", str(tmp_path / "r"))
+        manifest_path = tmp_path / "r" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["configs"]
+        manifest_path.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "validate", "--repo", str(tmp_path / "r"))
+        assert code == 2
+        assert "missing required field 'configs'" in err
+
+    def test_flipped_label_byte_exits_2(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, seed=239)
+        run(capsys, "generate", "--spec", str(spec_path), "--out", str(tmp_path / "r"))
+        labels = tmp_path / "r" / "labels.bin"
+        data = bytearray(labels.read_bytes())
+        data[-1] ^= 0x01
+        labels.write_bytes(bytes(data))
+        code, _, err = run(capsys, "validate", "--repo", str(tmp_path / "r"))
+        assert code == 2
+        assert "label checksum mismatch" in err
+
+
 class TestEnsembleCommand:
     def test_csv_shape(self, repo_dir, capsys):
         code, out, _ = run(capsys, "ensemble", "--repo", str(repo_dir),
@@ -318,3 +341,18 @@ class TestReportCommand:
                            "--mode", "table2")
         assert code == 3
         assert "mismatched cells" in err
+
+    def test_duplicate_row_exits_2(self, repo_dir, tmp_path, capsys):
+        sim_csv = tmp_path / "s.csv"
+        run(capsys, "simulate", "--repo", str(repo_dir), "--budget-s", "1e12",
+            "--n-max", "5", "--c-max", "6", "--out", str(sim_csv))
+        lines = sim_csv.read_text().splitlines()
+        duplicated = tmp_path / "d.csv"
+        duplicated.write_text("\n".join(lines + [lines[1]]) + "\n")
+        code, out, err = run(capsys, "report", "--results", str(duplicated),
+                             "--mode", "table2")
+        assert code == 2
+        assert out == ""
+        dataset, fold = lines[1].split(",")[1:3]
+        assert f"{duplicated}: duplicate row for method 'Portfolio (ensemble)', " \
+               f"dataset '{dataset}', fold {fold}" in err

@@ -42,6 +42,20 @@ def single_task_repo(problem, y_val, y_test, config_preds, times=None):
     return Repository.in_memory([task], configs, 1, [(y_val, y_test)], preds, evals)
 
 
+def unchecked_repo(problem, y_val, val_preds):
+    """One-task repository that stores its inputs as given, invalid ones too."""
+    y_val = np.asarray(y_val)
+    n, o = val_preds[0].shape
+    task = TaskMeta("d", 0, problem, n_val=n, n_test=n, o=o)
+    configs = [ConfigMeta(f"c{j}", "fam") for j in range(len(val_preds))]
+    preds = {}
+    for j, pv in enumerate(val_preds):
+        preds[(0, j, VAL)] = np.asarray(pv, dtype=np.float32)
+        preds[(0, j, TEST)] = np.asarray(pv, dtype=np.float32)
+    evals = np.zeros((1, len(configs), 4))
+    return Repository.in_memory([task], configs, 1, [(y_val, y_val)], preds, evals)
+
+
 def col(*values):
     return np.array(values, dtype=np.float64).reshape(-1, 1)
 
@@ -123,6 +137,61 @@ class TestCaruanaSelect:
             w = caruana_select(t, cands, 8, synth_repo)
             best_single = min(synth_repo.eval_table[t, j, 0] for j in cands)
             assert w.val_loss <= best_single + 1e-12
+
+
+def scalar_select(task, candidates, c_max, repo):
+    """Reference greedy loop: one scalar task_loss call per (step, candidate)."""
+    t = repo.task_index(task)
+    meta = repo.tasks[t]
+    y = repo.labels(t, VAL)
+    preds = {j: repo.predictions(t, j, VAL).astype(np.float64) for j in candidates}
+    running = np.zeros((meta.n_val, meta.o))
+    trajectory = []
+    for step in range(1, c_max + 1):
+        best_j, best_loss = -1, np.inf
+        for j in sorted(candidates):
+            loss = task_loss(meta, (running + preds[j]) / step, y)
+            if loss < best_loss:
+                best_j, best_loss = j, loss
+        running += preds[best_j]
+        trajectory.append((best_j, best_loss))
+    losses = [loss for _, loss in trajectory]
+    steps = int(np.argmin(losses)) + 1
+    return trajectory, steps, dict(Counter(j for j, _ in trajectory[:steps]))
+
+
+class TestBatchedScoring:
+    def test_picks_and_best_prefix_match_scalar_loop(self, synth_repo):
+        rng = np.random.default_rng(17)
+        for t in range(synth_repo.n_tasks):
+            for candidates in (list(range(synth_repo.n_configs)),
+                               sorted(rng.choice(synth_repo.n_configs, 4, replace=False).tolist())):
+                w = caruana_select(t, candidates, 40, synth_repo)
+                trajectory, steps, counts = scalar_select(t, candidates, 40, synth_repo)
+                assert [j for j, _ in w.trajectory] == [j for j, _ in trajectory]
+                for (_, got), (_, want) in zip(w.trajectory, trajectory):
+                    assert abs(got - want) <= 1e-12
+                assert w.steps == steps
+                assert w.counts == counts
+
+    def test_nan_in_one_candidate_rejected(self):
+        bad = col(0.3, 0.6, np.nan, 0.7)
+        repo = unchecked_repo(ProblemType.REGRESSION, [0.0, 1.0, 0.0, 1.0],
+                              [col(0.1, 0.9, 0.2, 0.8), bad])
+        with pytest.raises(ValueError, match="NaN"):
+            caruana_select(("d", 0), [0, 1], 3, repo)
+
+    def test_non_stochastic_multiclass_row_rejected(self):
+        good = np.array([[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]])
+        bad = np.array([[0.6, 0.4], [0.3, 0.6], [0.5, 0.5]])  # row 1 sums to 0.9
+        repo = unchecked_repo(ProblemType.MULTICLASS, [0, 1, 0], [good, bad])
+        with pytest.raises(ValueError, match="row-stochastic"):
+            caruana_select(("d", 0), [0, 1], 3, repo)
+
+    def test_single_class_binary_labels_rejected(self):
+        repo = unchecked_repo(ProblemType.BINARY, [1, 1, 1, 1], [col(0.1, 0.9, 0.2, 0.8)])
+        with pytest.raises(ValueError, match="single class"):
+            caruana_select(("d", 0), [0], 3, repo)
 
 
 class TestEnsemblePredict:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predrepo import ProblemType, TaskMeta, auc_loss, log_loss, rmse, task_loss
+from predrepo.metrics import StackLoss
 from predrepo.synth import oracle_auc_pairwise
 
 
@@ -171,3 +172,112 @@ class TestTaskLoss:
         task = TaskMeta("d", 0, ProblemType.MULTICLASS, n_val=4, n_test=4, o=3)
         with pytest.raises(ValueError, match="columns"):
             task_loss(task, np.zeros((4, 2)), [0, 1, 0, 1])
+
+
+def scalar_losses(task, stack, target):
+    return np.array([task_loss(task, m, target) for m in stack])
+
+
+def stochastic(rng, shape):
+    raw = rng.random(shape) + 1e-3
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+class TestStackLoss:
+    """The batched kernel against the scalar metrics, row by row."""
+
+    def test_rmse_matches_scalar(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            m, n = int(rng.integers(1, 25)), int(rng.integers(1, 300))
+            task = TaskMeta("d", 0, ProblemType.REGRESSION, n_val=n, n_test=n, o=1)
+            stack = rng.standard_normal((m, n, 1)) * rng.uniform(0.1, 100)
+            y = rng.standard_normal(n)
+            got = StackLoss(task, y)(stack)
+            want = np.array([rmse(row[:, 0], y) for row in stack])
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("levels", [2, 3, 5, None])
+    def test_auc_matches_scalar_with_heavy_ties(self, levels):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            m, n = int(rng.integers(1, 25)), int(rng.integers(2, 300))
+            task = TaskMeta("d", 0, ProblemType.BINARY, n_val=n, n_test=n, o=1)
+            stack = rng.random((m, n, 1))
+            if levels is not None:  # a few distinct scores: most rows tie
+                stack = np.floor(stack * levels) / levels
+            y = rng.integers(0, 2, n)
+            y[:2] = (0, 1)
+            got = StackLoss(task, y)(stack)
+            want = np.array([auc_loss(row[:, 0], y) for row in stack])
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_auc_all_ties_is_half(self):
+        task = TaskMeta("d", 0, ProblemType.BINARY, n_val=4, n_test=4, o=1)
+        got = StackLoss(task, [0, 1, 1, 0])(np.full((3, 4, 1), 0.3))
+        assert np.array_equal(got, np.full(3, 0.5))
+
+    @pytest.mark.parametrize("o", [2, 3, 7])
+    def test_log_loss_matches_scalar(self, o):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            m, n = int(rng.integers(1, 25)), int(rng.integers(1, 300))
+            task = TaskMeta("d", 0, ProblemType.MULTICLASS, n_val=n, n_test=n, o=o)
+            stack = stochastic(rng, (m, n, o))
+            stack[:, :, 0] *= rng.random((m, n)) < 0.9  # some exact zeros: clipping
+            stack /= stack.sum(axis=2, keepdims=True)
+            y = rng.integers(0, o, n)
+            got = StackLoss(task, y)(stack)
+            want = np.array([log_loss(row, y) for row in stack])
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("drift,accepted", [(9.9e-6, True), (-9.9e-6, True),
+                                                (1.01e-5, False), (-1.01e-5, False)])
+    def test_row_sum_edge_matches_scalar(self, drift, accepted):
+        rng = np.random.default_rng(14)
+        task = TaskMeta("d", 0, ProblemType.MULTICLASS, n_val=50, n_test=50, o=3)
+        y = rng.integers(0, 3, 50)
+        stack = stochastic(rng, (4, 50, 3))
+        stack[2, 17] *= 1.0 + drift
+        if accepted:
+            got = StackLoss(task, y)(stack)
+            assert np.max(np.abs(got - scalar_losses(task, stack, y))) <= 1e-12
+        else:
+            with pytest.raises(ValueError, match="row-stochastic"):
+                task_loss(task, stack[2], y)
+            with pytest.raises(ValueError, match="row-stochastic"):
+                StackLoss(task, y)(stack)
+
+    @pytest.mark.parametrize(
+        "problem,o", [(ProblemType.REGRESSION, 1), (ProblemType.BINARY, 1),
+                      (ProblemType.MULTICLASS, 3)]
+    )
+    def test_non_finite_rejected(self, problem, o):
+        task = TaskMeta("d", 0, problem, n_val=4, n_test=4, o=o)
+        stack = np.full((2, 4, o), 1.0 / o)
+        stack[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            StackLoss(task, [0, 1, 0, 1])(stack)
+
+    def test_shape_rejected(self):
+        task = TaskMeta("d", 0, ProblemType.MULTICLASS, n_val=4, n_test=4, o=3)
+        loss = StackLoss(task, [0, 1, 2, 0])
+        with pytest.raises(ValueError, match="shape"):
+            loss(np.full((2, 4, 2), 0.5))  # wrong column count
+        with pytest.raises(ValueError, match="shape"):
+            loss(np.full((2, 5, 3), 1 / 3))  # wrong row count
+        with pytest.raises(ValueError, match="shape"):
+            loss(np.full((4, 3), 1 / 3))  # a single matrix, not a stack
+
+    def test_labels_checked_on_construction(self):
+        binary = TaskMeta("d", 0, ProblemType.BINARY, n_val=4, n_test=4, o=1)
+        with pytest.raises(ValueError, match="single class"):
+            StackLoss(binary, [1, 1, 1, 1])
+        with pytest.raises(ValueError, match="binary"):
+            StackLoss(binary, [0, 1, 2, 1])
+        multiclass = TaskMeta("d", 0, ProblemType.MULTICLASS, n_val=2, n_test=2, o=3)
+        with pytest.raises(ValueError, match="out of range"):
+            StackLoss(multiclass, [0, 3])
+        regression = TaskMeta("d", 0, ProblemType.REGRESSION, n_val=2, n_test=2, o=1)
+        with pytest.raises(ValueError, match="NaN"):
+            StackLoss(regression, [0.0, np.inf])

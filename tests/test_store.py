@@ -139,6 +139,33 @@ class TestOpen:
         with pytest.raises(StoreError, match="missing file"):
             open_repo(tmp_path / "r")
 
+    @pytest.mark.parametrize("field", ["configs", "tasks", "folds_per_dataset",
+                                       "label_checksums"])
+    def test_missing_manifest_field_is_named(self, tmp_path, handmade_repo, field):
+        write_repo(handmade_repo, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        del manifest[field]
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=f"missing required field '{field}'"):
+            open_repo(tmp_path / "r")
+
+    def test_flipped_label_byte_rejected(self, tmp_path, handmade_repo):
+        write_repo(handmade_repo, tmp_path / "r")
+        labels = tmp_path / "r" / "labels.bin"
+        data = bytearray(labels.read_bytes())
+        data[-1] ^= 0x01  # last byte of the last task's test labels
+        labels.write_bytes(bytes(data))
+        with pytest.raises(StoreError, match=r"label checksum mismatch .*\('mc', 1\)"):
+            open_repo(tmp_path / "r")
+
+    def test_label_checksum_count_checked(self, tmp_path, handmade_repo):
+        write_repo(handmade_repo, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        manifest["label_checksums"].pop()
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="label checksums"):
+            open_repo(tmp_path / "r")
+
     def test_open_is_lazy_and_reads_exact_extents(self, tmp_path, handmade_repo):
         write_repo(handmade_repo, tmp_path / "r")
         opened = open_repo(tmp_path / "r")
