@@ -32,7 +32,7 @@ from .simulate import (
     simulate_portfolio,
     simulate_single_family,
 )
-from .store import Repository, StoreError, open_repo, validate_repo, write_repo
+from .store import STORE_FILES, Repository, StoreError, open_repo, validate_repo, write_repo
 from .synth import GeneratorSpec, SpecError, generate_repo, subsample_rng
 
 PORTFOLIO_ENSEMBLE = "Portfolio (ensemble)"
@@ -124,16 +124,19 @@ def _family_method_table(repo: Repository, policy: BudgetPolicy, c_max: int,
     return out
 
 
-def _summary_rows(methods: dict[str, list[SimResult]]) -> list[list[str]]:
-    tables = [_method_results(name, results) for name, results in methods.items()]
+def _mean_or_nan(d: dict) -> float:
+    return float(np.mean(list(d.values()))) if d else float("nan")
+
+
+def _table2_rows(tables: list[MethodResults]) -> list[list[str]]:
+    """Table 2 rows (TABLE2_HEADER), sorted by normalized error, then method."""
     errors = mean_normalized_error(tables)
     ranks = average_rank(tables)
     rows = []
     for m in tables:
-        fit = float(np.mean(list(m.time_fit.values())))
-        infer = float(np.mean(list(m.time_infer.values())))
         rows.append((errors[m.method], m.method,
-                     [m.method, _fmt(errors[m.method]), _fmt(ranks[m.method]), _fmt(fit), _fmt(infer)]))
+                     [m.method, _fmt(errors[m.method]), _fmt(ranks[m.method]),
+                      _fmt(_mean_or_nan(m.time_fit)), _fmt(_mean_or_nan(m.time_infer))]))
     rows.sort(key=lambda r: (r[0], r[1]))
     return [r[2] for r in rows]
 
@@ -153,8 +156,7 @@ def cmd_generate(args) -> int:
         return 2
     repo = generate_repo(spec)
     write_repo(repo, args.out)
-    total = sum(os.path.getsize(Path(args.out) / n)
-                for n in ("manifest.json", "labels.bin", "evals.bin", "preds.idx", "preds.blob"))
+    total = sum(os.path.getsize(Path(args.out) / n) for n in STORE_FILES)
     print(f"D={spec.n_datasets} S={spec.folds} M={repo.n_configs} bytes={total}")
     return 0
 
@@ -222,7 +224,8 @@ def cmd_simulate(args) -> int:
             rows.extend(_sim_rows(repo, name, results))
         _write_csv(args.methods_out, TASK_CSV_HEADER, rows)
 
-    _dump_csv(sys.stdout, TABLE2_HEADER, _summary_rows(methods))
+    _dump_csv(sys.stdout, TABLE2_HEADER,
+              _table2_rows([_method_results(name, results) for name, results in methods.items()]))
     return 0
 
 
@@ -343,22 +346,10 @@ def _read_method_tables(paths: list[str]) -> list[MethodResults]:
     return tables
 
 
-def _mean_or_nan(d: dict) -> float:
-    return float(np.mean(list(d.values()))) if d else float("nan")
-
-
 def cmd_report(args) -> int:
     tables = _read_method_tables(args.results)
     if args.mode == "table2":
-        errors = mean_normalized_error(tables)
-        ranks = average_rank(tables)
-        rows = []
-        for m in tables:
-            rows.append((errors[m.method], m.method,
-                         [m.method, _fmt(errors[m.method]), _fmt(ranks[m.method]),
-                          _fmt(_mean_or_nan(m.time_fit)), _fmt(_mean_or_nan(m.time_infer))]))
-        rows.sort(key=lambda r: (r[0], r[1]))
-        _write_csv(args.out, TABLE2_HEADER, [r[2] for r in rows])
+        _write_csv(args.out, TABLE2_HEADER, _table2_rows(tables))
         return 0
 
     by_name = {m.method: m for m in tables}
@@ -391,8 +382,8 @@ def _add_common(p: argparse.ArgumentParser, repo: bool = True, out_required: boo
     if repo:
         p.add_argument("--repo", required=True, help="repository directory")
     p.add_argument("--out", required=out_required, default=None, help="output CSV path")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="parallelism cap; never affects results")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads (default 1); never affects results")
     p.add_argument("--seed", type=int, default=None, help="seed for optional shuffling")
 
 

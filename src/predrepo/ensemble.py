@@ -51,6 +51,17 @@ class EnsembleWeights:
         return self.counts.get(config, 0) / self.steps
 
 
+def _map_tasks(run, task_ids, threads: int = 1) -> list:
+    """``[run(t) for t in task_ids]``, on up to ``threads`` threads when above 1.
+
+    Results keep the order of ``task_ids`` whatever ``threads`` is.
+    """
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, task_ids))
+    return [run(t) for t in task_ids]
+
+
 def _resolve_candidates(candidates, repo: Repository) -> list[int]:
     if candidates is None:
         raise ValueError("candidate list must not be None")
@@ -140,14 +151,6 @@ def evaluate_ensemble(
     cells = [(d, f) for d in datasets for f in folds]
     task_ids = [repo.task_index((d, f)) for d, f in cells]
 
-    def run(t: int) -> tuple[float, float]:
-        return _task_ensemble_losses(repo, t, ordinals, ensemble_size)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, task_ids))
-    else:
-        results = [run(t) for t in task_ids]
-
-    out = np.array(results, dtype=np.float64).reshape(len(datasets), len(folds), 2)
-    return out
+    results = _map_tasks(lambda t: _task_ensemble_losses(repo, t, ordinals, ensemble_size),
+                        task_ids, threads)
+    return np.array(results, dtype=np.float64).reshape(len(datasets), len(folds), 2)

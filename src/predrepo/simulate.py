@@ -10,13 +10,12 @@ is a lookup-table operation over stored predictions.
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
-from .ensemble import caruana_select, ensemble_predict
+from .ensemble import _map_tasks, caruana_select, ensemble_predict
 from .portfolio import NORMALIZED_LOSS, Portfolio, learn_portfolio, loo_train_tasks
 from .store import TEST, VAL, Repository
 
@@ -144,13 +143,7 @@ def _simulate_loo(repo: Repository, policy: BudgetPolicy, n_max: int, c_max: int
         included, fb = anytime_filter(portfolios[meta.dataset_id], t, policy, repo)
         return _ensemble_result(repo, t, included, included, fb, c_max)
 
-    task_ids = list(range(repo.n_tasks))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, task_ids))
-    else:
-        results = [run(t) for t in task_ids]
-    return results, portfolios
+    return _map_tasks(run, range(repo.n_tasks), threads), portfolios
 
 
 def simulate_portfolio(repo: Repository, policy: BudgetPolicy, n_max: int,
@@ -206,8 +199,4 @@ def simulate_single_family(repo: Repository, family: str, mode: str,
         pool = sorted(included, key=lambda j: (repo.eval_table[t, j, 0], j))[:TUNED_ENSEMBLE_POOL]
         return _ensemble_result(repo, t, pool, included, fb, c_max)
 
-    task_ids = list(range(repo.n_tasks))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_:
-            return list(pool_.map(run, task_ids))
-    return [run(t) for t in task_ids]
+    return _map_tasks(run, range(repo.n_tasks), threads)

@@ -1,10 +1,17 @@
-"""Domain types and the on-disk prediction repository format.
+"""Domain types and the prediction repository format.
 
 A repository stores, for every (task, config) pair, the validation and test
 prediction matrices plus a scalar evaluation record (validation loss, test
-loss, fit time, inference time per row). Prediction matrices live in a dense
-binary blob addressed through a fixed-width index so a single matrix can be
-read without touching the rest of the file.
+loss, fit time, inference time per row).
+
+Memory and disk share one layout. All prediction matrices sit back to back
+in one float32 buffer, row-major, in (task, config, split) order, so a cell's
+position and shape follow from the task shapes alone. An in-memory
+repository packs its cells into such a buffer; an opened one memory-maps
+preds.blob past its header. The labels sit likewise in one float64 buffer in
+labels.bin order. Reads return read-only views into these buffers and copy
+nothing, except that classification labels are converted to int64 class
+indices (exact for any realistic class count).
 
 Directory layout::
 
@@ -21,11 +28,12 @@ Directory layout::
                         #   matrices back to back
 
 Index offsets are absolute byte positions in preds.blob. Splits are numbered
-val=0, test=1. Classification labels are stored as f64 and converted back to
-integer class indices on read; the conversion is exact for any realistic class
-count. Repository handles are immutable after open and safe for concurrent
-readers; all writes go through :func:`write_repo`, which produces a complete
-new directory.
+val=0, test=1. The index is redundant with the manifest: :func:`open_repo`
+rejects any record that differs from the one the task shapes imply.
+Repository handles are immutable after open and safe for concurrent readers.
+All writes go through :func:`write_repo`, which checks every cell first and
+then replaces each file whole, so rewriting a repository onto the directory it
+was opened from leaves earlier views reading their old values.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import enum
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -64,6 +72,9 @@ _INDEX_DTYPE = np.dtype(
     ]
 )
 assert _INDEX_DTYPE.itemsize == 28
+_PAD_BYTES = slice(9, 12)  # the pad field's bytes within a record; never checked
+
+STORE_FILES = ("manifest.json", "labels.bin", "evals.bin", "preds.idx", "preds.blob")
 
 _EVAL_FIELDS = 4  # loss_val, loss_test, time_fit, time_infer
 
@@ -96,16 +107,18 @@ class TaskMeta:
 
     def __post_init__(self) -> None:
         if self.fold < 0:
-            raise ValueError(f"fold must be nonnegative, got {self.fold}")
+            raise ValueError(f"task {self.key}: 'fold' must be nonnegative, got {self.fold}")
         if self.n_val <= 0 or self.n_test <= 0:
-            raise ValueError(f"row counts must be positive for {self.key}")
+            raise ValueError(f"task {self.key}: 'n_val' and 'n_test' must be positive, "
+                             f"got {self.n_val} and {self.n_test}")
         if self.n_features < 0:
-            raise ValueError("n_features must be nonnegative")
+            raise ValueError(f"task {self.key}: 'n_features' must be nonnegative, "
+                             f"got {self.n_features}")
         if self.problem is ProblemType.MULTICLASS:
             if self.o < 2:
-                raise ValueError(f"multiclass task {self.key} needs o >= 2, got {self.o}")
+                raise ValueError(f"task {self.key}: multiclass needs 'o' >= 2, got {self.o}")
         elif self.o != 1:
-            raise ValueError(f"{self.problem.value} task {self.key} needs o = 1, got {self.o}")
+            raise ValueError(f"task {self.key}: {self.problem.value} needs 'o' = 1, got {self.o}")
 
     @property
     def key(self) -> tuple[str, int]:
@@ -135,71 +148,45 @@ class EvaluationRecord:
             raise ValueError(f"evaluation record fields must be finite and >= 0, got {vals}")
 
 
-class _ArrayPredictions:
-    """In-memory prediction backing: dense dict keyed by (task, config, split)."""
+def _canonical_index(tasks: Sequence[TaskMeta], n_configs: int) -> np.ndarray:
+    """The preds.idx records of a repository, shape (tasks, configs, 2).
 
-    def __init__(self, data: Mapping[tuple[int, int, int], np.ndarray]):
-        self._data = data
-        self.bytes_read = 0
-
-    def get(self, task: int, config: int, split: int) -> np.ndarray:
-        arr = self._data[(task, config, split)]
-        self.bytes_read += arr.nbytes
-        return arr
-
-
-class _MmapPredictions:
-    """Memory-mapped prediction backing; reads touch only the requested extent."""
-
-    def __init__(self, blob_path: Path, offsets: np.ndarray, shapes: np.ndarray):
-        # offsets/shapes indexed [task, config, split]; shapes holds (rows, cols)
-        self._mm = np.memmap(blob_path, dtype=np.uint8, mode="r")
-        self._offsets = offsets
-        self._shapes = shapes
-        self.bytes_read = 0
-
-    def get(self, task: int, config: int, split: int) -> np.ndarray:
-        offset = int(self._offsets[task, config, split])
-        rows = int(self._shapes[task, config, split, 0])
-        cols = int(self._shapes[task, config, split, 1])
-        nbytes = rows * cols * 4
-        raw = np.array(self._mm[offset : offset + nbytes])  # copies exactly this extent
-        self.bytes_read += nbytes
-        return raw.view("<f4").reshape(rows, cols)
+    Records run in (task, config, split) order, rows and cols come from the
+    task meta, and each offset is the blob header size plus the bytes of all
+    earlier cells.
+    """
+    shapes = np.array([[(t.n_val, t.o), (t.n_test, t.o)] for t in tasks],
+                      dtype=np.int64).reshape(len(tasks), 1, 2, 2)
+    index = np.zeros((len(tasks), n_configs, 2), dtype=_INDEX_DTYPE)
+    index["task"] = np.arange(len(tasks))[:, None, None]
+    index["config"] = np.arange(n_configs)[:, None]
+    index["split"] = (VAL, TEST)
+    index["rows"] = shapes[..., 0]
+    index["cols"] = shapes[..., 1]
+    nbytes = np.broadcast_to(shapes[..., 0] * shapes[..., 1] * 4, index.shape)
+    index["offset"] = 8 + np.cumsum(nbytes).reshape(index.shape) - nbytes
+    return index
 
 
-class _ArrayLabels:
-    def __init__(self, labels: Sequence[tuple[np.ndarray, np.ndarray]]):
-        self._labels = labels
-
-    def get(self, task: int, split: int) -> np.ndarray:
-        return self._labels[task][split]
+def _blob_end(index: np.ndarray) -> int:
+    """Byte size of a preds.blob that holds every cell of ``index``."""
+    return 8 + 4 * int(np.sum(index["rows"].astype(np.int64) * index["cols"]))
 
 
-class _MmapLabels:
-    def __init__(self, path: Path, tasks: Sequence[TaskMeta]):
-        self._mm = np.memmap(path, dtype="<f8", mode="r", offset=8)
-        starts = []
-        pos = 0
-        for t in tasks:
-            starts.append((pos, pos + t.n_val, pos + t.n_val + t.n_test))
-            pos += t.n_val + t.n_test
-        self._starts = starts
-        self._tasks = tasks
-
-    def get(self, task: int, split: int) -> np.ndarray:
-        a, b, c = self._starts[task]
-        raw = np.array(self._mm[a:b] if split == VAL else self._mm[b:c])
-        if self._tasks[task].problem.is_classification:
-            return raw.astype(np.int64)
-        return raw
+def _label_starts(tasks: Sequence[TaskMeta]) -> list[int]:
+    """Start of each task's labels in the label buffer, plus the total length."""
+    return np.cumsum([0] + [t.n_val + t.n_test for t in tasks]).tolist()
 
 
 class Repository:
     """Dense store of predictions and evaluations for tasks x configs.
 
-    Immutable after construction. Prediction access is lazy for opened
-    repositories: only the requested matrix extent is read from the blob.
+    ``predictions`` is the float32 buffer of every cell in the layout of
+    preds.blob past its header, and ``labels`` the float64 buffer of every
+    label in the layout of labels.bin past its header (see the module
+    docstring). Reads return read-only views into these buffers. Immutable
+    after construction, except that an in-memory repository's ``eval_table``
+    is the caller's array.
     """
 
     def __init__(
@@ -207,15 +194,13 @@ class Repository:
         tasks: Sequence[TaskMeta],
         configs: Sequence[ConfigMeta],
         folds_per_dataset: int,
-        labels,
-        predictions,
+        labels: np.ndarray,
+        predictions: np.ndarray,
         evals: np.ndarray,
     ):
         self.tasks = list(tasks)
         self.configs = list(configs)
         self.folds_per_dataset = int(folds_per_dataset)
-        self._labels = labels
-        self._predictions = predictions
         self._evals = evals
 
         keys = [t.key for t in self.tasks]
@@ -230,6 +215,17 @@ class Repository:
         if evals.shape != (len(self.tasks), len(self.configs), _EVAL_FIELDS):
             raise StoreError(f"evals table has shape {evals.shape}, expected "
                              f"{(len(self.tasks), len(self.configs), _EVAL_FIELDS)}")
+
+        index = _canonical_index(self.tasks, len(self.configs))
+        self._cell_start = ((index["offset"] - 8) // 4).astype(np.int64)
+        self._cell_shape = [((t.n_val, t.o), (t.n_test, t.o)) for t in self.tasks]
+        self._label_start = _label_starts(self.tasks)
+        self._preds = np.asarray(predictions)
+        self._labels = np.asarray(labels)
+        self._bytes_read = 0
+        if (self._preds.shape != ((_blob_end(index) - 8) // 4,)
+                or self._labels.shape != (self._label_start[-1],)):
+            raise StoreError("prediction or label buffer does not match the task shapes")
 
         self._task_index = {k: i for i, k in enumerate(keys)}
         self._config_index = {c: i for i, c in enumerate(ids)}
@@ -252,29 +248,39 @@ class Repository:
     ) -> "Repository":
         """Build a repository from in-memory arrays (as the generator does).
 
-        ``predictions`` maps (task_ordinal, config_ordinal, split) to float32
-        matrices; ``labels`` holds one (val, test) array pair per task.
+        ``predictions`` maps (task_ordinal, config_ordinal, split) to
+        matrices, which are packed as float32; ``labels`` holds one (val,
+        test) array pair per task. A missing cell or a cell of the wrong
+        shape is a :class:`StoreError`; values are not checked here, so that
+        :func:`validate_repo` can report them.
         """
-        preds = {}
-        for t in range(len(tasks)):
-            for j in range(len(configs)):
+        tasks = list(tasks)
+        index = _canonical_index(tasks, len(configs))
+        starts = ((index["offset"] - 8) // 4).tolist()
+        buf = np.empty((_blob_end(index) - 8) // 4, dtype="<f4")
+        for t, task in enumerate(tasks):
+            for j, config in enumerate(configs):
                 for s in (VAL, TEST):
                     try:
-                        arr = predictions[(t, j, s)]
+                        arr = np.asarray(predictions[(t, j, s)])
                     except KeyError:
                         raise StoreError(
-                            f"missing predictions for task={tasks[t].key} "
-                            f"config={configs[j].config_id} split={s}"
+                            f"missing predictions for task={task.key} "
+                            f"config={config.config_id} split={s}"
                         ) from None
-                    preds[(t, j, s)] = np.ascontiguousarray(arr, dtype="<f4")
-        labs = []
+                    _check_shape(task, config, s, arr)
+                    start = starts[t][j][s]
+                    buf[start:start + arr.size] = arr.ravel()
+        label_start = _label_starts(tasks)
+        labs = np.empty(label_start[-1], dtype="<f8")
         for t, meta in enumerate(tasks):
             yv, yt = labels[t]
             if len(yv) != meta.n_val or len(yt) != meta.n_test:
                 raise StoreError(f"label lengths for task {meta.key} do not match task meta")
-            labs.append((np.asarray(yv), np.asarray(yt)))
-        return cls(tasks, configs, folds_per_dataset,
-                   _ArrayLabels(labs), _ArrayPredictions(preds),
+            labs[label_start[t]:label_start[t + 1]] = np.concatenate([yv, yt])
+        buf.flags.writeable = False
+        labs.flags.writeable = False
+        return cls(tasks, configs, folds_per_dataset, labs, buf,
                    np.asarray(evals, dtype=np.float64))
 
     # -- lookups ----------------------------------------------------------
@@ -347,9 +353,10 @@ class Repository:
         j = self.config_index(config)
         if split not in (VAL, TEST):
             raise ValueError(f"split must be {VAL} (val) or {TEST} (test)")
-        arr = np.array(self._predictions.get(t, j, split), dtype=np.float32)
-        arr.flags.writeable = False
-        return arr
+        start = int(self._cell_start[t, j, split])
+        rows, cols = self._cell_shape[t][split]
+        self._bytes_read += rows * cols * 4
+        return self._preds[start:start + rows * cols].reshape(rows, cols)
 
     def predict_val(self, dataset, fold: int | None = None, config=None) -> np.ndarray:
         """Validation (out-of-fold) predictions for (dataset, fold, config)."""
@@ -362,8 +369,14 @@ class Repository:
         return self.predictions(task, config, TEST)
 
     def labels(self, task, split: int) -> np.ndarray:
+        """Labels of one task split: int64 class indices, or read-only float64 targets."""
         t = self.task_index(task)
-        return self._labels.get(t, split)
+        if split not in (VAL, TEST):
+            raise ValueError(f"split must be {VAL} (val) or {TEST} (test)")
+        start = self._label_start[t] + (self.tasks[t].n_val if split == TEST else 0)
+        rows = self._cell_shape[t][split][0]
+        y = self._labels[start:start + rows]
+        return y.astype(np.int64) if self.tasks[t].problem.is_classification else y
 
     def eval_record(self, task, config) -> EvaluationRecord:
         t = self.task_index(task)
@@ -388,7 +401,7 @@ class Repository:
     @property
     def prediction_bytes_read(self) -> int:
         """Total prediction-blob bytes requested so far (instrumentation)."""
-        return self._predictions.bytes_read
+        return self._bytes_read
 
     # -- paper-style convenience API ---------------------------------------
 
@@ -398,13 +411,17 @@ class Repository:
         return ensemble.evaluate_ensemble(datasets, folds, configs, ensemble_size, self)
 
 
-def _check_matrix(task: TaskMeta, config: ConfigMeta, split: int, arr: np.ndarray) -> None:
+def _check_shape(task: TaskMeta, config: ConfigMeta, split: int, arr: np.ndarray) -> None:
     rows = task.n_val if split == VAL else task.n_test
     if arr.shape != (rows, task.o):
         raise StoreError(
             f"prediction shape {arr.shape} != {(rows, task.o)} at "
             f"(task={task.key}, config={config.config_id}, split={split})"
         )
+
+
+def _check_matrix(task: TaskMeta, config: ConfigMeta, split: int, arr: np.ndarray) -> None:
+    _check_shape(task, config, split, arr)
     if not np.all(np.isfinite(arr)):
         raise StoreError(
             f"non-finite prediction at (task={task.key}, config={config.config_id}, split={split})"
@@ -439,114 +456,146 @@ def _check_header(path: Path, magic: bytes) -> None:
         raise StoreError(f"unsupported version {version} in {path.name}")
 
 
+def _replace_file(path: Path, name: str, *parts) -> None:
+    """Write ``parts`` (bytes or arrays) to a temporary file, then rename it to ``name``.
+
+    Replacing rather than truncating keeps every memory map of the old file,
+    and every view into one, valid.
+    """
+    tmp = path / f".{name}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            for part in parts:
+                f.write(part if isinstance(part, bytes)
+                        else np.ascontiguousarray(part).reshape(-1).view(np.uint8).data)
+        os.replace(tmp, path / name)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_repo(repo: Repository, path: str | Path) -> None:
     """Write a repository to ``path``, creating the directory if needed.
 
     The output is canonical: writing the same repository twice, or writing a
-    freshly opened copy, produces byte-identical files. Type invariants are
-    checked while streaming; a violation aborts with a diagnostic naming the
-    offending cell.
+    freshly opened copy, produces byte-identical files. Every cell, evaluation
+    record and label is checked before anything is written; a violation
+    aborts with a diagnostic naming the offending cell. Each file is then
+    written under a temporary name and renamed into place, manifest.json
+    last, so ``path`` may be the directory ``repo`` was opened from.
     """
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-
     tasks, configs = repo.tasks, repo.configs
-    n_records = len(tasks) * len(configs) * 2
-    index = np.zeros(n_records, dtype=_INDEX_DTYPE)
-
-    rec = 0
-    offset = 8  # blob header
-    with open(path / "preds.blob", "wb") as blob:
-        blob.write(_header(MAGIC_BLOB))
-        for t, task in enumerate(tasks):
-            for j, config in enumerate(configs):
-                for split in (VAL, TEST):
-                    arr = np.ascontiguousarray(repo.predictions(t, j, split), dtype="<f4")
-                    _check_matrix(task, config, split, arr)
-                    blob.write(arr.tobytes())
-                    index[rec] = (t, j, split, b"", offset, arr.shape[0], arr.shape[1])
-                    offset += arr.nbytes
-                    rec += 1
-
-    with open(path / "preds.idx", "wb") as f:
-        f.write(_header(MAGIC_INDEX))
-        f.write(index.tobytes())
-
-    evals = np.ascontiguousarray(repo.eval_table, dtype="<f8")
     for t, task in enumerate(tasks):
         for j, config in enumerate(configs):
-            if not np.all(np.isfinite(evals[t, j])) or np.any(evals[t, j] < 0):
-                raise StoreError(
-                    f"invalid evaluation record at (task={task.key}, config={config.config_id})"
-                )
-    with open(path / "evals.bin", "wb") as f:
-        f.write(_header(MAGIC_EVALS))
-        f.write(evals.tobytes())
+            for split in (VAL, TEST):
+                _check_matrix(task, config, split, repo.predictions(t, j, split))
+
+    evals = np.ascontiguousarray(repo.eval_table, dtype="<f8")
+    bad = ~np.all(np.isfinite(evals) & (evals >= 0), axis=2)
+    if bad.any():
+        t, j = np.argwhere(bad)[0]
+        raise StoreError(
+            f"invalid evaluation record at (task={tasks[t].key}, config={configs[j].config_id})"
+        )
 
     checksums = []
-    with open(path / "labels.bin", "wb") as f:
-        f.write(_header(MAGIC_LABELS))
-        for t, task in enumerate(tasks):
-            chunk = b""
-            for split in (VAL, TEST):
-                y = np.ascontiguousarray(repo.labels(t, split), dtype="<f8")
-                if not np.all(np.isfinite(y)):
-                    raise StoreError(f"non-finite label for task {task.key}")
-                chunk += y.tobytes()
-            f.write(chunk)
-            checksums.append(hashlib.sha256(chunk).hexdigest())
+    for t, task in enumerate(tasks):
+        chunk = repo._labels[repo._label_start[t]:repo._label_start[t + 1]]
+        if not np.all(np.isfinite(chunk)):
+            raise StoreError(f"non-finite label for task {task.key}")
+        checksums.append(hashlib.sha256(chunk).hexdigest())
 
     manifest = {
         "format": "prediction-repository",
         "version": FORMAT_VERSION,
         "folds_per_dataset": repo.folds_per_dataset,
-        "tasks": [
-            {
-                "dataset_id": t.dataset_id,
-                "fold": t.fold,
-                "problem": t.problem.value,
-                "n_val": t.n_val,
-                "n_test": t.n_test,
-                "o": t.o,
-                "n_features": t.n_features,
-            }
-            for t in tasks
-        ],
-        "configs": [
-            {
-                "config_id": c.config_id,
-                "family": c.family,
-                "is_default": c.is_default,
-                "hyperparams": c.hyperparams,
-            }
-            for c in configs
-        ],
+        "tasks": [{**asdict(t), "problem": t.problem.value} for t in tasks],
+        "configs": [asdict(c) for c in configs],
         "label_checksums": checksums,
     }
-    with open(path / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
+
+    path.mkdir(parents=True, exist_ok=True)
+    _replace_file(path, "preds.blob", _header(MAGIC_BLOB), repo._preds)
+    _replace_file(path, "preds.idx", _header(MAGIC_INDEX), _canonical_index(tasks, len(configs)))
+    _replace_file(path, "evals.bin", _header(MAGIC_EVALS), evals)
+    _replace_file(path, "labels.bin", _header(MAGIC_LABELS), repo._labels)
+    _replace_file(path, "manifest.json",
+                  (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
 
 
-def _check_label_checksums(path: Path, tasks: Sequence[TaskMeta], checksums: list) -> None:
-    """Compare each task's labels.bin chunk with its sha256 in the manifest."""
-    if len(checksums) != len(tasks):
+def _task_field(entry, key: str, convert, task: str):
+    if key not in entry:
+        raise StoreError(f"manifest.json is missing required field {key!r} in {task}")
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError):
+        raise StoreError(f"manifest.json: {task}: invalid {key!r} value {entry[key]!r}") from None
+
+
+def _manifest_tasks(entries) -> list[TaskMeta]:
+    """Parse the manifest's tasks; a bad entry is a StoreError naming the task and the field."""
+    tasks = []
+    for i, entry in enumerate(entries):
+        dataset_id = _task_field(entry, "dataset_id", lambda v: v, f"task {i}")
+        fold = _task_field(entry, "fold", int, f"task {i}")
+        name = f"task {(dataset_id, fold)}"
+        try:
+            tasks.append(TaskMeta(
+                dataset_id, fold,
+                problem=_task_field(entry, "problem", ProblemType, name),
+                n_val=_task_field(entry, "n_val", int, name),
+                n_test=_task_field(entry, "n_test", int, name),
+                o=_task_field(entry, "o", int, name),
+                n_features=_task_field(entry, "n_features", int, name) if "n_features" in entry else 0,
+            ))
+        except ValueError as e:
+            raise StoreError(f"manifest.json: {e}") from None
+    return tasks
+
+
+def _map(path: Path, dtype: str, count: int) -> np.ndarray:
+    """Read-only map of ``count`` items of ``path`` past its 8-byte header."""
+    if count == 0:
+        return np.empty(0, dtype=dtype)
+    return np.asarray(np.memmap(path, dtype=dtype, mode="r", offset=8, shape=(count,)))
+
+
+def _check_index(path: Path, tasks: Sequence[TaskMeta], configs: Sequence[ConfigMeta],
+                 want: np.ndarray) -> None:
+    """Compare the records of preds.idx with the canonical ``want``, pad bytes excepted."""
+    raw = np.fromfile(path, dtype=np.uint8, offset=8)
+    if raw.nbytes != want.nbytes:
+        raise StoreError(f"preds.idx holds {raw.nbytes} record bytes, expected {want.nbytes}")
+    width = _INDEX_DTYPE.itemsize
+    differs = raw.reshape(-1, width) != want.view(np.uint8).reshape(-1, width)
+    differs[:, _PAD_BYTES] = False
+    bad = np.flatnonzero(differs.any(axis=1))
+    if not bad.size:
+        return
+    got, exp = raw.view(_INDEX_DTYPE)[bad[0]], want[bad[0]]
+    if any(got[f] != exp[f] for f in ("task", "config", "split")):
+        raise StoreError("preds.idx records are not sorted by (task, config, split)")
+    task = tasks[int(exp["task"])]
+    if got["rows"] != exp["rows"] or got["cols"] != exp["cols"]:
         raise StoreError(
-            f"manifest.json has {len(checksums)} label checksums for {len(tasks)} tasks")
-    with open(path, "rb") as f:
-        f.seek(8)
-        for task, checksum in zip(tasks, checksums):
-            chunk = f.read((task.n_val + task.n_test) * 8)
-            if hashlib.sha256(chunk).hexdigest() != checksum:
-                raise StoreError(f"label checksum mismatch in labels.bin for task {task.key}")
+            f"index shape ({int(got['rows'])}, {int(got['cols'])}) does not match task "
+            f"{task.key} meta ({int(exp['rows'])}, {int(exp['cols'])})"
+        )
+    raise StoreError(
+        f"preds.idx offset {int(got['offset'])} at (task={task.key}, "
+        f"config={configs[int(exp['config'])].config_id}, split={int(exp['split'])}) "
+        f"is not the canonical {int(exp['offset'])}"
+    )
 
 
 def open_repo(path: str | Path) -> Repository:
     """Open an on-disk repository for reading.
 
-    Metadata is parsed fully and each task's labels are checked against
-    their manifest checksum; the prediction blob is memory-mapped and never
-    read in full at open time. The returned handle is immutable and safe for
+    Metadata is parsed fully, the index is checked against the records the
+    task shapes imply, and each task's labels are checked against their
+    manifest checksum. The prediction blob is memory-mapped and never read in
+    full at open time. The returned handle is immutable and safe for
     concurrent readers.
     """
     path = Path(path)
@@ -565,97 +614,60 @@ def open_repo(path: str | Path) -> Repository:
         raise StoreError(f"unsupported version {manifest.get('version')} in manifest.json")
 
     try:
-        tasks = [
-            TaskMeta(
-                dataset_id=t["dataset_id"],
-                fold=int(t["fold"]),
-                problem=ProblemType(t["problem"]),
-                n_val=int(t["n_val"]),
-                n_test=int(t["n_test"]),
-                o=int(t["o"]),
-                n_features=int(t.get("n_features", 0)),
-            )
-            for t in manifest["tasks"]
-        ]
-        configs = [
-            ConfigMeta(
-                config_id=c["config_id"],
-                family=c["family"],
-                is_default=bool(c["is_default"]),
-                hyperparams=c.get("hyperparams", ""),
-            )
-            for c in manifest["configs"]
-        ]
+        tasks = _manifest_tasks(manifest["tasks"])
+        configs = [ConfigMeta(c["config_id"], c["family"], bool(c["is_default"]),
+                              c.get("hyperparams", "")) for c in manifest["configs"]]
         folds = int(manifest["folds_per_dataset"])
         label_checksums = list(manifest["label_checksums"])
     except KeyError as e:
         raise StoreError(f"manifest.json is missing required field {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise StoreError(f"manifest.json has a malformed value: {e}") from None
     T, M = len(tasks), len(configs)
 
     for name, magic in (("preds.blob", MAGIC_BLOB), ("preds.idx", MAGIC_INDEX),
                         ("evals.bin", MAGIC_EVALS), ("labels.bin", MAGIC_LABELS)):
         _check_header(path / name, magic)
 
-    raw_index = np.fromfile(path / "preds.idx", dtype=np.uint8, offset=8)
-    if raw_index.nbytes != T * M * 2 * _INDEX_DTYPE.itemsize:
-        raise StoreError(
-            f"preds.idx holds {raw_index.nbytes} record bytes, expected {T * M * 2 * _INDEX_DTYPE.itemsize}"
-        )
-    records = raw_index.view(_INDEX_DTYPE)
-
-    offsets = np.zeros((T, M, 2), dtype=np.uint64)
-    shapes = np.zeros((T, M, 2, 2), dtype=np.uint32)
+    index = _canonical_index(tasks, M).reshape(-1)
+    _check_index(path / "preds.idx", tasks, configs, index)
+    end = _blob_end(index)
     blob_size = os.path.getsize(path / "preds.blob")
-    expected = 0
-    for rec in records:
-        t, j, s = int(rec["task"]), int(rec["config"]), int(rec["split"])
-        if (t, j, s) != (expected // 2 // M, (expected // 2) % M, expected % 2):
-            raise StoreError("preds.idx records are not sorted by (task, config, split)")
-        expected += 1
-        task = tasks[t]
-        rows = task.n_val if s == VAL else task.n_test
-        if int(rec["rows"]) != rows or int(rec["cols"]) != task.o:
-            raise StoreError(
-                f"index shape ({int(rec['rows'])}, {int(rec['cols'])}) does not match task "
-                f"{task.key} meta ({rows}, {task.o})"
-            )
-        end = int(rec["offset"]) + rows * task.o * 4
-        if end > blob_size:
-            raise StoreError(
-                f"blob shorter than index extent: need {end} bytes, preds.blob has {blob_size}"
-            )
-        offsets[t, j, s] = rec["offset"]
-        shapes[t, j, s] = (rec["rows"], rec["cols"])
+    if end > blob_size:
+        raise StoreError(
+            f"blob shorter than index extent: need {end} bytes, preds.blob has {blob_size}"
+        )
 
     evals_size = os.path.getsize(path / "evals.bin")
     if evals_size != 8 + T * M * _EVAL_FIELDS * 8:
         raise StoreError(
             f"evals.bin has {evals_size} bytes, expected {8 + T * M * _EVAL_FIELDS * 8}"
         )
-    evals = np.memmap(path / "evals.bin", dtype="<f8", mode="r", offset=8).reshape(T, M, _EVAL_FIELDS)
 
+    label_start = _label_starts(tasks)
     labels_size = os.path.getsize(path / "labels.bin")
-    expected_labels = 8 + sum(t.n_val + t.n_test for t in tasks) * 8
-    if labels_size != expected_labels:
-        raise StoreError(f"labels.bin has {labels_size} bytes, expected {expected_labels}")
-    _check_label_checksums(path / "labels.bin", tasks, label_checksums)
+    if labels_size != 8 + label_start[-1] * 8:
+        raise StoreError(f"labels.bin has {labels_size} bytes, expected {8 + label_start[-1] * 8}")
+    labels = _map(path / "labels.bin", "<f8", label_start[-1])
+    if len(label_checksums) != T:
+        raise StoreError(
+            f"manifest.json has {len(label_checksums)} label checksums for {T} tasks")
+    for t, task in enumerate(tasks):
+        chunk = labels[label_start[t]:label_start[t + 1]]
+        if hashlib.sha256(chunk).hexdigest() != label_checksums[t]:
+            raise StoreError(f"label checksum mismatch in labels.bin for task {task.key}")
 
-    return Repository(
-        tasks,
-        configs,
-        folds,
-        _MmapLabels(path / "labels.bin", tasks),
-        _MmapPredictions(path / "preds.blob", offsets, shapes),
-        evals,
-    )
+    evals = _map(path / "evals.bin", "<f8", T * M * _EVAL_FIELDS).reshape(T, M, _EVAL_FIELDS)
+    return Repository(tasks, configs, folds, labels,
+                      _map(path / "preds.blob", "<f4", (end - 8) // 4), evals)
 
 
 def validate_repo(repo: Repository) -> list[str]:
     """Check repository invariants; returns a list of violations (empty = valid).
 
-    Covers density (every cell readable with the right shape), row
-    stochasticity, NaN freedom, and recomputation of the stored validation
-    loss from stored predictions within ``LOSS_RECOMPUTE_TOL`` relative.
+    Covers row stochasticity, NaN freedom, and recomputation of the stored
+    validation loss from stored predictions within ``LOSS_RECOMPUTE_TOL``
+    relative. Density and cell shapes hold by construction of the repository.
     """
     from . import metrics  # local import to avoid a cycle
 
@@ -664,20 +676,14 @@ def validate_repo(repo: Repository) -> list[str]:
         y_val = repo.labels(t, VAL)
         for j, config in enumerate(repo.configs):
             cell = f"(task={task.key}, config={config.config_id})"
-            ok = True
+            errors = []
             for split in (VAL, TEST):
                 try:
-                    arr = repo.predictions(t, j, split)
-                except Exception as e:  # density or format failure
-                    report.append(f"unreadable predictions at {cell} split={split}: {e}")
-                    ok = False
-                    continue
-                try:
-                    _check_matrix(task, config, split, arr)
+                    _check_matrix(task, config, split, repo.predictions(t, j, split))
                 except StoreError as e:
-                    report.append(str(e))
-                    ok = False
-            if not ok:
+                    errors.append(str(e))
+            report.extend(errors)
+            if errors:
                 continue
             stored = repo.eval_record(t, j)
             try:

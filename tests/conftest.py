@@ -67,6 +67,26 @@ def make_handmade_repo(seed: int = 0) -> Repository:
     return Repository.in_memory(tasks, configs, 2, labels, predictions, evals)
 
 
+def repo_arrays(repo: Repository):
+    """Writable copies of a repository's labels, cells and evaluations.
+
+    They come in the form :meth:`Repository.in_memory` takes, so a test can
+    perturb them and build the perturbed repository with :func:`rebuild_repo`.
+    """
+    labels = [tuple(np.array(repo.labels(t, s)) for s in (VAL, TEST))
+              for t in range(repo.n_tasks)]
+    predictions = {(t, j, s): np.array(repo.predictions(t, j, s))
+                   for t in range(repo.n_tasks) for j in range(repo.n_configs)
+                   for s in (VAL, TEST)}
+    return labels, predictions, np.array(repo.eval_table)
+
+
+def rebuild_repo(repo: Repository, labels, predictions, evals) -> Repository:
+    """In-memory repository with ``repo``'s metadata and the given arrays."""
+    return Repository.in_memory(repo.tasks, repo.configs, repo.folds_per_dataset,
+                                labels, predictions, evals)
+
+
 def small_spec(seed: int = 11, **overrides) -> GeneratorSpec:
     kwargs = dict(
         seed=seed,

@@ -51,7 +51,7 @@ from predrepo.cli import main
 from predrepo.store import TEST, VAL
 from predrepo.synth import oracle_auc_pairwise, oracle_greedy_extension
 
-from conftest import small_spec
+from conftest import rebuild_repo, repo_arrays, small_spec
 from test_aggregate import make_methods
 
 THREADS = 4
@@ -270,19 +270,21 @@ def test_criterion_8_loo_leakage_freedom():
                                     range(base.n_configs), 4, NORMALIZED_LOSS, base)
 
         perturbed = generate_repo(spec)
+        labels, preds, evals = repo_arrays(perturbed)
         rng = np.random.default_rng(trial)
         for t in perturbed.dataset_tasks(held):
             task = perturbed.tasks[t]
             for split in (VAL, TEST):
-                y = perturbed._labels._labels[t][split]
+                y = labels[t][split]
                 if task.problem is ProblemType.REGRESSION:
                     y += rng.standard_normal(y.shape)
                 else:
                     y[:2] = y[:2][::-1]
                 for j in range(perturbed.n_configs):
-                    arr = perturbed._predictions._data[(t, j, split)]
+                    arr = preds[(t, j, split)]
                     arr += rng.random(arr.shape).astype(np.float32) * 1e-3
-            perturbed.eval_table[t, :, :2] = rng.random((perturbed.n_configs, 2))
+            evals[t, :, :2] = rng.random((perturbed.n_configs, 2))
+        perturbed = rebuild_repo(perturbed, labels, preds, evals)
         again = learn_portfolio(loo_train_tasks(perturbed, held),
                                 range(perturbed.n_configs), 4, NORMALIZED_LOSS, perturbed)
         assert again == reference, f"trial {trial}"

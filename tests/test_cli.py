@@ -130,6 +130,20 @@ class TestValidate:
         assert code == 2
         assert "missing required field 'configs'" in err
 
+    @pytest.mark.parametrize("field, value", [("problem", "ordinal"), ("n_val", "x"), ("o", 0)])
+    def test_malformed_manifest_value_exits_2(self, tmp_path, capsys, field, value):
+        spec_path = write_spec(tmp_path, seed=241)
+        run(capsys, "generate", "--spec", str(spec_path), "--out", str(tmp_path / "r"))
+        manifest_path = tmp_path / "r" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        task = next(t for t in manifest["tasks"] if t["problem"] == "regression")
+        task[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "validate", "--repo", str(tmp_path / "r"))
+        assert code == 2
+        assert f"task {(task['dataset_id'], task['fold'])!r}" in err
+        assert f"'{field}'" in err
+
     def test_flipped_label_byte_exits_2(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, seed=239)
         run(capsys, "generate", "--spec", str(spec_path), "--out", str(tmp_path / "r"))

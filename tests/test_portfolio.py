@@ -13,7 +13,7 @@ from predrepo import (
 from predrepo.portfolio import normalize_losses
 from predrepo.synth import oracle_greedy_extension
 
-from conftest import small_spec
+from conftest import rebuild_repo, repo_arrays, small_spec
 
 
 class TestLearnPortfolio:
@@ -80,13 +80,15 @@ class TestLearnPortfolio:
         reference = learn_portfolio(train, range(base.n_configs), 5,
                                     NORMALIZED_LOSS, base)
         perturbed = generate_repo(small_spec(seed=41))
+        labels, preds, evals = repo_arrays(perturbed)
         rng = np.random.default_rng(99)
         for t in perturbed.dataset_tasks(held_out):
             for j in range(perturbed.n_configs):
                 for split in (0, 1):
-                    arr = perturbed._predictions._data[(t, j, split)]
+                    arr = preds[(t, j, split)]
                     arr += rng.random(arr.shape).astype(np.float32) * 1e-3
-                perturbed.eval_table[t, j, :2] = rng.random(2)
+                evals[t, j, :2] = rng.random(2)
+        perturbed = rebuild_repo(perturbed, labels, preds, evals)
         again = learn_portfolio(loo_train_tasks(perturbed, held_out),
                                 range(perturbed.n_configs), 5, NORMALIZED_LOSS, perturbed)
         assert again == reference

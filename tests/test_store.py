@@ -1,10 +1,21 @@
 from __future__ import annotations
 
+import functools
 import json
+import os
+import subprocess
+import sys
+import tempfile
+import textwrap
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import predrepo
 
 from predrepo import (
     ConfigMeta,
@@ -16,9 +27,9 @@ from predrepo import (
     validate_repo,
     write_repo,
 )
-from predrepo.store import TEST, VAL
+from predrepo.store import _INDEX_DTYPE, TEST, VAL
 
-from conftest import make_handmade_repo
+from conftest import make_handmade_repo, rebuild_repo, repo_arrays
 
 FILES = ("manifest.json", "labels.bin", "evals.bin", "preds.idx", "preds.blob")
 
@@ -75,6 +86,30 @@ class TestWrite:
         repo = Repository.in_memory([task], [config], 1, labels, preds, evals)
         with pytest.raises(StoreError, match="row-stochastic violation"):
             write_repo(repo, tmp_path / "r")
+
+
+class TestInMemory:
+    @pytest.mark.parametrize("cell, match", [
+        (None, r"missing predictions for task=\('d', 0\) config=only split=1"),
+        (np.zeros((2, 2), dtype=np.float32),
+         r"prediction shape \(2, 2\) != \(3, 1\) at \(task=\('d', 0\), config=only, split=1\)"),
+    ])
+    def test_bad_cell_is_named(self, cell, match):
+        repo = one_cell_repo(n_val=2, n_test=3)
+        preds = {(0, 0, VAL): repo.predictions(0, 0, VAL)}
+        if cell is not None:
+            preds[(0, 0, TEST)] = cell
+        labels = [(repo.labels(0, VAL), repo.labels(0, TEST))]
+        with pytest.raises(StoreError, match=match):
+            Repository.in_memory(repo.tasks, repo.configs, 1, labels, preds, repo.eval_table)
+
+    def test_reads_are_read_only_views(self, handmade_repo):
+        a = handmade_repo.predictions(3, 1, TEST)
+        assert not a.flags.writeable and not a.flags.owndata
+        assert np.shares_memory(a, handmade_repo.predictions(3, 1, TEST))
+        y = handmade_repo.labels(0, VAL)  # regression targets
+        assert y.dtype == np.float64 and not y.flags.writeable
+        assert handmade_repo.labels(2, TEST).dtype == np.int64  # binary class indices
 
 
 class TestOpen:
@@ -149,6 +184,25 @@ class TestOpen:
         with pytest.raises(StoreError, match=f"missing required field '{field}'"):
             open_repo(tmp_path / "r")
 
+    @pytest.mark.parametrize("field, value", [("problem", "ordinal"), ("n_val", "x"), ("o", 0)])
+    def test_malformed_manifest_value_is_named(self, tmp_path, handmade_repo, field, value):
+        write_repo(handmade_repo, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        assert manifest["tasks"][0]["problem"] == "regression"  # so o=0 is invalid
+        manifest["tasks"][0][field] = value
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=rf"task \('reg', 0\): .*'{field}'"):
+            open_repo(tmp_path / "r")
+
+    def test_shifted_index_offset_rejected(self, tmp_path, handmade_repo):
+        write_repo(handmade_repo, tmp_path / "r")
+        idx = tmp_path / "r" / "preds.idx"
+        records = np.frombuffer(idx.read_bytes(), dtype=np.uint8, offset=8).view(_INDEX_DTYPE).copy()
+        records[5]["offset"] += 4  # task 0, config 2, test: inside preds.blob, but misplaced
+        idx.write_bytes(idx.read_bytes()[:8] + records.tobytes())
+        with pytest.raises(StoreError, match=r"offset 236 .*\('reg', 0\).*beta-default.*232"):
+            open_repo(tmp_path / "r")
+
     def test_flipped_label_byte_rejected(self, tmp_path, handmade_repo):
         write_repo(handmade_repo, tmp_path / "r")
         labels = tmp_path / "r" / "labels.bin"
@@ -174,6 +228,71 @@ class TestOpen:
         assert opened.prediction_bytes_read == m.nbytes
         opened.predictions(0, 0, TEST)
         assert opened.prediction_bytes_read == m.nbytes + 10 * 1 * 4
+
+
+    def test_rewrite_onto_opened_directory(self, tmp_path, handmade_repo):
+        # runs in a child process: truncating a mapped blob kills it with SIGBUS
+        write_repo(handmade_repo, tmp_path / "r")
+        before = read_all(tmp_path / "r")
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from predrepo import open_repo, write_repo
+            repo = open_repo(sys.argv[1])
+            view = repo.predictions(5, 2, 1)
+            old = view.copy()
+            write_repo(repo, sys.argv[1])
+            assert np.array_equal(view, old)
+            assert np.array_equal(open_repo(sys.argv[1]).predictions(5, 2, 1), old)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(predrepo.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "r")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert read_all(tmp_path / "r") == before
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == sorted(FILES)
+
+
+@functools.lru_cache(maxsize=1)
+def pristine_files() -> dict[str, bytes]:
+    with tempfile.TemporaryDirectory() as d:
+        write_repo(make_handmade_repo(), Path(d))
+        return read_all(Path(d))
+
+
+def open_altered(name: str, data: bytes):
+    """Open a copy of the pristine store whose file ``name`` holds ``data``."""
+    with tempfile.TemporaryDirectory() as d:
+        for n, content in pristine_files().items():
+            (Path(d) / n).write_bytes(data if n == name else content)
+        repo = open_repo(d)
+        return [repo.predictions(t, j, s).tobytes()
+                for t in range(repo.n_tasks) for j in range(repo.n_configs) for s in (VAL, TEST)]
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_flipped_index_bit_rejected_unless_pad(self, data):
+        idx = bytearray(pristine_files()["preds.idx"])
+        pos = data.draw(st.integers(0, len(idx) - 1), label="byte")
+        idx[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        if pos >= 8 and (pos - 8) % _INDEX_DTYPE.itemsize in (9, 10, 11):  # pad bytes
+            assert open_altered("preds.idx", bytes(idx)) == open_altered(
+                "preds.idx", pristine_files()["preds.idx"])
+        else:
+            with pytest.raises(StoreError):
+                open_altered("preds.idx", bytes(idx))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(FILES), st.data())
+    def test_truncated_file_rejected(self, name, data):
+        content = pristine_files()[name]
+        if name == "manifest.json":
+            content = content.rstrip()  # trailing whitespace is not part of the JSON text
+        length = data.draw(st.integers(0, len(content) - 1), label="length")
+        with pytest.raises(StoreError):
+            open_altered(name, content[:length])
 
 
 class TestAccess:
@@ -226,8 +345,10 @@ class TestValidate:
 
     def test_nan_prediction_is_named(self):
         repo = make_handmade_repo()
-        arr = repo._predictions._data[(0, 2, VAL)]
+        labels, preds, evals = repo_arrays(repo)
+        arr = preds[(0, 2, VAL)]
         arr[0, 0] = np.nan
+        repo = rebuild_repo(repo, labels, preds, evals)
         report = validate_repo(repo)
         assert any("non-finite" in r and "beta-default" in r for r in report)
 
