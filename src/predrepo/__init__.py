@@ -35,7 +35,6 @@ from .store import (
     TEST,
     VAL,
     ConfigMeta,
-    EvaluationRecord,
     ProblemType,
     Repository,
     StoreError,
@@ -60,7 +59,6 @@ __all__ = [
     "BudgetPolicy",
     "ConfigMeta",
     "EnsembleWeights",
-    "EvaluationRecord",
     "FamilySpec",
     "GeneratorSpec",
     "MethodResults",

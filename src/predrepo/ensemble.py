@@ -6,8 +6,9 @@ lowest config ordinal. The full trajectory is recorded for every step; the
 returned weights come from the best prefix, which makes the ensemble's
 validation loss never worse than the best single candidate's.
 
-A task's candidate validation predictions are stacked once into an
-``(M, n, o)`` float64 array, and each step scores all M candidates in one
+A task's candidate validation predictions are taken once from its
+validation slab (:meth:`Repository.task_predictions`) as an ``(M, n, o)``
+float64 array, and each step scores all M candidates in one
 array operation with :class:`metrics.StackLoss`, which checks and computes
 exactly what :func:`metrics.task_loss` does for each candidate. The scalar
 ``task_loss`` stays the reference: the tests compare the batched picks
@@ -89,7 +90,7 @@ def caruana_select(task, candidate_configs, c_max: int, repo: Repository) -> Ens
     t = repo.task_index(task)
     ordinals = _resolve_candidates(candidate_configs, repo)
     loss_of = metrics.StackLoss(repo.tasks[t], repo.labels(t, VAL))
-    stack = np.stack([repo.predictions(t, j, VAL) for j in ordinals], dtype=np.float64)
+    stack = repo.task_predictions(t, VAL)[ordinals].astype(np.float64)
 
     running = np.zeros(stack.shape[1:], dtype=np.float64)
     trajectory: list[tuple[int, float]] = []
@@ -126,12 +127,14 @@ def ensemble_predict(weights: EnsembleWeights, task, split, repo: Repository) ->
     return (acc / weights.steps).astype(np.float32)
 
 
-def _task_ensemble_losses(repo: Repository, t: int, ordinals, c_max: int) -> tuple[float, float]:
+def _select_and_score(repo: Repository, t: int, candidates, c_max: int
+                      ) -> tuple[EnsembleWeights, float, float]:
+    """Greedy weights of task ``t`` and the validation and test losses of that ensemble."""
     meta = repo.tasks[t]
-    w = caruana_select(t, ordinals, c_max, repo)
+    w = caruana_select(t, candidates, c_max, repo)
     val = metrics.task_loss(meta, ensemble_predict(w, t, VAL, repo), repo.labels(t, VAL))
     test = metrics.task_loss(meta, ensemble_predict(w, t, TEST, repo), repo.labels(t, TEST))
-    return val, test
+    return w, val, test
 
 
 def evaluate_ensemble(
@@ -148,9 +151,8 @@ def evaluate_ensemble(
     lists and does not depend on ``threads``.
     """
     ordinals = _resolve_candidates(configs, repo)
-    cells = [(d, f) for d in datasets for f in folds]
-    task_ids = [repo.task_index((d, f)) for d, f in cells]
+    task_ids = [repo.task_index((d, f)) for d in datasets for f in folds]
 
-    results = _map_tasks(lambda t: _task_ensemble_losses(repo, t, ordinals, ensemble_size),
+    results = _map_tasks(lambda t: _select_and_score(repo, t, ordinals, ensemble_size)[1:],
                         task_ids, threads)
     return np.array(results, dtype=np.float64).reshape(len(datasets), len(folds), 2)

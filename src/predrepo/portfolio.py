@@ -41,15 +41,6 @@ def normalize_losses(loss_matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _loss_matrix(repo: Repository, task_ids: list[int], ordinals: list[int],
-                 aggregation: str) -> np.ndarray:
-    table = np.asarray(repo.eval_table[:, :, 0], dtype=np.float64)
-    mat = table[np.ix_(task_ids, ordinals)]
-    if aggregation == NORMALIZED_LOSS:
-        return normalize_losses(mat)
-    return mat
-
-
 def learn_portfolio(train_tasks, candidates, n_max: int, aggregation: str,
                     repo: Repository) -> Portfolio:
     """Greedy portfolio over ``candidates`` evaluated on ``train_tasks``.
@@ -69,23 +60,23 @@ def learn_portfolio(train_tasks, candidates, n_max: int, aggregation: str,
     if not ordinals:
         raise ValueError("candidate list is empty")
 
-    losses = _loss_matrix(repo, task_ids, ordinals, aggregation)  # (tasks, candidates)
+    losses = np.asarray(repo.eval_table[:, :, 0], dtype=np.float64)[np.ix_(task_ids, ordinals)]
+    if aggregation == NORMALIZED_LOSS:
+        losses = normalize_losses(losses)
+    # one C-contiguous row per candidate, so each row's mean sums the tasks in order
+    by_cand = np.ascontiguousarray(losses.T)
     current = np.full(len(task_ids), np.inf)
-    remaining = list(range(len(ordinals)))
+    taken = np.zeros(len(ordinals), dtype=bool)
     picked: list[int] = []
     trajectory: list[float] = []
     for _ in range(min(n_max, len(ordinals))):
-        best_col = -1
-        best_obj = np.inf
-        for col in remaining:
-            obj = float(np.mean(np.minimum(current, losses[:, col])))
-            if obj < best_obj:
-                best_obj = obj
-                best_col = col
-        picked.append(ordinals[best_col])
-        current = np.minimum(current, losses[:, best_col])
-        trajectory.append(best_obj)
-        remaining.remove(best_col)
+        objective = np.minimum(current, by_cand).mean(axis=1)
+        objective[taken] = np.inf
+        col = int(np.argmin(objective))  # first minimum: the lowest ordinal wins ties
+        taken[col] = True
+        picked.append(ordinals[col])
+        current = np.minimum(current, by_cand[col])
+        trajectory.append(float(objective[col]))
     return Portfolio(configs=picked, objective_trajectory=trajectory, aggregation=aggregation)
 
 

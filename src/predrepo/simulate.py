@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics
-from .ensemble import _map_tasks, caruana_select, ensemble_predict
+from .ensemble import _map_tasks, _select_and_score
 from .portfolio import NORMALIZED_LOSS, Portfolio, learn_portfolio, loo_train_tasks
-from .store import TEST, VAL, Repository
+from .store import Repository
 
 FALLBACK_MAX_FIT_S = 60.0
 TUNED_ENSEMBLE_POOL = 20  # ensemble is built on the best configs found by the search
@@ -99,9 +98,7 @@ def _ensemble_result(repo: Repository, t: int, candidates: list[int], trained: l
                      used_fallback: bool, c_max: int) -> SimResult:
     # candidates feed the greedy selection; trained is what the budget paid for
     meta = repo.tasks[t]
-    w = caruana_select(t, candidates, c_max, repo)
-    val = metrics.task_loss(meta, ensemble_predict(w, t, VAL, repo), repo.labels(t, VAL))
-    test = metrics.task_loss(meta, ensemble_predict(w, t, TEST, repo), repo.labels(t, TEST))
+    w, val, test = _select_and_score(repo, t, candidates, c_max)
     fit = float(sum(repo.eval_table[t, j, 2] for j in trained))
     infer = float(sum(repo.eval_table[t, j, 3] for j, c in w.counts.items() if c > 0))
     return SimResult(meta.dataset_id, meta.fold, list(trained), used_fallback,

@@ -11,7 +11,9 @@ repository packs its cells into such a buffer; an opened one memory-maps
 preds.blob past its header. The labels sit likewise in one float64 buffer in
 labels.bin order. Reads return read-only views into these buffers and copy
 nothing, except that classification labels are converted to int64 class
-indices (exact for any realistic class count).
+indices (exact for any realistic class count). :meth:`Repository.task_predictions`
+views a task split's adjacent cells as one (configs, rows, o) slab, and
+:func:`write_repo` and :func:`validate_repo` check each task split as one slab.
 
 Directory layout::
 
@@ -29,8 +31,8 @@ Directory layout::
 
 Index offsets are absolute byte positions in preds.blob. Splits are numbered
 val=0, test=1. The index is redundant with the manifest: :func:`open_repo`
-rejects any record that differs from the one the task shapes imply.
-Repository handles are immutable after open and safe for concurrent readers.
+rejects any record that differs from the one the task shapes imply, and any
+evaluation record with a negative or non-finite field. Repository handles are immutable after open and safe for concurrent readers.
 All writes go through :func:`write_repo`, which checks every cell first and
 then replaces each file whole, so rewriting a repository onto the directory it
 was opened from leaves earlier views reading their old values.
@@ -133,19 +135,6 @@ class ConfigMeta:
     family: str
     is_default: bool = False
     hyperparams: str = ""
-
-
-@dataclass(frozen=True)
-class EvaluationRecord:
-    loss_val: float
-    loss_test: float
-    time_fit: float
-    time_infer: float
-
-    def __post_init__(self) -> None:
-        vals = (self.loss_val, self.loss_test, self.time_fit, self.time_infer)
-        if any(not np.isfinite(v) or v < 0 for v in vals):
-            raise ValueError(f"evaluation record fields must be finite and >= 0, got {vals}")
 
 
 def _canonical_index(tasks: Sequence[TaskMeta], n_configs: int) -> np.ndarray:
@@ -268,7 +257,10 @@ class Repository:
                             f"missing predictions for task={task.key} "
                             f"config={config.config_id} split={s}"
                         ) from None
-                    _check_shape(task, config, s, arr)
+                    shape = (task.n_val if s == VAL else task.n_test, task.o)
+                    if arr.shape != shape:
+                        raise StoreError(f"prediction shape {arr.shape} != {shape} at (task="
+                                         f"{task.key}, config={config.config_id}, split={s})")
                     start = starts[t][j][s]
                     buf[start:start + arr.size] = arr.ravel()
         label_start = _label_starts(tasks)
@@ -358,6 +350,24 @@ class Repository:
         self._bytes_read += rows * cols * 4
         return self._preds[start:start + rows * cols].reshape(rows, cols)
 
+    def task_predictions(self, task, split: int) -> np.ndarray:
+        """Every config's cell of one task split: an (n_configs, rows, o) float32 read-only view.
+
+        The task's cells sit back to back in (config, split) order, so this
+        slices the split's rows out of them without copying.
+        """
+        t = self.task_index(task)
+        if split not in (VAL, TEST):
+            raise ValueError(f"split must be {VAL} (val) or {TEST} (test)")
+        meta = self.tasks[t]
+        rows = meta.n_val + meta.n_test
+        start = int(self._cell_start[t, 0, 0]) if self.n_configs else 0
+        region = self._preds[start:start + self.n_configs * rows * meta.o]
+        region = region.reshape(self.n_configs, rows, meta.o)
+        slab = region[:, :meta.n_val] if split == VAL else region[:, meta.n_val:]
+        self._bytes_read += slab.nbytes
+        return slab
+
     def predict_val(self, dataset, fold: int | None = None, config=None) -> np.ndarray:
         """Validation (out-of-fold) predictions for (dataset, fold, config)."""
         task = dataset if fold is None else (dataset, fold)
@@ -378,12 +388,6 @@ class Repository:
         y = self._labels[start:start + rows]
         return y.astype(np.int64) if self.tasks[t].problem.is_classification else y
 
-    def eval_record(self, task, config) -> EvaluationRecord:
-        t = self.task_index(task)
-        j = self.config_index(config)
-        row = self._evals[t, j]
-        return EvaluationRecord(*(float(v) for v in row))
-
     @property
     def eval_table(self) -> np.ndarray:
         """Dense (n_tasks, n_configs, 4) float64 view: loss_val, loss_test, time_fit, time_infer."""
@@ -391,12 +395,6 @@ class Repository:
 
     def loss_val(self, task, config) -> float:
         return float(self._evals[self.task_index(task), self.config_index(config), 0])
-
-    def time_fit(self, task, config) -> float:
-        return float(self._evals[self.task_index(task), self.config_index(config), 2])
-
-    def time_infer(self, task, config) -> float:
-        return float(self._evals[self.task_index(task), self.config_index(config), 3])
 
     @property
     def prediction_bytes_read(self) -> int:
@@ -411,32 +409,46 @@ class Repository:
         return ensemble.evaluate_ensemble(datasets, folds, configs, ensemble_size, self)
 
 
-def _check_shape(task: TaskMeta, config: ConfigMeta, split: int, arr: np.ndarray) -> None:
-    rows = task.n_val if split == VAL else task.n_test
-    if arr.shape != (rows, task.o):
-        raise StoreError(
-            f"prediction shape {arr.shape} != {(rows, task.o)} at "
-            f"(task={task.key}, config={config.config_id}, split={split})"
-        )
+def _cell(repo: Repository, t: int, j: int, split: int | None = None) -> str:
+    """How messages name a (task, config) pair, or one of its cells."""
+    where = f"task={repo.tasks[t].key}, config={repo.configs[j].config_id}"
+    return f"({where})" if split is None else f"({where}, split={split})"
 
 
-def _check_matrix(task: TaskMeta, config: ConfigMeta, split: int, arr: np.ndarray) -> None:
-    _check_shape(task, config, split, arr)
-    if not np.all(np.isfinite(arr)):
-        raise StoreError(
-            f"non-finite prediction at (task={task.key}, config={config.config_id}, split={split})"
-        )
-    if task.problem is ProblemType.MULTICLASS:
-        sums = arr.sum(axis=1, dtype=np.float64)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL) or arr.min() < 0.0 or arr.max() > 1.0:
-            raise StoreError(
-                f"row-stochastic violation at (task={task.key}, config={config.config_id}, split={split})"
-            )
-    elif task.problem is ProblemType.BINARY:
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise StoreError(
-                f"row-stochastic violation at (task={task.key}, config={config.config_id}, split={split})"
-            )
+def _cell_violations(repo: Repository, t: int) -> list[tuple[int, int, str]]:
+    """(config, split, message) for every invalid cell of task ``t``, in (config, split) order.
+
+    Each split is checked as one slab. A non-finite value outranks the
+    classification checks: every value in [0, 1] and, for multiclass tasks,
+    every row summing to one within ``ROW_SUM_TOL``.
+    """
+    task = repo.tasks[t]
+    found = []
+    for s in (VAL, TEST):
+        p = np.asarray(repo.task_predictions(t, s), dtype=np.float64)
+        nonfinite = ~np.isfinite(p).all(axis=(1, 2))
+        off = np.zeros_like(nonfinite)
+        if task.problem.is_classification:
+            with np.errstate(invalid="ignore"):  # inf - inf in the row sums of non-finite cells
+                off = ((p < 0.0) | (p > 1.0)).any(axis=(1, 2))
+                if task.problem is ProblemType.MULTICLASS:
+                    off |= (np.abs(p.sum(axis=2) - 1.0) > ROW_SUM_TOL).any(axis=1)
+        found += [(j, s, f"non-finite prediction at {_cell(repo, t, j, s)}")
+                  for j in np.flatnonzero(nonfinite).tolist()]
+        found += [(j, s, f"row-stochastic violation at {_cell(repo, t, j, s)}")
+                  for j in np.flatnonzero(off & ~nonfinite).tolist()]
+    return sorted(found)
+
+
+def _invalid_evals(evals: np.ndarray) -> np.ndarray:
+    """(tasks, configs) mask of the evaluation records with a negative or non-finite field."""
+    return ~np.all(np.isfinite(evals) & (evals >= 0), axis=2)
+
+
+def _check_evals(repo: Repository) -> None:
+    bad = np.argwhere(_invalid_evals(repo.eval_table)).tolist()
+    if bad:
+        raise StoreError(f"invalid evaluation record at {_cell(repo, *bad[0])}")
 
 
 def _header(magic: bytes) -> bytes:
@@ -486,18 +498,12 @@ def write_repo(repo: Repository, path: str | Path) -> None:
     """
     path = Path(path)
     tasks, configs = repo.tasks, repo.configs
-    for t, task in enumerate(tasks):
-        for j, config in enumerate(configs):
-            for split in (VAL, TEST):
-                _check_matrix(task, config, split, repo.predictions(t, j, split))
-
+    for t in range(repo.n_tasks):
+        bad = _cell_violations(repo, t)
+        if bad:
+            raise StoreError(bad[0][2])
+    _check_evals(repo)
     evals = np.ascontiguousarray(repo.eval_table, dtype="<f8")
-    bad = ~np.all(np.isfinite(evals) & (evals >= 0), axis=2)
-    if bad.any():
-        t, j = np.argwhere(bad)[0]
-        raise StoreError(
-            f"invalid evaluation record at (task={tasks[t].key}, config={configs[j].config_id})"
-        )
 
     checksums = []
     for t, task in enumerate(tasks):
@@ -658,43 +664,42 @@ def open_repo(path: str | Path) -> Repository:
             raise StoreError(f"label checksum mismatch in labels.bin for task {task.key}")
 
     evals = _map(path / "evals.bin", "<f8", T * M * _EVAL_FIELDS).reshape(T, M, _EVAL_FIELDS)
-    return Repository(tasks, configs, folds, labels,
+    repo = Repository(tasks, configs, folds, labels,
                       _map(path / "preds.blob", "<f4", (end - 8) // 4), evals)
+    _check_evals(repo)
+    return repo
 
 
 def validate_repo(repo: Repository) -> list[str]:
     """Check repository invariants; returns a list of violations (empty = valid).
 
-    Covers row stochasticity, NaN freedom, and recomputation of the stored
-    validation loss from stored predictions within ``LOSS_RECOMPUTE_TOL``
-    relative. Density and cell shapes hold by construction of the repository.
+    Covers NaN freedom and row stochasticity of every cell, valid evaluation
+    records, and recomputation of the stored validation loss from the stored
+    predictions within ``LOSS_RECOMPUTE_TOL`` relative, in one
+    :class:`metrics.StackLoss` call per task. Violations come in (task,
+    config) order. Density and cell shapes hold by construction.
     """
     from . import metrics  # local import to avoid a cycle
 
     report: list[str] = []
+    bad_evals = _invalid_evals(repo.eval_table)
     for t, task in enumerate(repo.tasks):
-        y_val = repo.labels(t, VAL)
-        for j, config in enumerate(repo.configs):
-            cell = f"(task={task.key}, config={config.config_id})"
-            errors = []
-            for split in (VAL, TEST):
-                try:
-                    _check_matrix(task, config, split, repo.predictions(t, j, split))
-                except StoreError as e:
-                    errors.append(str(e))
-            report.extend(errors)
-            if errors:
-                continue
-            stored = repo.eval_record(t, j)
-            try:
-                recomputed = metrics.task_loss(task, repo.predictions(t, j, VAL), y_val)
-            except ValueError as e:
-                report.append(f"loss recomputation failed at {cell}: {e}")
-                continue
-            tol = LOSS_RECOMPUTE_TOL * max(1.0, abs(recomputed))
-            if abs(stored.loss_val - recomputed) > tol:
-                report.append(
-                    f"loss_val mismatch at {cell}: stored={stored.loss_val!r}, "
-                    f"recomputed={recomputed!r}"
-                )
+        found = [(j, message) for j, _, message in _cell_violations(repo, t)]
+        found += [(j, f"invalid evaluation record at {_cell(repo, t, j)}")
+                  for j in np.flatnonzero(bad_evals[t]).tolist()]
+        check = np.flatnonzero(~np.isin(np.arange(repo.n_configs), [j for j, _ in found]))
+        try:
+            loss_of = metrics.StackLoss(task, repo.labels(t, VAL))
+        except ValueError as e:
+            found += [(j, f"loss recomputation failed at {_cell(repo, t, j)}: {e}")
+                      for j in check.tolist()]
+        else:
+            recomputed = loss_of(repo.task_predictions(t, VAL)[check])
+            stored = repo.eval_table[t, check, 0]
+            tol = LOSS_RECOMPUTE_TOL * np.maximum(1.0, np.abs(recomputed))
+            off = np.abs(stored - recomputed) > tol
+            found += [(j, f"loss_val mismatch at {_cell(repo, t, j)}: stored={float(a)!r}, "
+                          f"recomputed={float(b)!r}")
+                      for j, a, b in zip(check[off].tolist(), stored[off], recomputed[off])]
+        report.extend(message for _, message in sorted(found, key=lambda entry: entry[0]))
     return report

@@ -14,7 +14,10 @@ so that, for example, regenerating one task's labels never shifts another
 task's draws. Draw order within a stream is fixed: labels draw val rows then
 test rows; per-config prediction streams draw, for each bag fold in order,
 the fold's validation-segment noise and then its test noise. Identical specs
-therefore produce byte-identical repositories. Structural metadata (task
+therefore produce byte-identical repositories. Each task's predictions are
+written into one validation and one test slab of shape (configs, rows, o), and
+each slab's stored losses come from one :class:`metrics.StackLoss` call, which
+equals :func:`metrics.task_loss` bit for bit. Structural metadata (task
 shapes, problem assignment, class counts) is keyed on a constant instead of
 the seed, so changing only the seed redraws values but never shapes.
 
@@ -338,6 +341,8 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
                              fam_rng.standard_normal(z_test.shape))
 
         seg_sizes = _segment_sizes(task.n_val, B)
+        val_slab = np.empty((len(configs),) + z_val.shape, dtype="<f4")
+        test_slab = np.empty((len(configs),) + z_test.shape, dtype="<f4")
         for j in range(len(configs)):
             fi = config_family[j]
             fam = spec.families[fi]
@@ -359,10 +364,10 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
                                        + sigma[j] * (w_shared * e_fam_test + w_own * e_test)))
                 start += size
 
-            val_pred = np.ascontiguousarray(_link(task.problem, val_logits), dtype="<f4")
-            test_pred = np.ascontiguousarray(aggregate_bag_predictions(bag_tests), dtype="<f4")
-            predictions[(t, j, VAL)] = val_pred
-            predictions[(t, j, TEST)] = test_pred
+            val_slab[j] = _link(task.problem, val_logits)
+            test_slab[j] = aggregate_bag_predictions(bag_tests)
+            predictions[(t, j, VAL)] = val_slab[j]
+            predictions[(t, j, TEST)] = test_slab[j]
 
             time_rng = rng_stream(seed, _P_TIMES, a=t, b=j)
             if j == 0:
@@ -371,10 +376,10 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
                 time_fit = fam_time_base[fi] * float(np.exp(FIT_TIME_SPREAD * time_rng.standard_normal()))
             time_infer = fam_infer_const[fi] * infer_factor[j]
 
-            evals[t, j, 0] = metrics.task_loss(task, val_pred, y_val)
-            evals[t, j, 1] = metrics.task_loss(task, test_pred, y_test)
             evals[t, j, 2] = time_fit
             evals[t, j, 3] = time_infer
+        evals[t, :, 0] = metrics.StackLoss(task, y_val)(val_slab)
+        evals[t, :, 1] = metrics.StackLoss(task, y_test)(test_slab)
 
     return Repository.in_memory(tasks, configs, S, labels, predictions, evals)
 

@@ -41,6 +41,20 @@ def parse_csv(text: str):
     return rows[0], rows[1:]
 
 
+def corrupt_evals(repo_path: Path) -> str:
+    """Set three evals.bin entries to NaN, -5 and inf; returns how the first bad cell is named."""
+    manifest = json.loads((repo_path / "manifest.json").read_text())
+    n_configs = len(manifest["configs"])
+    evals = repo_path / "evals.bin"
+    data = bytearray(evals.read_bytes())
+    for (t, j, field), value in (((1, 2, 0), np.nan), ((2, 0, 3), -5.0), ((3, 4, 1), np.inf)):
+        at = 8 + ((t * n_configs + j) * 4 + field) * 8
+        data[at:at + 8] = np.float64(value).tobytes()
+    evals.write_bytes(bytes(data))
+    task = manifest["tasks"][1]
+    return f"(task={(task['dataset_id'], task['fold'])}, config={manifest['configs'][2]['config_id']})"
+
+
 @pytest.fixture(scope="module")
 def repo_dir(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli-repo")
@@ -144,6 +158,14 @@ class TestValidate:
         assert f"task {(task['dataset_id'], task['fold'])!r}" in err
         assert f"'{field}'" in err
 
+    def test_corrupt_evals_entries_exit_2(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, seed=251)
+        run(capsys, "generate", "--spec", str(spec_path), "--out", str(tmp_path / "r"))
+        cell = corrupt_evals(tmp_path / "r")
+        code, _, err = run(capsys, "validate", "--repo", str(tmp_path / "r"))
+        assert code == 2
+        assert f"invalid evaluation record at {cell}" in err
+
     def test_flipped_label_byte_exits_2(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, seed=239)
         run(capsys, "generate", "--spec", str(spec_path), "--out", str(tmp_path / "r"))
@@ -176,6 +198,15 @@ class TestPortfolioCommand:
         objectives = [float(r[2]) for r in rows]
         assert objectives == sorted(objectives, reverse=True) or all(
             objectives[i + 1] <= objectives[i] for i in range(len(objectives) - 1))
+
+    def test_corrupt_evals_entries_exit_2(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, seed=257)
+        run(capsys, "generate", "--spec", str(spec_path), "--out", str(tmp_path / "r"))
+        cell = corrupt_evals(tmp_path / "r")
+        code, _, err = run(capsys, "portfolio", "--repo", str(tmp_path / "r"),
+                           "--aggregation", "raw")
+        assert code == 2
+        assert f"invalid evaluation record at {cell}" in err
 
     def test_hold_out_unknown_dataset_exits_3(self, repo_dir, capsys):
         code, _, err = run(capsys, "portfolio", "--repo", str(repo_dir),

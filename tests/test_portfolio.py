@@ -5,6 +5,7 @@ import pytest
 
 from predrepo import (
     NORMALIZED_LOSS,
+    FamilySpec,
     RAW_LOSS,
     generate_repo,
     learn_portfolio,
@@ -14,6 +15,28 @@ from predrepo.portfolio import normalize_losses
 from predrepo.synth import oracle_greedy_extension
 
 from conftest import rebuild_repo, repo_arrays, small_spec
+
+
+def scalar_portfolio(losses, ordinals, n_max):
+    """Reference greedy loop: one ``np.mean`` per remaining candidate and step.
+
+    ``losses`` is (tasks, candidates); returns the picked ordinals and the
+    objective after each pick.
+    """
+    current = np.full(losses.shape[0], np.inf)
+    remaining = list(range(len(ordinals)))
+    picked, trajectory = [], []
+    for _ in range(min(n_max, len(ordinals))):
+        best_col, best_obj = -1, np.inf
+        for col in remaining:
+            obj = float(np.mean(np.minimum(current, losses[:, col])))
+            if obj < best_obj:
+                best_obj, best_col = obj, col
+        picked.append(ordinals[best_col])
+        current = np.minimum(current, losses[:, best_col])
+        trajectory.append(best_obj)
+        remaining.remove(best_col)
+    return picked, trajectory
 
 
 class TestLearnPortfolio:
@@ -47,6 +70,31 @@ class TestLearnPortfolio:
                                                  aggregation=aggregation)
                 assert pick == expect
                 state.append(pick)
+
+    def test_picks_match_scalar_loop_on_tie_heavy_tables(self):
+        repo = generate_repo(small_spec(seed=61, families=(
+            FamilySpec("gbm", 12, 0.8, 0.5, 0.3), FamilySpec("mlp", 12, 0.6, 0.8, 0.2))))
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            if trial % 4 == 3:
+                repo.eval_table[:, :, 0] = rng.random((repo.n_tasks, repo.n_configs))
+            else:  # a few distinct levels: ties within and across tasks
+                levels = rng.integers(1, 4)
+                repo.eval_table[:, :, 0] = rng.integers(0, levels + 1,
+                                                        (repo.n_tasks, repo.n_configs)) / levels
+            task_ids = sorted(rng.choice(repo.n_tasks, size=rng.integers(1, repo.n_tasks + 1),
+                                         replace=False).tolist())
+            cands = sorted(rng.choice(repo.n_configs, size=rng.integers(1, repo.n_configs + 1),
+                                      replace=False).tolist())
+            n_max = int(rng.integers(1, len(cands) + 2))
+            for aggregation in (RAW_LOSS, NORMALIZED_LOSS):
+                losses = repo.eval_table[np.ix_(task_ids, cands)][:, :, 0]
+                if aggregation == NORMALIZED_LOSS:
+                    losses = normalize_losses(losses)
+                pf = learn_portfolio([repo.tasks[t] for t in task_ids], cands, n_max,
+                                     aggregation, repo)
+                assert (pf.configs, pf.objective_trajectory) == scalar_portfolio(
+                    losses, cands, n_max)
 
     def test_no_duplicates_and_trajectory_non_increasing(self, synth_repo):
         pf = learn_portfolio(synth_repo.tasks, range(synth_repo.n_configs),

@@ -212,6 +212,20 @@ class TestOpen:
         with pytest.raises(StoreError, match=r"label checksum mismatch .*\('mc', 1\)"):
             open_repo(tmp_path / "r")
 
+    @pytest.mark.parametrize("t, j, field, value", [
+        (3, 1, 0, np.nan), (0, 2, 1, -5.0), (5, 0, 2, np.inf)])
+    def test_invalid_evals_entry_rejected(self, tmp_path, handmade_repo, t, j, field, value):
+        write_repo(handmade_repo, tmp_path / "r")
+        evals = tmp_path / "r" / "evals.bin"
+        data = bytearray(evals.read_bytes())
+        at = 8 + ((t * handmade_repo.n_configs + j) * 4 + field) * 8
+        data[at:at + 8] = np.float64(value).tobytes()
+        evals.write_bytes(bytes(data))
+        cell = f"(task={handmade_repo.tasks[t].key}, config={handmade_repo.configs[j].config_id})"
+        with pytest.raises(StoreError) as err:
+            open_repo(tmp_path / "r")
+        assert str(err.value) == f"invalid evaluation record at {cell}"
+
     def test_label_checksum_count_checked(self, tmp_path, handmade_repo):
         write_repo(handmade_repo, tmp_path / "r")
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
@@ -303,6 +317,23 @@ class TestAccess:
         assert m.shape == (10, 1)
         assert not m.flags.writeable
 
+    def test_task_predictions_is_a_read_only_view_of_every_cell(self, tmp_path, handmade_repo):
+        write_repo(handmade_repo, tmp_path / "r")
+        for repo in (handmade_repo, open_repo(tmp_path / "r")):
+            for t, task in enumerate(repo.tasks):
+                for split, rows in ((VAL, task.n_val), (TEST, task.n_test)):
+                    before = repo.prediction_bytes_read
+                    slab = repo.task_predictions(task.key, split)
+                    assert slab.shape == (repo.n_configs, rows, task.o)
+                    assert slab.dtype == np.float32 and not slab.flags.writeable
+                    assert repo.prediction_bytes_read == before + slab.nbytes
+                    for j in range(repo.n_configs):
+                        cell = repo.predictions(t, j, split)
+                        assert np.shares_memory(slab[j], cell)
+                        assert np.array_equal(slab[j], cell)
+        with pytest.raises(ValueError, match="split must be"):
+            handmade_repo.task_predictions(0, 2)
+
     def test_regression_single_column(self, handmade_repo):
         assert handmade_repo.predict_val("reg", 1, "beta-default").shape[1] == 1
 
@@ -352,7 +383,60 @@ class TestValidate:
         report = validate_repo(repo)
         assert any("non-finite" in r and "beta-default" in r for r in report)
 
+    def test_invalid_eval_record_is_named(self, tmp_path):
+        repo = make_handmade_repo()
+        repo.eval_table[3, 1, 0] = -5.0  # would also be a loss mismatch if it were compared
+        repo.eval_table[0, 2, 2] = np.inf
+        assert validate_repo(repo) == [
+            "invalid evaluation record at (task=('reg', 0), config=beta-default)",
+            "invalid evaluation record at (task=('bin', 1), config=alpha-001)",
+        ]
+        with pytest.raises(StoreError) as err:
+            write_repo(repo, tmp_path / "r")
+        assert str(err.value) == "invalid evaluation record at (task=('reg', 0), config=beta-default)"
+
     def test_small_loss_drift_within_tolerance_passes(self):
         repo = make_handmade_repo()
         repo.eval_table[0, 0, 0] += 1e-8
         assert validate_repo(repo) == []
+
+
+class TestCharacterization:
+    """Exact reports of ``validate_repo`` and ``write_repo`` on repositories with several defects."""
+
+    def test_many_defects(self, tmp_path):
+        repo = make_handmade_repo()
+        labels, preds, evals = repo_arrays(repo)
+        preds[(0, 1, VAL)][3, 0] = np.nan  # regression val cell
+        preds[(4, 2, TEST)][1] *= 0.9  # multiclass row sums to 0.9
+        preds[(3, 0, VAL)][5, 0] = 1.5  # binary score above 1
+        preds[(5, 0, VAL)][0] = [np.inf, 2.0, -1.0]  # non-finite and out of range
+        preds[(5, 0, TEST)][2] = [-0.1, 0.6, 0.5]  # sums to 1, one entry below 0
+        evals[1, 2, 0] += 1e-2
+        bad = rebuild_repo(repo, labels, preds, evals)
+        assert validate_repo(bad) == [
+            "non-finite prediction at (task=('reg', 0), config=alpha-001, split=0)",
+            "loss_val mismatch at (task=('reg', 1), config=beta-default): "
+            "stored=1.4404657400173253, recomputed=1.4304657400173253",
+            "row-stochastic violation at (task=('bin', 1), config=alpha-default, split=0)",
+            "row-stochastic violation at (task=('mc', 0), config=beta-default, split=1)",
+            "non-finite prediction at (task=('mc', 1), config=alpha-default, split=0)",
+            "row-stochastic violation at (task=('mc', 1), config=alpha-default, split=1)",
+        ]
+        with pytest.raises(StoreError) as err:
+            write_repo(bad, tmp_path / "r")
+        assert str(err.value) == "non-finite prediction at (task=('reg', 0), config=alpha-001, split=0)"
+        assert not (tmp_path / "r").exists()
+
+    def test_single_class_binary_labels(self):
+        repo = make_handmade_repo()
+        labels, preds, evals = repo_arrays(repo)
+        labels[2][0][:] = 0  # task ('bin', 0): every val label is class 0
+        preds[(2, 1, TEST)][0, 0] = np.nan
+        bad = rebuild_repo(repo, labels, preds, evals)
+        single = "AUC undefined: labels contain a single class"
+        assert validate_repo(bad) == [
+            f"loss recomputation failed at (task=('bin', 0), config=alpha-default): {single}",
+            "non-finite prediction at (task=('bin', 0), config=alpha-001, split=1)",
+            f"loss recomputation failed at (task=('bin', 0), config=beta-default): {single}",
+        ]

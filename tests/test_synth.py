@@ -11,6 +11,7 @@ from predrepo import (
     aggregate_bag_predictions,
     caruana_select,
     generate_repo,
+    task_loss,
     validate_repo,
     write_repo,
 )
@@ -72,6 +73,15 @@ class TestGenerateRepo:
 
     def test_passes_validation(self):
         assert validate_repo(generate_repo(small_spec(seed=103))) == []
+
+    @pytest.mark.parametrize("seed", [11, 103, 900])
+    def test_stored_losses_equal_scalar_task_loss(self, seed):
+        repo = generate_repo(small_spec(seed=seed))
+        for t, task in enumerate(repo.tasks):
+            for j in range(repo.n_configs):
+                for split in (VAL, TEST):
+                    want = task_loss(task, repo.predictions(t, j, split), repo.labels(t, split))
+                    assert repo.eval_table[t, j, split] == want
 
     def test_binary_tasks_have_both_classes(self):
         repo = generate_repo(small_spec(seed=107, problem_mix={"binary": 1.0}))
