@@ -3,8 +3,8 @@ ablate, report.
 
 All tabular output is CSV with floats at 6 significant digits. Data goes to
 stdout or the file named by --out; diagnostics go to stderr. Exit codes:
-0 success, 2 input-parse error, 3 semantic error. Results never depend on
---threads.
+0 success, 2 input-parse error, 3 semantic error. All work runs serially;
+--threads is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -114,13 +114,13 @@ def _method_results(name: str, results: list[SimResult]) -> MethodResults:
 
 
 def _family_method_table(repo: Repository, policy: BudgetPolicy, c_max: int,
-                         order_seed: int | None, threads: int) -> dict[str, list[SimResult]]:
+                         order_seed: int | None) -> dict[str, list[SimResult]]:
     labels = {MODE_DEFAULT: "default", MODE_TUNED: "tuned", MODE_TUNED_ENSEMBLE: "tuned + ensemble"}
     out: dict[str, list[SimResult]] = {}
     for family in repo.families:
         for mode in FAMILY_MODES:
             out[f"{family} ({labels[mode]})"] = simulate_single_family(
-                repo, family, mode, policy, c_max, order_seed=order_seed, threads=threads)
+                repo, family, mode, policy, c_max, order_seed=order_seed)
     return out
 
 
@@ -178,8 +178,7 @@ def cmd_ensemble(args) -> int:
     datasets = _csv_strs(args.datasets) if args.datasets else repo.datasets
     folds = args.folds if args.folds is not None else list(range(repo.folds_per_dataset))
     configs = _csv_strs(args.configs) if args.configs else list(range(repo.n_configs))
-    tensor = evaluate_ensemble(datasets, folds, configs, args.ensemble_size, repo,
-                               threads=args.threads)
+    tensor = evaluate_ensemble(datasets, folds, configs, args.ensemble_size, repo)
     rows = []
     for i, d in enumerate(datasets):
         for k, f in enumerate(folds):
@@ -210,11 +209,9 @@ def cmd_simulate(args) -> int:
     agg = AGG_FLAGS[args.aggregation]
 
     methods: dict[str, list[SimResult]] = {}
-    methods[PORTFOLIO_ENSEMBLE] = simulate_portfolio(
-        repo, policy, args.n_max, args.c_max, agg, threads=args.threads)
-    methods[PORTFOLIO_SINGLE] = simulate_portfolio(
-        repo, policy, args.n_max, 1, agg, threads=args.threads)
-    methods.update(_family_method_table(repo, policy, args.c_max, args.seed, args.threads))
+    methods[PORTFOLIO_ENSEMBLE] = simulate_portfolio(repo, policy, args.n_max, args.c_max, agg)
+    methods[PORTFOLIO_SINGLE] = simulate_portfolio(repo, policy, args.n_max, 1, agg)
+    methods.update(_family_method_table(repo, policy, args.c_max, args.seed))
 
     _write_csv(args.out, TASK_CSV_HEADER, _sim_rows(repo, PORTFOLIO_ENSEMBLE,
                                                     methods[PORTFOLIO_ENSEMBLE]))
@@ -268,8 +265,7 @@ def cmd_ablate(args) -> int:
 
     # fixed single-family table anchors the normalization across all runs
     base = {name: _method_results(name, results)
-            for name, results in _family_method_table(repo, policy, args.c_max,
-                                                      None, args.threads).items()}
+            for name, results in _family_method_table(repo, policy, args.c_max, None).items()}
 
     rows = []
     per_value: dict[int, list[float]] = {v: [] for v in args.values}
@@ -288,7 +284,7 @@ def cmd_ablate(args) -> int:
                 train_datasets = _ablation_train_datasets(repo, value, seed)
             results, portfolios = _simulate_loo(
                 repo, policy, n_max, c_max, agg,
-                candidates=candidates, train_datasets=train_datasets, threads=args.threads)
+                candidates=candidates, train_datasets=train_datasets)
             tables = list(base.values()) + [_method_results(PORTFOLIO_ENSEMBLE, results)]
             err = mean_normalized_error(tables)[PORTFOLIO_ENSEMBLE]
             train_obj = float(np.mean([p.objective_trajectory[-1]
@@ -383,7 +379,7 @@ def _add_common(p: argparse.ArgumentParser, repo: bool = True, out_required: boo
         p.add_argument("--repo", required=True, help="repository directory")
     p.add_argument("--out", required=out_required, default=None, help="output CSV path")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (default 1); never affects results")
+                   help="ignored: all work runs serially (kept so existing scripts still parse)")
     p.add_argument("--seed", type=int, default=None, help="seed for optional shuffling")
 
 

@@ -19,8 +19,8 @@ from it.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -50,17 +50,6 @@ class EnsembleWeights:
 
     def weight(self, config: int) -> float:
         return self.counts.get(config, 0) / self.steps
-
-
-def _map_tasks(run, task_ids, threads: int = 1) -> list:
-    """``[run(t) for t in task_ids]``, on up to ``threads`` threads when above 1.
-
-    Results keep the order of ``task_ids`` whatever ``threads`` is.
-    """
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, task_ids))
-    return [run(t) for t in task_ids]
 
 
 def _resolve_candidates(candidates, repo: Repository) -> list[int]:
@@ -109,22 +98,20 @@ def caruana_select(task, candidate_configs, c_max: int, repo: Repository) -> Ens
 
 
 def ensemble_predict(weights: EnsembleWeights, task, split, repo: Repository) -> np.ndarray:
-    """Weighted average of stored member predictions; float32 like the store."""
+    """Weighted average of stored member predictions; float32 like the store.
+
+    Members come from the task split's slab and are summed in the order of
+    ``weights.counts``.
+    """
     t = repo.task_index(task)
     if isinstance(split, str):
         split = {"val": VAL, "test": TEST}[split]
     if not weights.counts:
         raise ValueError("ensemble weights are empty")
-    acc = None
-    for j, count in weights.counts.items():
-        arr = np.asarray(repo.predictions(t, j, split), dtype=np.float64)
-        if acc is None:
-            acc = count * arr
-        else:
-            if arr.shape != acc.shape:
-                raise ValueError(f"member prediction shapes differ: {arr.shape} vs {acc.shape}")
-            acc += count * arr
-    return (acc / weights.steps).astype(np.float32)
+    slab = repo.task_predictions(t, split)
+    terms = [count * slab[repo.config_index(j)].astype(np.float64)
+             for j, count in weights.counts.items()]
+    return (reduce(np.add, terms) / weights.steps).astype(np.float32)
 
 
 def _select_and_score(repo: Repository, t: int, candidates, c_max: int
@@ -137,22 +124,13 @@ def _select_and_score(repo: Repository, t: int, candidates, c_max: int
     return w, val, test
 
 
-def evaluate_ensemble(
-    datasets,
-    folds,
-    configs,
-    ensemble_size: int,
-    repo: Repository,
-    threads: int = 1,
-) -> np.ndarray:
+def evaluate_ensemble(datasets, folds, configs, ensemble_size: int,
+                      repo: Repository) -> np.ndarray:
     """Ensemble losses per (dataset, fold): shape (len(datasets), len(folds), 2).
 
-    The last axis is (val_loss, test_loss). Output ordering matches the input
-    lists and does not depend on ``threads``.
+    The last axis is (val_loss, test_loss), in the order of the input lists.
     """
     ordinals = _resolve_candidates(configs, repo)
-    task_ids = [repo.task_index((d, f)) for d in datasets for f in folds]
-
-    results = _map_tasks(lambda t: _select_and_score(repo, t, ordinals, ensemble_size)[1:],
-                        task_ids, threads)
+    results = [_select_and_score(repo, repo.task_index((d, f)), ordinals, ensemble_size)[1:]
+               for d in datasets for f in folds]
     return np.array(results, dtype=np.float64).reshape(len(datasets), len(folds), 2)

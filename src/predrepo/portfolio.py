@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .store import Repository, TaskMeta
+from .store import Repository, TaskMeta, _cell
 
 RAW_LOSS = "raw_loss"
 NORMALIZED_LOSS = "normalized_loss"
@@ -47,7 +47,8 @@ def learn_portfolio(train_tasks, candidates, n_max: int, aggregation: str,
 
     Ties go to the lowest config ordinal; a config is never picked twice
     (re-picking cannot improve a min-based objective). Stops after ``n_max``
-    picks or when candidates are exhausted.
+    picks or when candidates are exhausted. A non-finite loss among the
+    selected tasks and candidates is a ValueError naming its (task, config).
     """
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
@@ -61,6 +62,9 @@ def learn_portfolio(train_tasks, candidates, n_max: int, aggregation: str,
         raise ValueError("candidate list is empty")
 
     losses = np.asarray(repo.eval_table[:, :, 0], dtype=np.float64)[np.ix_(task_ids, ordinals)]
+    if not np.isfinite(losses).all():
+        i, k = np.argwhere(~np.isfinite(losses))[0]
+        raise ValueError(f"non-finite validation loss at {_cell(repo, task_ids[i], ordinals[k])}")
     if aggregation == NORMALIZED_LOSS:
         losses = normalize_losses(losses)
     # one C-contiguous row per candidate, so each row's mean sums the tasks in order

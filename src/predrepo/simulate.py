@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import _map_tasks, _select_and_score
+from .ensemble import _select_and_score
 from .portfolio import NORMALIZED_LOSS, Portfolio, learn_portfolio, loo_train_tasks
 from .store import Repository
 
@@ -129,8 +129,8 @@ def _loo_portfolios(repo: Repository, n_max: int, aggregation: str,
 
 def _simulate_loo(repo: Repository, policy: BudgetPolicy, n_max: int, c_max: int,
                   aggregation: str, candidates: list[int] | None = None,
-                  train_datasets: dict[str, list[str]] | None = None,
-                  threads: int = 1) -> tuple[list[SimResult], dict[str, Portfolio]]:
+                  train_datasets: dict[str, list[str]] | None = None
+                  ) -> tuple[list[SimResult], dict[str, Portfolio]]:
     if len(repo.datasets) < 2:
         raise ValueError("leave-one-out simulation needs at least 2 datasets")
     portfolios = _loo_portfolios(repo, n_max, aggregation, candidates, train_datasets)
@@ -140,14 +140,13 @@ def _simulate_loo(repo: Repository, policy: BudgetPolicy, n_max: int, c_max: int
         included, fb = anytime_filter(portfolios[meta.dataset_id], t, policy, repo)
         return _ensemble_result(repo, t, included, included, fb, c_max)
 
-    return _map_tasks(run, range(repo.n_tasks), threads), portfolios
+    return [run(t) for t in range(repo.n_tasks)], portfolios
 
 
 def simulate_portfolio(repo: Repository, policy: BudgetPolicy, n_max: int,
-                       c_max: int, aggregation: str = NORMALIZED_LOSS,
-                       threads: int = 1) -> list[SimResult]:
+                       c_max: int, aggregation: str = NORMALIZED_LOSS) -> list[SimResult]:
     """Anytime LOO simulation: one SimResult per task, in repository task order."""
-    results, _ = _simulate_loo(repo, policy, n_max, c_max, aggregation, threads=threads)
+    results, _ = _simulate_loo(repo, policy, n_max, c_max, aggregation)
     return results
 
 
@@ -162,8 +161,7 @@ def _family_order(repo: Repository, family: str, order_seed: int | None) -> list
 
 def simulate_single_family(repo: Repository, family: str, mode: str,
                            policy: BudgetPolicy, c_max: int,
-                           order_seed: int | None = None,
-                           threads: int = 1) -> list[SimResult]:
+                           order_seed: int | None = None) -> list[SimResult]:
     """Simulate one model family on every task.
 
     ``default`` reports the family's default config as stored. ``tuned`` walks
@@ -196,4 +194,4 @@ def simulate_single_family(repo: Repository, family: str, mode: str,
         pool = sorted(included, key=lambda j: (repo.eval_table[t, j, 0], j))[:TUNED_ENSEMBLE_POOL]
         return _ensemble_result(repo, t, pool, included, fb, c_max)
 
-    return _map_tasks(run, range(repo.n_tasks), threads)
+    return [run(t) for t in range(repo.n_tasks)]

@@ -32,10 +32,11 @@ Directory layout::
 Index offsets are absolute byte positions in preds.blob. Splits are numbered
 val=0, test=1. The index is redundant with the manifest: :func:`open_repo`
 rejects any record that differs from the one the task shapes imply, and any
-evaluation record with a negative or non-finite field. Repository handles are immutable after open and safe for concurrent readers.
-All writes go through :func:`write_repo`, which checks every cell first and
-then replaces each file whole, so rewriting a repository onto the directory it
-was opened from leaves earlier views reading their old values.
+evaluation record with a negative or non-finite field. Repository handles
+are immutable after open and safe for concurrent readers. All writes go
+through :func:`write_repo`, which checks every cell first and then replaces
+each file whole, so rewriting a repository onto the directory it was opened
+from leaves earlier views reading their old values.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -157,14 +158,24 @@ def _canonical_index(tasks: Sequence[TaskMeta], n_configs: int) -> np.ndarray:
     return index
 
 
-def _blob_end(index: np.ndarray) -> int:
-    """Byte size of a preds.blob that holds every cell of ``index``."""
-    return 8 + 4 * int(np.sum(index["rows"].astype(np.int64) * index["cols"]))
-
-
 def _label_starts(tasks: Sequence[TaskMeta]) -> list[int]:
     """Start of each task's labels in the label buffer, plus the total length."""
     return np.cumsum([0] + [t.n_val + t.n_test for t in tasks]).tolist()
+
+
+def _pred_starts(tasks: Sequence[TaskMeta], n_configs: int) -> list[int]:
+    """Start of each task's cells in the prediction buffer, plus the total length."""
+    return np.cumsum([0] + [n_configs * (t.n_val + t.n_test) * t.o for t in tasks]).tolist()
+
+
+def _task_region(buf: np.ndarray, start: int, n_configs: int, task: TaskMeta) -> np.ndarray:
+    """A task's cells in ``buf`` as one (n_configs, n_val + n_test, o) view, val rows first.
+
+    Cells sit in (config, split) order, so slicing the rows of this view
+    gives either split of every config.
+    """
+    rows = task.n_val + task.n_test
+    return buf[start:start + n_configs * rows * task.o].reshape(n_configs, rows, task.o)
 
 
 class Repository:
@@ -205,14 +216,13 @@ class Repository:
             raise StoreError(f"evals table has shape {evals.shape}, expected "
                              f"{(len(self.tasks), len(self.configs), _EVAL_FIELDS)}")
 
-        index = _canonical_index(self.tasks, len(self.configs))
-        self._cell_start = ((index["offset"] - 8) // 4).astype(np.int64)
-        self._cell_shape = [((t.n_val, t.o), (t.n_test, t.o)) for t in self.tasks]
+        self._shape = [(t.n_val, t.n_test, t.o) for t in self.tasks]
+        self._pred_start = _pred_starts(self.tasks, len(self.configs))
         self._label_start = _label_starts(self.tasks)
         self._preds = np.asarray(predictions)
         self._labels = np.asarray(labels)
         self._bytes_read = 0
-        if (self._preds.shape != ((_blob_end(index) - 8) // 4,)
+        if (self._preds.shape != (self._pred_start[-1],)
                 or self._labels.shape != (self._label_start[-1],)):
             raise StoreError("prediction or label buffer does not match the task shapes")
 
@@ -232,44 +242,39 @@ class Repository:
         configs: Sequence[ConfigMeta],
         folds_per_dataset: int,
         labels: Sequence[tuple[np.ndarray, np.ndarray]],
-        predictions: Mapping[tuple[int, int, int], np.ndarray],
+        predictions: Sequence[tuple[np.ndarray, np.ndarray]],
         evals: np.ndarray,
     ) -> "Repository":
         """Build a repository from in-memory arrays (as the generator does).
 
-        ``predictions`` maps (task_ordinal, config_ordinal, split) to
-        matrices, which are packed as float32; ``labels`` holds one (val,
-        test) array pair per task. A missing cell or a cell of the wrong
-        shape is a :class:`StoreError`; values are not checked here, so that
-        :func:`validate_repo` can report them.
+        ``predictions`` holds one (val, test) pair of (n_configs, rows, o)
+        slabs per task, the shape :meth:`task_predictions` returns, and
+        ``labels`` one (val, test) array pair per task. Each task's labels
+        and slabs are copied into its regions of the packed buffers. A wrong
+        number of pairs, a slab of the wrong shape or labels of the wrong
+        length is a :class:`StoreError`; values are not checked here, so
+        that :func:`validate_repo` can report them.
         """
         tasks = list(tasks)
-        index = _canonical_index(tasks, len(configs))
-        starts = ((index["offset"] - 8) // 4).tolist()
-        buf = np.empty((_blob_end(index) - 8) // 4, dtype="<f4")
-        for t, task in enumerate(tasks):
-            for j, config in enumerate(configs):
-                for s in (VAL, TEST):
-                    try:
-                        arr = np.asarray(predictions[(t, j, s)])
-                    except KeyError:
-                        raise StoreError(
-                            f"missing predictions for task={task.key} "
-                            f"config={config.config_id} split={s}"
-                        ) from None
-                    shape = (task.n_val if s == VAL else task.n_test, task.o)
-                    if arr.shape != shape:
-                        raise StoreError(f"prediction shape {arr.shape} != {shape} at (task="
-                                         f"{task.key}, config={config.config_id}, split={s})")
-                    start = starts[t][j][s]
-                    buf[start:start + arr.size] = arr.ravel()
+        if not len(labels) == len(predictions) == len(tasks):
+            raise StoreError(f"{len(labels)} label pairs and {len(predictions)} prediction "
+                             f"slab pairs for {len(tasks)} tasks")
         label_start = _label_starts(tasks)
+        pred_start = _pred_starts(tasks, len(configs))
         labs = np.empty(label_start[-1], dtype="<f8")
-        for t, meta in enumerate(tasks):
-            yv, yt = labels[t]
-            if len(yv) != meta.n_val or len(yt) != meta.n_test:
-                raise StoreError(f"label lengths for task {meta.key} do not match task meta")
+        buf = np.empty(pred_start[-1], dtype="<f4")
+        for t, (task, (yv, yt), (val, test)) in enumerate(zip(tasks, labels, predictions)):
+            if len(yv) != task.n_val or len(yt) != task.n_test:
+                raise StoreError(f"label lengths for task {task.key} do not match task meta")
             labs[label_start[t]:label_start[t + 1]] = np.concatenate([yv, yt])
+            region = _task_region(buf, pred_start[t], len(configs), task)
+            for s, part, slab in ((VAL, region[:, :task.n_val], val),
+                                  (TEST, region[:, task.n_val:], test)):
+                slab = np.asarray(slab)
+                if slab.shape != part.shape:
+                    raise StoreError(f"prediction slab shape {slab.shape} != {part.shape} "
+                                     f"at (task={task.key}, split={s})")
+                part[...] = slab
         buf.flags.writeable = False
         labs.flags.writeable = False
         return cls(tasks, configs, folds_per_dataset, labs, buf,
@@ -345,25 +350,22 @@ class Repository:
         j = self.config_index(config)
         if split not in (VAL, TEST):
             raise ValueError(f"split must be {VAL} (val) or {TEST} (test)")
-        start = int(self._cell_start[t, j, split])
-        rows, cols = self._cell_shape[t][split]
-        self._bytes_read += rows * cols * 4
-        return self._preds[start:start + rows * cols].reshape(rows, cols)
+        n_val, n_test, o = self._shape[t]
+        rows, skip = (n_val, 0) if split == VAL else (n_test, n_val)
+        start = self._pred_start[t] + (j * (n_val + n_test) + skip) * o
+        self._bytes_read += rows * o * 4
+        return self._preds[start:start + rows * o].reshape(rows, o)
 
     def task_predictions(self, task, split: int) -> np.ndarray:
         """Every config's cell of one task split: an (n_configs, rows, o) float32 read-only view.
 
-        The task's cells sit back to back in (config, split) order, so this
-        slices the split's rows out of them without copying.
+        Slices the split's rows out of the task's region without copying.
         """
         t = self.task_index(task)
         if split not in (VAL, TEST):
             raise ValueError(f"split must be {VAL} (val) or {TEST} (test)")
         meta = self.tasks[t]
-        rows = meta.n_val + meta.n_test
-        start = int(self._cell_start[t, 0, 0]) if self.n_configs else 0
-        region = self._preds[start:start + self.n_configs * rows * meta.o]
-        region = region.reshape(self.n_configs, rows, meta.o)
+        region = _task_region(self._preds, self._pred_start[t], self.n_configs, meta)
         slab = region[:, :meta.n_val] if split == VAL else region[:, meta.n_val:]
         self._bytes_read += slab.nbytes
         return slab
@@ -384,7 +386,7 @@ class Repository:
         if split not in (VAL, TEST):
             raise ValueError(f"split must be {VAL} (val) or {TEST} (test)")
         start = self._label_start[t] + (self.tasks[t].n_val if split == TEST else 0)
-        rows = self._cell_shape[t][split][0]
+        rows = self._shape[t][split]
         y = self._labels[start:start + rows]
         return y.astype(np.int64) if self.tasks[t].problem.is_classification else y
 
@@ -530,34 +532,63 @@ def write_repo(repo: Repository, path: str | Path) -> None:
                   (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
 
 
-def _task_field(entry, key: str, convert, task: str):
+def _typed(kind: type):
+    """Converter that passes only JSON values of exactly ``kind`` (so a bool is no int)."""
+    def check(value):
+        if type(value) is not kind:
+            raise TypeError
+        return value
+    return check
+
+
+def _field(entry, key: str, convert, where: str | None = None):
+    """``convert(entry[key])``; a missing or bad value is a StoreError naming the field."""
     if key not in entry:
-        raise StoreError(f"manifest.json is missing required field {key!r} in {task}")
+        at = f" in {where}" if where else ""
+        raise StoreError(f"manifest.json is missing required field {key!r}{at}")
     try:
         return convert(entry[key])
     except (TypeError, ValueError):
-        raise StoreError(f"manifest.json: {task}: invalid {key!r} value {entry[key]!r}") from None
+        at = f" {where}:" if where else ""
+        raise StoreError(f"manifest.json:{at} invalid {key!r} value {entry[key]!r}") from None
 
 
 def _manifest_tasks(entries) -> list[TaskMeta]:
     """Parse the manifest's tasks; a bad entry is a StoreError naming the task and the field."""
     tasks = []
+    integer = _typed(int)
     for i, entry in enumerate(entries):
-        dataset_id = _task_field(entry, "dataset_id", lambda v: v, f"task {i}")
-        fold = _task_field(entry, "fold", int, f"task {i}")
+        dataset_id = _field(entry, "dataset_id", _typed(str), f"task {i}")
+        fold = _field(entry, "fold", integer, f"task {i}")
         name = f"task {(dataset_id, fold)}"
         try:
             tasks.append(TaskMeta(
                 dataset_id, fold,
-                problem=_task_field(entry, "problem", ProblemType, name),
-                n_val=_task_field(entry, "n_val", int, name),
-                n_test=_task_field(entry, "n_test", int, name),
-                o=_task_field(entry, "o", int, name),
-                n_features=_task_field(entry, "n_features", int, name) if "n_features" in entry else 0,
+                problem=_field(entry, "problem", ProblemType, name),
+                n_val=_field(entry, "n_val", integer, name),
+                n_test=_field(entry, "n_test", integer, name),
+                o=_field(entry, "o", integer, name),
+                n_features=_field(entry, "n_features", integer, name) if "n_features" in entry else 0,
             ))
         except ValueError as e:
             raise StoreError(f"manifest.json: {e}") from None
     return tasks
+
+
+_CONFIG_TYPES = (("config_id", str), ("family", str), ("is_default", bool), ("hyperparams", str))
+
+
+def _manifest_configs(entries) -> list[ConfigMeta]:
+    """Parse the manifest's configs; a mistyped value is a StoreError naming ordinal and field."""
+    configs = []  # many more than tasks: checked once built, not through _field per value
+    for j, c in enumerate(entries):
+        config = ConfigMeta(c["config_id"], c["family"], c["is_default"], c.get("hyperparams", ""))
+        for key, kind in _CONFIG_TYPES:
+            if type(getattr(config, key)) is not kind:
+                raise StoreError(f"manifest.json: config {j}: invalid {key!r} value "
+                                 f"{getattr(config, key)!r}")
+        configs.append(config)
+    return configs
 
 
 def _map(path: Path, dtype: str, count: int) -> np.ndarray:
@@ -567,9 +598,9 @@ def _map(path: Path, dtype: str, count: int) -> np.ndarray:
     return np.asarray(np.memmap(path, dtype=dtype, mode="r", offset=8, shape=(count,)))
 
 
-def _check_index(path: Path, tasks: Sequence[TaskMeta], configs: Sequence[ConfigMeta],
-                 want: np.ndarray) -> None:
-    """Compare the records of preds.idx with the canonical ``want``, pad bytes excepted."""
+def _check_index(path: Path, tasks: Sequence[TaskMeta], configs: Sequence[ConfigMeta]) -> None:
+    """Compare the records of preds.idx with the canonical ones, pad bytes excepted."""
+    want = _canonical_index(tasks, len(configs)).reshape(-1)
     raw = np.fromfile(path, dtype=np.uint8, offset=8)
     if raw.nbytes != want.nbytes:
         raise StoreError(f"preds.idx holds {raw.nbytes} record bytes, expected {want.nbytes}")
@@ -621,9 +652,8 @@ def open_repo(path: str | Path) -> Repository:
 
     try:
         tasks = _manifest_tasks(manifest["tasks"])
-        configs = [ConfigMeta(c["config_id"], c["family"], bool(c["is_default"]),
-                              c.get("hyperparams", "")) for c in manifest["configs"]]
-        folds = int(manifest["folds_per_dataset"])
+        configs = _manifest_configs(manifest["configs"])
+        folds = _field(manifest, "folds_per_dataset", _typed(int))
         label_checksums = list(manifest["label_checksums"])
     except KeyError as e:
         raise StoreError(f"manifest.json is missing required field {e.args[0]!r}") from None
@@ -635,9 +665,8 @@ def open_repo(path: str | Path) -> Repository:
                         ("evals.bin", MAGIC_EVALS), ("labels.bin", MAGIC_LABELS)):
         _check_header(path / name, magic)
 
-    index = _canonical_index(tasks, M).reshape(-1)
-    _check_index(path / "preds.idx", tasks, configs, index)
-    end = _blob_end(index)
+    _check_index(path / "preds.idx", tasks, configs)
+    end = 8 + 4 * _pred_starts(tasks, M)[-1]
     blob_size = os.path.getsize(path / "preds.blob")
     if end > blob_size:
         raise StoreError(

@@ -15,9 +15,10 @@ task's draws. Draw order within a stream is fixed: labels draw val rows then
 test rows; per-config prediction streams draw, for each bag fold in order,
 the fold's validation-segment noise and then its test noise. Identical specs
 therefore produce byte-identical repositories. Each task's predictions are
-written into one validation and one test slab of shape (configs, rows, o), and
-each slab's stored losses come from one :class:`metrics.StackLoss` call, which
-equals :func:`metrics.task_loss` bit for bit. Structural metadata (task
+written into one validation and one test slab of shape (configs, rows, o),
+which :meth:`Repository.in_memory` takes as they are, and each slab's stored
+losses come from one :class:`metrics.StackLoss` call, which equals
+:func:`metrics.task_loss` bit for bit. Structural metadata (task
 shapes, problem assignment, class counts) is keyed on a constant instead of
 the seed, so changing only the seed redraws values but never shapes.
 
@@ -44,14 +45,7 @@ import numpy as np
 
 from . import metrics
 from .portfolio import AGGREGATIONS, RAW_LOSS, NORMALIZED_LOSS
-from .store import (
-    TEST,
-    VAL,
-    ConfigMeta,
-    ProblemType,
-    Repository,
-    TaskMeta,
-)
+from .store import VAL, ConfigMeta, ProblemType, Repository, TaskMeta
 
 BINARY_LOGIT_SCALE = 2.0
 MULTICLASS_LOGIT_SCALE = 3.0
@@ -324,7 +318,7 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
         fam_infer_const.append(float(np.exp(const_rng.uniform(np.log(1e-5), np.log(1e-2)))))
 
     labels: list[tuple[np.ndarray, np.ndarray]] = []
-    predictions: dict[tuple[int, int, int], np.ndarray] = {}
+    predictions: list[tuple[np.ndarray, np.ndarray]] = []
     evals = np.zeros((len(tasks), len(configs), 4), dtype=np.float64)
 
     for t, task in enumerate(tasks):
@@ -366,8 +360,6 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
 
             val_slab[j] = _link(task.problem, val_logits)
             test_slab[j] = aggregate_bag_predictions(bag_tests)
-            predictions[(t, j, VAL)] = val_slab[j]
-            predictions[(t, j, TEST)] = test_slab[j]
 
             time_rng = rng_stream(seed, _P_TIMES, a=t, b=j)
             if j == 0:
@@ -380,6 +372,7 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
             evals[t, j, 3] = time_infer
         evals[t, :, 0] = metrics.StackLoss(task, y_val)(val_slab)
         evals[t, :, 1] = metrics.StackLoss(task, y_test)(test_slab)
+        predictions.append((val_slab, test_slab))
 
     return Repository.in_memory(tasks, configs, S, labels, predictions, evals)
 

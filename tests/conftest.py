@@ -37,7 +37,7 @@ def make_handmade_repo(seed: int = 0) -> Repository:
     ]
 
     labels = []
-    predictions = {}
+    predictions = []
     evals = np.zeros((len(tasks), len(configs), 4))
     for t, task in enumerate(tasks):
         if task.problem is ProblemType.REGRESSION:
@@ -50,6 +50,9 @@ def make_handmade_repo(seed: int = 0) -> Repository:
             y_val = rng.integers(0, task.o, task.n_val)
             y_test = rng.integers(0, task.o, task.n_test)
         labels.append((y_val, y_test))
+        slabs = (np.empty((len(configs), task.n_val, task.o), dtype=np.float32),
+                 np.empty((len(configs), task.n_test, task.o), dtype=np.float32))
+        predictions.append(slabs)
         for j in range(len(configs)):
             for split, n in ((VAL, task.n_val), (TEST, task.n_test)):
                 if task.problem is ProblemType.REGRESSION:
@@ -59,25 +62,25 @@ def make_handmade_repo(seed: int = 0) -> Repository:
                 else:
                     raw = rng.random((n, task.o))
                     arr = raw / raw.sum(axis=1, keepdims=True)
-                predictions[(t, j, split)] = arr.astype(np.float32)
-            evals[t, j, 0] = task_loss(task, predictions[(t, j, VAL)], y_val)
-            evals[t, j, 1] = task_loss(task, predictions[(t, j, TEST)], y_test)
+                slabs[split][j] = arr.astype(np.float32)
+            evals[t, j, 0] = task_loss(task, slabs[VAL][j], y_val)
+            evals[t, j, 1] = task_loss(task, slabs[TEST][j], y_test)
             evals[t, j, 2] = float(rng.uniform(1, 100))
             evals[t, j, 3] = float(rng.uniform(1e-4, 1e-2))
     return Repository.in_memory(tasks, configs, 2, labels, predictions, evals)
 
 
 def repo_arrays(repo: Repository):
-    """Writable copies of a repository's labels, cells and evaluations.
+    """Writable copies of a repository's labels, prediction slabs and evaluations.
 
     They come in the form :meth:`Repository.in_memory` takes, so a test can
-    perturb them and build the perturbed repository with :func:`rebuild_repo`.
+    perturb them (cell ``(t, j, split)`` is ``predictions[t][split][j]``) and
+    build the perturbed repository with :func:`rebuild_repo`.
     """
     labels = [tuple(np.array(repo.labels(t, s)) for s in (VAL, TEST))
               for t in range(repo.n_tasks)]
-    predictions = {(t, j, s): np.array(repo.predictions(t, j, s))
-                   for t in range(repo.n_tasks) for j in range(repo.n_configs)
-                   for s in (VAL, TEST)}
+    predictions = [tuple(np.array(repo.task_predictions(t, s)) for s in (VAL, TEST))
+                   for t in range(repo.n_tasks)]
     return labels, predictions, np.array(repo.eval_table)
 
 

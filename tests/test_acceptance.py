@@ -189,15 +189,15 @@ def crafted_times_repo() -> Repository:
     configs = [ConfigMeta(f"c{j}", "fam", is_default=(j == 0)) for j in range(4)]
     rng = np.random.default_rng(0)
     y = rng.standard_normal(4)
-    preds, evals = {}, np.zeros((1, 4, 4))
+    preds, evals = np.empty((2, 4, 4, 1), dtype=np.float32), np.zeros((1, 4, 4))
     for j in range(4):
         for split in (VAL, TEST):
-            preds[(0, j, split)] = rng.standard_normal((4, 1)).astype(np.float32)
-        evals[0, j, 0] = task_loss(task, preds[(0, j, VAL)], y)
-        evals[0, j, 1] = task_loss(task, preds[(0, j, TEST)], y)
+            preds[split, j] = rng.standard_normal((4, 1)).astype(np.float32)
+        evals[0, j, 0] = task_loss(task, preds[VAL, j], y)
+        evals[0, j, 1] = task_loss(task, preds[TEST, j], y)
         evals[0, j, 2] = [1.0, 100.0, 200.0, 300.0][j]
         evals[0, j, 3] = 1e-3
-    return Repository.in_memory([task], configs, 1, [(y, y)], preds, evals)
+    return Repository.in_memory([task], configs, 1, [(y, y)], [tuple(preds)], evals)
 
 
 @criterion(5, "anytime prefixes match the stated budgets and are budget-monotone")
@@ -281,7 +281,7 @@ def test_criterion_8_loo_leakage_freedom():
                 else:
                     y[:2] = y[:2][::-1]
                 for j in range(perturbed.n_configs):
-                    arr = preds[(t, j, split)]
+                    arr = preds[t][split][j]
                     arr += rng.random(arr.shape).astype(np.float32) * 1e-3
             evals[t, :, :2] = rng.random((perturbed.n_configs, 2))
         perturbed = rebuild_repo(perturbed, labels, preds, evals)
@@ -343,12 +343,12 @@ def fig2_method_errors(repo: Repository) -> dict[str, float]:
     policy = BudgetPolicy(1e12, 0, repo)
     methods: dict[str, list] = {}
     methods["Portfolio (ensemble)"] = simulate_portfolio(
-        repo, policy, n_max=10, c_max=40, threads=THREADS)
+        repo, policy, n_max=10, c_max=40)
     for family in repo.families:
         for mode, label in (("default", "default"), ("tuned", "tuned"),
                             ("tuned+ensemble", "tuned + ensemble")):
             methods[f"{family} ({label})"] = simulate_single_family(
-                repo, family, mode, policy, 40, threads=THREADS)
+                repo, family, mode, policy, 40)
     tables = [
         MethodResults(name, {r.key: r.test_loss for r in results})
         for name, results in methods.items()

@@ -158,6 +158,25 @@ class TestValidate:
         assert f"task {(task['dataset_id'], task['fold'])!r}" in err
         assert f"'{field}'" in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("is_default", "false"), ("config_id", 5), ("folds_per_dataset", "x")])
+    def test_malformed_config_or_fold_count_exits_2(self, tmp_path, capsys, field, value):
+        spec_path = write_spec(tmp_path, seed=257)
+        run(capsys, "generate", "--spec", str(spec_path), "--out", str(tmp_path / "r"))
+        manifest_path = tmp_path / "r" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if field == "folds_per_dataset":
+            manifest[field] = value
+        else:
+            manifest["configs"][3][field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        code, out, err = run(capsys, "validate", "--repo", str(tmp_path / "r"))
+        assert code == 2
+        assert "OK" not in out
+        assert f"invalid '{field}' value" in err
+        if field != "folds_per_dataset":
+            assert "config 3:" in err
+
     def test_corrupt_evals_entries_exit_2(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, seed=251)
         run(capsys, "generate", "--spec", str(spec_path), "--out", str(tmp_path / "r"))
@@ -324,7 +343,7 @@ class TestAblateCommand:
         from predrepo.cli import PORTFOLIO_ENSEMBLE, _family_method_table, _method_results
 
         base = [_method_results(name, res) for name, res
-                in _family_method_table(repo, policy, 6, None, 1).items()]
+                in _family_method_table(repo, policy, 6, None).items()]
         single, _ = _simulate_loo(repo, policy, 5, 1, "normalized_loss")
         tables = base + [_method_results(PORTFOLIO_ENSEMBLE, single)]
         want = mean_normalized_error(tables)[PORTFOLIO_ENSEMBLE]

@@ -30,16 +30,15 @@ def single_task_repo(problem, y_val, y_test, config_preds, times=None):
     task = TaskMeta("d", 0, problem, n_val=len(y_val), n_test=len(y_test), o=o)
     configs = [ConfigMeta(cid, "fam", is_default=(i == 0))
                for i, cid in enumerate(config_preds)]
-    preds = {}
+    val, test = (np.stack([np.asarray(p[s], dtype=np.float32) for p in config_preds.values()])
+                 for s in (VAL, TEST))
     evals = np.zeros((1, len(configs), 4))
-    for j, (cid, (pv, pt)) in enumerate(config_preds.items()):
-        preds[(0, j, VAL)] = np.asarray(pv, dtype=np.float32)
-        preds[(0, j, TEST)] = np.asarray(pt, dtype=np.float32)
-        evals[0, j, 0] = task_loss(task, preds[(0, j, VAL)], y_val)
-        evals[0, j, 1] = task_loss(task, preds[(0, j, TEST)], y_test)
+    for j in range(len(configs)):
+        evals[0, j, 0] = task_loss(task, val[j], y_val)
+        evals[0, j, 1] = task_loss(task, test[j], y_test)
         evals[0, j, 2] = times[j] if times else 1.0
         evals[0, j, 3] = 1e-3
-    return Repository.in_memory([task], configs, 1, [(y_val, y_test)], preds, evals)
+    return Repository.in_memory([task], configs, 1, [(y_val, y_test)], [(val, test)], evals)
 
 
 def unchecked_repo(problem, y_val, val_preds):
@@ -48,12 +47,9 @@ def unchecked_repo(problem, y_val, val_preds):
     n, o = val_preds[0].shape
     task = TaskMeta("d", 0, problem, n_val=n, n_test=n, o=o)
     configs = [ConfigMeta(f"c{j}", "fam") for j in range(len(val_preds))]
-    preds = {}
-    for j, pv in enumerate(val_preds):
-        preds[(0, j, VAL)] = np.asarray(pv, dtype=np.float32)
-        preds[(0, j, TEST)] = np.asarray(pv, dtype=np.float32)
+    slab = np.stack([np.asarray(pv, dtype=np.float32) for pv in val_preds])
     evals = np.zeros((1, len(configs), 4))
-    return Repository.in_memory([task], configs, 1, [(y_val, y_val)], preds, evals)
+    return Repository.in_memory([task], configs, 1, [(y_val, y_val)], [(slab, slab)], evals)
 
 
 def col(*values):
@@ -215,6 +211,17 @@ class TestEnsemblePredict:
         out = ensemble_predict(w, 0, TEST, synth_repo)
         assert out == pytest.approx(a, abs=1e-7)
 
+    def test_bit_equal_to_per_member_reads(self, synth_repo):
+        for t in range(synth_repo.n_tasks):
+            w = caruana_select(t, range(synth_repo.n_configs), 9, synth_repo)
+            for split in (VAL, TEST):
+                acc = None
+                for j, count in w.counts.items():
+                    term = count * synth_repo.predictions(t, j, split).astype(np.float64)
+                    acc = term if acc is None else acc + term
+                want = (acc / w.steps).astype(np.float32)
+                assert ensemble_predict(w, t, split, synth_repo).tobytes() == want.tobytes()
+
     def test_classification_output_row_stochastic(self, synth_repo):
         for t, task in enumerate(synth_repo.tasks):
             if task.problem is not ProblemType.MULTICLASS:
@@ -248,12 +255,6 @@ class TestEvaluateEnsemble:
         got = evaluate_ensemble(repo.datasets, [0, 1, 2], configs, 4, repo)
         want = eager_evaluate(repo, repo.datasets, [0, 1, 2], configs, 4)
         assert got == pytest.approx(want, abs=1e-10)
-
-    def test_thread_count_does_not_change_results(self, synth_repo):
-        ids = [c.config_id for c in synth_repo.configs]
-        a = evaluate_ensemble(synth_repo.datasets, [0, 1], ids, 6, synth_repo, threads=1)
-        b = evaluate_ensemble(synth_repo.datasets, [0, 1], ids, 6, synth_repo, threads=8)
-        assert np.array_equal(a, b)
 
     def test_unknown_dataset(self, synth_repo):
         with pytest.raises(KeyError):

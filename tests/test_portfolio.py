@@ -14,7 +14,7 @@ from predrepo import (
 from predrepo.portfolio import normalize_losses
 from predrepo.synth import oracle_greedy_extension
 
-from conftest import rebuild_repo, repo_arrays, small_spec
+from conftest import make_handmade_repo, rebuild_repo, repo_arrays, small_spec
 
 
 def scalar_portfolio(losses, ordinals, n_max):
@@ -121,6 +121,17 @@ class TestLearnPortfolio:
         with pytest.raises(ValueError):
             learn_portfolio(synth_repo.tasks, [], 2, RAW_LOSS, synth_repo)
 
+    @pytest.mark.parametrize("aggregation", [RAW_LOSS, NORMALIZED_LOSS])
+    def test_non_finite_loss_is_named(self, aggregation):
+        repo = make_handmade_repo()
+        repo.eval_table[0, 2, 0] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite validation loss at "
+                                             r"\(task=\('reg', 0\), config=beta-default\)"):
+            learn_portfolio(repo.tasks, range(3), 3, aggregation, repo)
+        # a table without the bad entry is still learned
+        pf = learn_portfolio(repo.tasks[1:], range(3), 3, aggregation, repo)
+        assert sorted(pf.configs) == [0, 1, 2]
+
     def test_leakage_freedom(self):
         base = generate_repo(small_spec(seed=41))
         held_out = base.datasets[1]
@@ -133,7 +144,7 @@ class TestLearnPortfolio:
         for t in perturbed.dataset_tasks(held_out):
             for j in range(perturbed.n_configs):
                 for split in (0, 1):
-                    arr = preds[(t, j, split)]
+                    arr = preds[t][split][j]
                     arr += rng.random(arr.shape).astype(np.float32) * 1e-3
                 evals[t, j, :2] = rng.random(2)
         perturbed = rebuild_repo(perturbed, labels, preds, evals)

@@ -140,11 +140,6 @@ class TestSimulatePortfolio:
         with pytest.raises(ValueError, match="at least 2 datasets"):
             simulate_portfolio(repo, BudgetPolicy(10, 0, repo), 2, 2)
 
-    def test_thread_count_invariant(self, repo, open_policy):
-        a = simulate_portfolio(repo, open_policy, 4, 5, threads=1)
-        b = simulate_portfolio(repo, open_policy, 4, 5, threads=8)
-        assert a == b
-
     def test_matches_straight_line_reference(self, repo):
         budget = float(np.median(repo.eval_table[:, :, 2])) * 4
         policy = BudgetPolicy(budget, 0, repo)

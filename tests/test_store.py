@@ -23,13 +23,14 @@ from predrepo import (
     Repository,
     StoreError,
     TaskMeta,
+    generate_repo,
     open_repo,
     validate_repo,
     write_repo,
 )
 from predrepo.store import _INDEX_DTYPE, TEST, VAL
 
-from conftest import make_handmade_repo, rebuild_repo, repo_arrays
+from conftest import make_handmade_repo, rebuild_repo, repo_arrays, small_spec
 
 FILES = ("manifest.json", "labels.bin", "evals.bin", "preds.idx", "preds.blob")
 
@@ -42,17 +43,15 @@ def one_cell_repo(n_val=2, n_test=3):
     task = TaskMeta("d", 0, ProblemType.REGRESSION, n_val=n_val, n_test=n_test, o=1)
     config = ConfigMeta("only", "fam", is_default=True)
     rng = np.random.default_rng(0)
-    preds = {
-        (0, 0, VAL): rng.standard_normal((n_val, 1)).astype(np.float32),
-        (0, 0, TEST): rng.standard_normal((n_test, 1)).astype(np.float32),
-    }
+    val = rng.standard_normal((1, n_val, 1)).astype(np.float32)
+    test = rng.standard_normal((1, n_test, 1)).astype(np.float32)
     y_val = rng.standard_normal(n_val)
     y_test = rng.standard_normal(n_test)
     from predrepo import task_loss
 
-    evals = np.array([[[task_loss(task, preds[(0, 0, VAL)], y_val),
-                        task_loss(task, preds[(0, 0, TEST)], y_test), 1.0, 0.001]]])
-    return Repository.in_memory([task], [config], 1, [(y_val, y_test)], preds, evals)
+    evals = np.array([[[task_loss(task, val[0], y_val),
+                        task_loss(task, test[0], y_test), 1.0, 0.001]]])
+    return Repository.in_memory([task], [config], 1, [(y_val, y_test)], [(val, test)], evals)
 
 
 class TestWrite:
@@ -80,7 +79,7 @@ class TestWrite:
         config = ConfigMeta("c", "f")
         bad = np.array([[0.5, 0.3], [0.5, 0.5]], dtype=np.float32)  # first row sums to 0.8
         good = np.array([[0.5, 0.5], [0.2, 0.8]], dtype=np.float32)
-        preds = {(0, 0, VAL): bad, (0, 0, TEST): good}
+        preds = [(bad[None], good[None])]
         labels = [(np.array([0, 1]), np.array([0, 1]))]
         evals = np.zeros((1, 1, 4))
         repo = Repository.in_memory([task], [config], 1, labels, preds, evals)
@@ -89,19 +88,43 @@ class TestWrite:
 
 
 class TestInMemory:
-    @pytest.mark.parametrize("cell, match", [
-        (None, r"missing predictions for task=\('d', 0\) config=only split=1"),
-        (np.zeros((2, 2), dtype=np.float32),
-         r"prediction shape \(2, 2\) != \(3, 1\) at \(task=\('d', 0\), config=only, split=1\)"),
-    ])
-    def test_bad_cell_is_named(self, cell, match):
-        repo = one_cell_repo(n_val=2, n_test=3)
-        preds = {(0, 0, VAL): repo.predictions(0, 0, VAL)}
-        if cell is not None:
-            preds[(0, 0, TEST)] = cell
+    def test_slab_pair_count_is_checked(self):
+        repo = one_cell_repo()
         labels = [(repo.labels(0, VAL), repo.labels(0, TEST))]
-        with pytest.raises(StoreError, match=match):
-            Repository.in_memory(repo.tasks, repo.configs, 1, labels, preds, repo.eval_table)
+        slabs = [(repo.task_predictions(0, VAL), repo.task_predictions(0, TEST))]
+        with pytest.raises(StoreError, match="1 label pairs and 0 prediction slab pairs for 1 t"):
+            Repository.in_memory(repo.tasks, repo.configs, 1, labels, [], repo.eval_table)
+        with pytest.raises(StoreError, match="0 label pairs and 1 prediction slab pairs for 1 t"):
+            Repository.in_memory(repo.tasks, repo.configs, 1, [], slabs, repo.eval_table)
+
+    @pytest.mark.parametrize("split, slab, match", [
+        (TEST, np.zeros((3, 1)), r"\(3, 1\) != \(1, 3, 1\) at \(task=\('d', 0\), split=1\)"),
+        (TEST, np.zeros((1, 2, 2)), r"\(1, 2, 2\) != \(1, 3, 1\) at \(task=\('d', 0\), split=1\)"),
+        (VAL, np.zeros((2, 2, 1)), r"\(2, 2, 1\) != \(1, 2, 1\) at \(task=\('d', 0\), split=0\)"),
+    ], ids=["one-cell", "wrong-rows", "wrong-configs"])
+    def test_bad_slab_is_named(self, split, slab, match):
+        repo = one_cell_repo(n_val=2, n_test=3)
+        pair = [repo.task_predictions(0, VAL), repo.task_predictions(0, TEST)]
+        pair[split] = slab
+        labels = [(repo.labels(0, VAL), repo.labels(0, TEST))]
+        with pytest.raises(StoreError, match="prediction slab shape " + match):
+            Repository.in_memory(repo.tasks, repo.configs, 1, labels, [tuple(pair)],
+                                 repo.eval_table)
+
+    @pytest.mark.parametrize("source", ["handmade", "generated", "opened"])
+    def test_slabs_rebuild_byte_identical_files(self, tmp_path, source):
+        repo = make_handmade_repo() if source == "handmade" else generate_repo(small_spec())
+        if source == "opened":  # memory-mapped slabs
+            write_repo(repo, tmp_path / "source")
+            repo = open_repo(tmp_path / "source")
+        labels = [(repo.labels(t, VAL), repo.labels(t, TEST)) for t in range(repo.n_tasks)]
+        slabs = [(repo.task_predictions(t, VAL), repo.task_predictions(t, TEST))
+                 for t in range(repo.n_tasks)]
+        copy = Repository.in_memory(repo.tasks, repo.configs, repo.folds_per_dataset,
+                                    labels, slabs, repo.eval_table)
+        write_repo(repo, tmp_path / "a")
+        write_repo(copy, tmp_path / "b")
+        assert read_all(tmp_path / "a") == read_all(tmp_path / "b")
 
     def test_reads_are_read_only_views(self, handmade_repo):
         a = handmade_repo.predictions(3, 1, TEST)
@@ -192,6 +215,26 @@ class TestOpen:
         manifest["tasks"][0][field] = value
         (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(StoreError, match=rf"task \('reg', 0\): .*'{field}'"):
+            open_repo(tmp_path / "r")
+
+    @pytest.mark.parametrize("field, value", [
+        ("is_default", "false"), ("is_default", 1), ("config_id", 5),
+        ("family", None), ("hyperparams", ["x"])])
+    def test_malformed_config_value_is_named(self, tmp_path, handmade_repo, field, value):
+        write_repo(handmade_repo, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        manifest["configs"][1][field] = value
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=rf"config 1: invalid '{field}' value"):
+            open_repo(tmp_path / "r")
+
+    @pytest.mark.parametrize("value", ["x", 2.5, True, None])
+    def test_malformed_folds_per_dataset_is_named(self, tmp_path, handmade_repo, value):
+        write_repo(handmade_repo, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        manifest["folds_per_dataset"] = value
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="invalid 'folds_per_dataset' value"):
             open_repo(tmp_path / "r")
 
     def test_shifted_index_offset_rejected(self, tmp_path, handmade_repo):
@@ -377,7 +420,7 @@ class TestValidate:
     def test_nan_prediction_is_named(self):
         repo = make_handmade_repo()
         labels, preds, evals = repo_arrays(repo)
-        arr = preds[(0, 2, VAL)]
+        arr = preds[0][VAL][2]
         arr[0, 0] = np.nan
         repo = rebuild_repo(repo, labels, preds, evals)
         report = validate_repo(repo)
@@ -407,11 +450,11 @@ class TestCharacterization:
     def test_many_defects(self, tmp_path):
         repo = make_handmade_repo()
         labels, preds, evals = repo_arrays(repo)
-        preds[(0, 1, VAL)][3, 0] = np.nan  # regression val cell
-        preds[(4, 2, TEST)][1] *= 0.9  # multiclass row sums to 0.9
-        preds[(3, 0, VAL)][5, 0] = 1.5  # binary score above 1
-        preds[(5, 0, VAL)][0] = [np.inf, 2.0, -1.0]  # non-finite and out of range
-        preds[(5, 0, TEST)][2] = [-0.1, 0.6, 0.5]  # sums to 1, one entry below 0
+        preds[0][VAL][1][3, 0] = np.nan  # regression val cell
+        preds[4][TEST][2][1] *= 0.9  # multiclass row sums to 0.9
+        preds[3][VAL][0][5, 0] = 1.5  # binary score above 1
+        preds[5][VAL][0][0] = [np.inf, 2.0, -1.0]  # non-finite and out of range
+        preds[5][TEST][0][2] = [-0.1, 0.6, 0.5]  # sums to 1, one entry below 0
         evals[1, 2, 0] += 1e-2
         bad = rebuild_repo(repo, labels, preds, evals)
         assert validate_repo(bad) == [
@@ -432,7 +475,7 @@ class TestCharacterization:
         repo = make_handmade_repo()
         labels, preds, evals = repo_arrays(repo)
         labels[2][0][:] = 0  # task ('bin', 0): every val label is class 0
-        preds[(2, 1, TEST)][0, 0] = np.nan
+        preds[2][TEST][1][0, 0] = np.nan
         bad = rebuild_repo(repo, labels, preds, evals)
         single = "AUC undefined: labels contain a single class"
         assert validate_repo(bad) == [
