@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import rankdata
+
+from .metrics import average_ranks
 
 DENOM_FLOOR = 1e-5
 
@@ -55,41 +56,42 @@ def _common_tasks(methods: list[MethodResults]) -> list[TaskKey]:
 def _loss_table(methods: list[MethodResults]) -> tuple[list[TaskKey], np.ndarray]:
     tasks = _common_tasks(methods)
     table = np.array([[m.losses[t] for t in tasks] for m in methods], dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        i, t = bad[0]
+        raise ValueError(f"method {methods[i].method!r} has a non-finite loss {table[i, t]} "
+                         f"on task {tasks[t]}")
     return tasks, table
 
 
-def lower_median(values: np.ndarray) -> float:
-    """Element at index ceil(k/2)-1 of the sorted values (an achieved loss)."""
-    s = np.sort(np.asarray(values, dtype=np.float64))
-    k = s.size
-    return float(s[(k + 1) // 2 - 1])
+def lower_median(values, axis: int = -1):
+    """Element at index ceil(k/2)-1 of the values sorted along ``axis`` (an achieved loss)."""
+    s = np.sort(np.asarray(values, dtype=np.float64), axis=axis)
+    return np.take(s, (s.shape[axis] + 1) // 2 - 1, axis=axis)
 
 
-def normalized_error(methods: list[MethodResults]) -> dict[tuple[str, TaskKey], float]:
-    """Per (method, task) score in [0, 1]: 0 at the best loss, 1 at the median."""
+def _normalized_table(methods: list[MethodResults]) -> tuple[list[TaskKey], np.ndarray]:
+    """The tasks and the (methods, tasks) table of normalized errors."""
     if len(methods) < 2:
         raise ValueError("normalized error needs at least 2 methods")
     _check_unique_names(methods)
     tasks, table = _loss_table(methods)
-    out: dict[tuple[str, TaskKey], float] = {}
-    for col, task in enumerate(tasks):
-        losses = table[:, col]
-        topline = float(losses.min())
-        baseline = lower_median(losses)
-        denom = max(baseline - topline, DENOM_FLOOR)
-        for row, m in enumerate(methods):
-            score = (losses[row] - topline) / denom
-            out[(m.method, task)] = float(min(max(score, 0.0), 1.0))
-    return out
+    topline = table.min(axis=0)
+    denom = np.maximum(lower_median(table, axis=0) - topline, DENOM_FLOOR)
+    return tasks, np.clip((table - topline) / denom, 0.0, 1.0)
+
+
+def normalized_error(methods: list[MethodResults]) -> dict[tuple[str, TaskKey], float]:
+    """Per (method, task) score in [0, 1]: 0 at the best loss, 1 at the median."""
+    tasks, scores = _normalized_table(methods)
+    return {(m.method, task): float(scores[i, k])
+            for i, m in enumerate(methods) for k, task in enumerate(tasks)}
 
 
 def mean_normalized_error(methods: list[MethodResults]) -> dict[str, float]:
-    scores = normalized_error(methods)
-    tasks = _common_tasks(methods)
-    return {
-        m.method: float(np.mean([scores[(m.method, t)] for t in tasks]))
-        for m in methods
-    }
+    # one C-contiguous row per method, so each mean sums the tasks in order
+    means = _normalized_table(methods)[1].mean(axis=1)
+    return {m.method: float(means[i]) for i, m in enumerate(methods)}
 
 
 def average_rank(methods: list[MethodResults]) -> dict[str, float]:
@@ -98,8 +100,7 @@ def average_rank(methods: list[MethodResults]) -> dict[str, float]:
         raise ValueError("ranking needs at least 2 methods")
     _check_unique_names(methods)
     _, table = _loss_table(methods)
-    ranks = np.apply_along_axis(lambda c: rankdata(c, method="average"), 0, table)
-    means = ranks.mean(axis=1)
+    means = average_ranks(table, axis=0).mean(axis=1)
     return {m.method: float(means[i]) for i, m in enumerate(methods)}
 
 
@@ -139,17 +140,11 @@ def winrate(method_a: MethodResults, method_b: MethodResults,
     _common_tasks([method_a, method_b])
     means_a = _dataset_means(method_a, fold_count)
     means_b = _dataset_means(method_b, fold_count)
-    n_better = n_worse = n_equal = 0
-    for dataset in means_a:
-        la, lb = means_a[dataset], means_b[dataset]
-        if la < lb:
-            n_better += 1
-        elif la > lb:
-            n_worse += 1
-        else:
-            n_equal += 1
-    total = n_better + n_worse + n_equal
-    return WinRate((n_better + 0.5 * n_equal) / total, n_better, n_worse, n_equal)
+    pairs = [(means_a[d], means_b[d]) for d in means_a]
+    n_better = sum(a < b for a, b in pairs)
+    n_worse = sum(a > b for a, b in pairs)
+    n_equal = len(pairs) - n_better - n_worse
+    return WinRate((n_better + 0.5 * n_equal) / len(pairs), n_better, n_worse, n_equal)
 
 
 def rescaled_loss(methods: list[MethodResults], fold_count: int | None = None) -> dict[str, float]:

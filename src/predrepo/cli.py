@@ -2,9 +2,16 @@
 ablate, report.
 
 All tabular output is CSV with floats at 6 significant digits. Data goes to
-stdout or the file named by --out; diagnostics go to stderr. Exit codes:
-0 success, 2 input-parse error, 3 semantic error. All work runs serially;
---threads is accepted for compatibility and ignored.
+stdout or the file named by --out; each failure is one ``error: ...`` line on
+stderr. All work runs serially; --threads is accepted and ignored.
+
+Exit codes: 0 success; 2 an input that cannot be read or parsed: bad
+arguments, any ``StoreError`` of a repository, a bad generator spec, or a
+``report`` CSV with a missing column, a repeated row, an unparsable ``fold``
+or ``test_loss``, a non-finite ``test_loss`` or a non-finite or negative
+``time_fit_s`` / ``time_infer_s`` (named by file, method, dataset, fold and
+column); 3 a semantic error: ``validate`` violations, methods in ``report``
+covering different tasks, an unknown name, or an out-of-range value.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -305,6 +313,19 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _cell_value(path: str, row: dict, column: str, convert, valid=lambda v: True):
+    """``convert(row[column])``; an unparsable or invalid value is a StoreError naming the cell."""
+    try:
+        value = convert(row[column])
+    except (TypeError, ValueError):
+        pass
+    else:
+        if valid(value):
+            return value
+    raise StoreError(f"{path}: method {row['method']!r}, dataset {row['dataset']!r}, "
+                     f"fold {row['fold']!r}: invalid {column!r} value {row[column]!r}")
+
+
 def _read_method_tables(paths: list[str]) -> list[MethodResults]:
     tables: list[MethodResults] = []
     names: set[str] = set()
@@ -327,15 +348,15 @@ def _read_method_tables(paths: list[str]) -> list[MethodResults]:
                     names.add(final)
                     per_method[name] = MethodResults(final, {}, {}, {})
                 m = per_method[name]
-                key = (row["dataset"], int(row["fold"]))
+                key = (row["dataset"], _cell_value(path, row, "fold", int))
                 if key in m.losses:
                     raise StoreError(f"{path}: duplicate row for method {name!r}, "
                                      f"dataset {key[0]!r}, fold {key[1]}")
-                m.losses[key] = float(row["test_loss"])
-                if row.get("time_fit_s"):
-                    m.time_fit[key] = float(row["time_fit_s"])
-                if row.get("time_infer_s"):
-                    m.time_infer[key] = float(row["time_infer_s"])
+                m.losses[key] = _cell_value(path, row, "test_loss", float, math.isfinite)
+                for column, times in (("time_fit_s", m.time_fit), ("time_infer_s", m.time_infer)):
+                    if row.get(column):
+                        times[key] = _cell_value(path, row, column, float,
+                                                 lambda v: math.isfinite(v) and v >= 0)
         tables.extend(per_method.values())
     if not tables:
         raise StoreError("no methods found in the given results files")

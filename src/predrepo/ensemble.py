@@ -52,21 +52,6 @@ class EnsembleWeights:
         return self.counts.get(config, 0) / self.steps
 
 
-def _resolve_candidates(candidates, repo: Repository) -> list[int]:
-    if candidates is None:
-        raise ValueError("candidate list must not be None")
-    ordinals = []
-    seen = set()
-    for c in candidates:
-        j = repo.config_index(c)
-        if j not in seen:
-            seen.add(j)
-            ordinals.append(j)
-    if not ordinals:
-        raise ValueError("candidate list is empty")
-    return sorted(ordinals)
-
-
 def caruana_select(task, candidate_configs, c_max: int, repo: Repository) -> EnsembleWeights:
     """Run ``c_max`` greedy selection steps on a task's validation predictions.
 
@@ -77,7 +62,7 @@ def caruana_select(task, candidate_configs, c_max: int, repo: Repository) -> Ens
     if c_max < 1:
         raise ValueError(f"c_max must be >= 1, got {c_max}")
     t = repo.task_index(task)
-    ordinals = _resolve_candidates(candidate_configs, repo)
+    ordinals = repo.config_ordinals(candidate_configs)
     loss_of = metrics.StackLoss(repo.tasks[t], repo.labels(t, VAL))
     stack = repo.task_predictions(t, VAL)[ordinals].astype(np.float64)
 
@@ -130,7 +115,7 @@ def evaluate_ensemble(datasets, folds, configs, ensemble_size: int,
 
     The last axis is (val_loss, test_loss), in the order of the input lists.
     """
-    ordinals = _resolve_candidates(configs, repo)
+    ordinals = repo.config_ordinals(configs)
     results = [_select_and_score(repo, repo.task_index((d, f)), ordinals, ensemble_size)[1:]
                for d in datasets for f in folds]
     return np.array(results, dtype=np.float64).reshape(len(datasets), len(folds), 2)

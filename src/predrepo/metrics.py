@@ -8,12 +8,15 @@ The scalar functions score one prediction matrix and are the reference.
 :class:`StackLoss` scores a stack of matrices in one array operation per
 metric, with the same checks and the same values; greedy ensemble selection
 uses it to score every candidate of a step at once.
+
+The AUC losses and the Table 2 ranks of :mod:`predrepo.aggregate` share one
+tie-averaging rank kernel, :func:`average_ranks`. Ranks are half-integers, so
+every sum of them is exact in float64.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .store import ROW_SUM_TOL, ProblemType, TaskMeta
 
@@ -33,6 +36,33 @@ def _as_1d(x, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains NaN or infinity")
     return arr
+
+
+def _sorted_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort order along the last axis, and ``first + last`` in that order: the
+    sorted positions of the first and the last member of each value's tie group."""
+    n = x.shape[-1]
+    order = np.argsort(x, axis=-1)
+    ranked = np.take_along_axis(x, order, axis=-1)
+    at = np.arange(n)
+    new_group = ranked[..., 1:] != ranked[..., :-1]  # a tie group starts at i + 1
+    first = np.zeros(x.shape, dtype=np.int64)
+    first[..., 1:] = np.where(new_group, at[1:], 0)
+    np.maximum.accumulate(first, axis=-1, out=first)
+    last = np.full(x.shape, n - 1, dtype=np.int64)
+    last[..., :-1] = np.where(new_group, at[:-1], n - 1)
+    last = np.minimum.accumulate(last[..., ::-1], axis=-1)[..., ::-1]
+    return order, first + last
+
+
+def average_ranks(x, axis: int = -1) -> np.ndarray:
+    """1-based float64 ranks along ``axis``; a tie group at sorted positions
+    first..last shares rank (first + last) / 2 + 1. ``x`` must hold no NaN."""
+    a = np.moveaxis(np.asarray(x), axis, -1)
+    order, twice = _sorted_ranks(a)
+    ranks = np.empty(a.shape)
+    np.put_along_axis(ranks, order, twice / 2.0 + 1.0, axis=-1)
+    return np.moveaxis(ranks, -1, axis)
 
 
 def rmse(pred, target) -> float:
@@ -61,7 +91,7 @@ def auc_loss(score, label) -> float:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: labels contain a single class")
-    ranks = rankdata(s, method="average")
+    ranks = average_ranks(s)
     auc = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(1.0 - auc)
 
@@ -109,9 +139,9 @@ class StackLoss:
     matrix: its shape, finite values and, for multiclass tasks, rows that
     sum to one within 1e-5. Any failed check raises ``ValueError``.
 
-    The AUC ranks ties by their average rank, as ``rankdata`` does. Those
-    ranks are half-integers, so rank sums are exact in float64 and the AUC
-    loss is bit-equal to :func:`auc_loss`.
+    The AUC sums the positive rows' average ranks, as :func:`average_ranks`
+    gives them. Those are half-integers, so rank sums are exact in float64 and
+    the AUC loss is bit-equal to :func:`auc_loss`.
     """
 
     def __init__(self, task: TaskMeta, target):
@@ -155,21 +185,9 @@ class StackLoss:
         return -np.mean(np.log(picked), axis=1)
 
     def _auc_loss(self, scores: np.ndarray) -> np.ndarray:
-        m, n = scores.shape
-        order = np.argsort(scores, axis=1)
-        ranked = np.take_along_axis(scores, order, axis=1)
-        at = np.arange(n)
-        new_group = ranked[:, 1:] != ranked[:, :-1]  # a tie group starts at i + 1
-        # sorted positions of the first and the last member of each tie group
-        first = np.zeros((m, n), dtype=np.int64)
-        first[:, 1:] = np.where(new_group, at[1:], 0)
-        np.maximum.accumulate(first, axis=1, out=first)
-        last = np.full((m, n), n - 1, dtype=np.int64)
-        last[:, :-1] = np.where(new_group, at[:-1], n - 1)
-        last = np.minimum.accumulate(last[:, ::-1], axis=1)[:, ::-1]
-        # the average 1-based rank of a group is (first + last) / 2 + 1
-        twice = np.where(self._pos[order], first + last, 0).sum(axis=1)
-        rank_sum = twice / 2.0 + self._n_pos
+        # gather the ranks in sorted order; scattering them back costs a third more
+        order, twice = _sorted_ranks(scores)
+        rank_sum = np.where(self._pos[order], twice, 0).sum(axis=1) / 2.0 + self._n_pos
         n_pos, n_neg = self._n_pos, self._n_neg
         auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         return 1.0 - auc

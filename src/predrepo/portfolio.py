@@ -57,9 +57,7 @@ def learn_portfolio(train_tasks, candidates, n_max: int, aggregation: str,
     task_ids = sorted({repo.task_index(t) for t in train_tasks})
     if not task_ids:
         raise ValueError("train task list is empty")
-    ordinals = sorted({repo.config_index(c) for c in candidates})
-    if not ordinals:
-        raise ValueError("candidate list is empty")
+    ordinals = repo.config_ordinals(candidates)
 
     losses = np.asarray(repo.eval_table[:, :, 0], dtype=np.float64)[np.ix_(task_ids, ordinals)]
     if not np.isfinite(losses).all():

@@ -228,10 +228,7 @@ class Repository:
 
         self._task_index = {k: i for i, k in enumerate(keys)}
         self._config_index = {c: i for i, c in enumerate(ids)}
-        self._datasets: list[str] = []
-        for t in self.tasks:
-            if t.dataset_id not in self._datasets:
-                self._datasets.append(t.dataset_id)
+        self._datasets = list(dict.fromkeys(t.dataset_id for t in self.tasks))
 
     # -- construction -----------------------------------------------------
 
@@ -297,11 +294,8 @@ class Repository:
 
     @property
     def families(self) -> list[str]:
-        seen: list[str] = []
-        for c in self.configs:
-            if c.family not in seen:
-                seen.append(c.family)
-        return seen
+        """Family names in first-appearance order."""
+        return list(dict.fromkeys(c.family for c in self.configs))
 
     def family_configs(self, family: str) -> list[int]:
         out = [j for j, c in enumerate(self.configs) if c.family == family]
@@ -335,6 +329,15 @@ class Repository:
             return self._config_index[config]
         except KeyError:
             raise KeyError(f"unknown config: {config!r}") from None
+
+    def config_ordinals(self, configs) -> list[int]:
+        """Sorted distinct ordinals of ``configs``; no list or an empty one is a ValueError."""
+        if configs is None:
+            raise ValueError("candidate list must not be None")
+        ordinals = sorted({self.config_index(c) for c in configs})
+        if not ordinals:
+            raise ValueError("candidate list is empty")
+        return ordinals
 
     def dataset_tasks(self, dataset_id: str) -> list[int]:
         out = [i for i, t in enumerate(self.tasks) if t.dataset_id == dataset_id]
@@ -553,11 +556,13 @@ def _field(entry, key: str, convert, where: str | None = None):
         raise StoreError(f"manifest.json:{at} invalid {key!r} value {entry[key]!r}") from None
 
 
-def _manifest_tasks(entries) -> list[TaskMeta]:
+def _manifest_tasks(entries: list) -> list[TaskMeta]:
     """Parse the manifest's tasks; a bad entry is a StoreError naming the task and the field."""
     tasks = []
     integer = _typed(int)
     for i, entry in enumerate(entries):
+        if type(entry) is not dict:
+            raise StoreError(f"manifest.json: task {i} is not a JSON object")
         dataset_id = _field(entry, "dataset_id", _typed(str), f"task {i}")
         fold = _field(entry, "fold", integer, f"task {i}")
         name = f"task {(dataset_id, fold)}"
@@ -578,10 +583,12 @@ def _manifest_tasks(entries) -> list[TaskMeta]:
 _CONFIG_TYPES = (("config_id", str), ("family", str), ("is_default", bool), ("hyperparams", str))
 
 
-def _manifest_configs(entries) -> list[ConfigMeta]:
+def _manifest_configs(entries: list) -> list[ConfigMeta]:
     """Parse the manifest's configs; a mistyped value is a StoreError naming ordinal and field."""
     configs = []  # many more than tasks: checked once built, not through _field per value
     for j, c in enumerate(entries):
+        if type(c) is not dict:
+            raise StoreError(f"manifest.json: config {j} is not a JSON object")
         config = ConfigMeta(c["config_id"], c["family"], c["is_default"], c.get("hyperparams", ""))
         for key, kind in _CONFIG_TYPES:
             if type(getattr(config, key)) is not kind:
@@ -645,20 +652,19 @@ def open_repo(path: str | Path) -> Repository:
         except json.JSONDecodeError as e:
             raise StoreError(f"manifest.json is not valid JSON: {e}") from None
 
-    if manifest.get("format") != "prediction-repository":
+    if type(manifest) is not dict or manifest.get("format") != "prediction-repository":
         raise StoreError("bad magic in manifest.json: not a prediction repository")
     if manifest.get("version") != FORMAT_VERSION:
         raise StoreError(f"unsupported version {manifest.get('version')} in manifest.json")
 
+    array = _typed(list)
     try:
-        tasks = _manifest_tasks(manifest["tasks"])
-        configs = _manifest_configs(manifest["configs"])
+        tasks = _manifest_tasks(_field(manifest, "tasks", array))
+        configs = _manifest_configs(_field(manifest, "configs", array))
         folds = _field(manifest, "folds_per_dataset", _typed(int))
-        label_checksums = list(manifest["label_checksums"])
+        label_checksums = _field(manifest, "label_checksums", array)
     except KeyError as e:
         raise StoreError(f"manifest.json is missing required field {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
-        raise StoreError(f"manifest.json has a malformed value: {e}") from None
     T, M = len(tasks), len(configs)
 
     for name, magic in (("preds.blob", MAGIC_BLOB), ("preds.idx", MAGIC_INDEX),
@@ -688,6 +694,9 @@ def open_repo(path: str | Path) -> Repository:
         raise StoreError(
             f"manifest.json has {len(label_checksums)} label checksums for {T} tasks")
     for t, task in enumerate(tasks):
+        if type(label_checksums[t]) is not str:
+            raise StoreError(f"manifest.json: task {task.key}: invalid label checksum "
+                             f"{label_checksums[t]!r}")
         chunk = labels[label_start[t]:label_start[t + 1]]
         if hashlib.sha256(chunk).hexdigest() != label_checksums[t]:
             raise StoreError(f"label checksum mismatch in labels.bin for task {task.key}")

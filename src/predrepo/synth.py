@@ -38,7 +38,7 @@ per-family constant times a per-config factor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -148,28 +148,14 @@ class GeneratorSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorSpec":
         try:
-            families = tuple(
-                FamilySpec(
-                    family=str(f["family"]),
-                    count=int(f["count"]),
-                    skill=float(f["skill"]),
-                    noise=float(f["noise"]),
-                    rho=float(f["rho"]),
-                )
-                for f in data["families"]
-            )
-            spec = cls(
-                seed=int(data["seed"]),
-                n_datasets=int(data["n_datasets"]),
-                folds=int(data["folds"]),
-                families=families,
-                rows_val=tuple(data.get("rows_val", (30, 60))),
-                rows_test=tuple(data.get("rows_test", (30, 60))),
-                problem_mix=dict(data.get("problem_mix", {"binary": 0.4, "multiclass": 0.3,
-                                                          "regression": 0.3})),
-                multiclass_classes=tuple(data.get("multiclass_classes", (3, 5))),
-                bag_folds=int(data.get("bag_folds", 8)),
-            )
+            families = tuple(FamilySpec(str(f["family"]), int(f["count"]), float(f["skill"]),
+                                        float(f["noise"]), float(f["rho"]))
+                             for f in data["families"])
+            optional = (("rows_val", tuple), ("rows_test", tuple), ("problem_mix", dict),
+                        ("multiclass_classes", tuple), ("bag_folds", int))  # else the defaults
+            spec = cls(seed=int(data["seed"]), n_datasets=int(data["n_datasets"]),
+                       folds=int(data["folds"]), families=families,
+                       **{key: convert(data[key]) for key, convert in optional if key in data})
         except (KeyError, TypeError, ValueError) as e:
             raise SpecError(f"malformed generator spec: {e}") from None
         spec.validate()
@@ -182,21 +168,8 @@ class GeneratorSpec:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_datasets": self.n_datasets,
-            "folds": self.folds,
-            "families": [
-                {"family": f.family, "count": f.count, "skill": f.skill,
-                 "noise": f.noise, "rho": f.rho}
-                for f in self.families
-            ],
-            "rows_val": list(self.rows_val),
-            "rows_test": list(self.rows_test),
-            "problem_mix": dict(self.problem_mix),
-            "multiclass_classes": list(self.multiclass_classes),
-            "bag_folds": self.bag_folds,
-        }
+        """The spec as plain data for ``json.dumps``; :meth:`from_dict` reads it back."""
+        return asdict(self)
 
 
 def _apportion_problems(mix: dict, n: int) -> list[str]:
@@ -413,9 +386,7 @@ def oracle_greedy_extension(state, candidates, task, repo: Repository,
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
     portfolio_mode = isinstance(task, list)
-    cand = sorted({repo.config_index(c) for c in candidates})
-    if not cand:
-        raise ValueError("candidate list is empty")
+    cand = repo.config_ordinals(candidates)
     state = [repo.config_index(c) for c in state]
 
     if not portfolio_mode:

@@ -82,6 +82,15 @@ class TestNormalizedError:
         with pytest.raises(ValueError, match="does not cover the same tasks"):
             normalized_error(methods)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("ranking", [normalized_error, average_rank])
+    def test_non_finite_loss_is_named(self, value, ranking):
+        table = np.ones((3, 4))
+        table[1, 2] = value
+        with pytest.raises(ValueError) as err:
+            ranking(make_methods(table, 2, 2))
+        assert str(err.value) == f"method 'm1' has a non-finite loss {value} on task ('d1', 0)"
+
     def test_lower_median_is_achieved_loss(self):
         assert lower_median(np.array([3.0, 1.0, 2.0, 4.0])) == 2.0
         assert lower_median(np.array([5.0, 1.0, 3.0])) == 3.0

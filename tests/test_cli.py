@@ -4,18 +4,22 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import predrepo
 from predrepo import (
     BudgetPolicy,
     mean_normalized_error,
     open_repo,
     simulate_portfolio,
 )
-from predrepo.cli import main
+from predrepo.cli import TASK_CSV_HEADER, main
 from predrepo.simulate import _simulate_loo
 
 from conftest import small_spec
@@ -420,3 +424,44 @@ class TestReportCommand:
         dataset, fold = lines[1].split(",")[1:3]
         assert f"{duplicated}: duplicate row for method 'Portfolio (ensemble)', " \
                f"dataset '{dataset}', fold {fold}" in err
+
+    @pytest.mark.parametrize("column, value", [
+        ("fold", "x"), ("fold", "1.0"), ("fold", ""),
+        ("test_loss", "nan"), ("test_loss", "inf"), ("test_loss", "-inf"),
+        ("test_loss", "abc"), ("test_loss", ""),
+        ("time_fit_s", "nan"), ("time_fit_s", "inf"), ("time_fit_s", "-1"),
+        ("time_fit_s", "x"), ("time_infer_s", "-0.5"), ("time_infer_s", "inf")])
+    @pytest.mark.parametrize("mode", ["table2", "winrate"])
+    def test_bad_value_exits_2_naming_the_cell(self, tmp_path, capsys, column, value, mode):
+        rows = [["A", "d0", "0", "0.5", "0.5", "1", "0.1", "false", ""],
+                ["A", "d0", "1", "0.5", "0.4", "1", "0.1", "false", ""],
+                ["B", "d0", "0", "0.5", "0.3", "2", "0.2", "false", ""],
+                ["B", "d0", "1", "0.5", "0.2", "2", "0.2", "false", ""]]
+        rows[3][TASK_CSV_HEADER.index(column)] = value
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(",".join(r) for r in [TASK_CSV_HEADER] + rows) + "\n")
+        code, out, err = run(capsys, "report", "--results", str(path), "--mode", mode)
+        assert code == 2
+        assert out == ""
+        fold = "1" if column != "fold" else value
+        assert err == (f"error: {path}: method 'B', dataset 'd0', fold {fold!r}: "
+                       f"invalid {column!r} value {value!r}\n")
+
+    def test_empty_time_columns_are_skipped(self, tmp_path, capsys):
+        rows = [["A", "d0", "0", "0.5", "0.5", "", "", "false", ""],
+                ["B", "d0", "0", "0.5", "0.3", "", "", "false", ""]]
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(",".join(r) for r in [TASK_CSV_HEADER] + rows) + "\n")
+        code, out, _ = run(capsys, "report", "--results", str(path))
+        assert code == 0
+        assert out.splitlines()[1:] == ["B,0,1,nan,nan", "A,1,2,nan,nan"]
+
+
+def test_import_loads_no_scipy():
+    script = ("import sys, predrepo, predrepo.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(predrepo.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

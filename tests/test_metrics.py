@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predrepo import ProblemType, TaskMeta, auc_loss, log_loss, rmse, task_loss
-from predrepo.metrics import StackLoss
+from predrepo.metrics import StackLoss, average_ranks
 from predrepo.synth import oracle_auc_pairwise
 
 
@@ -58,6 +58,44 @@ class TestRmse:
         rng = np.random.default_rng(seed)
         a, b, c = rng.standard_normal((3, 20))
         assert rmse(a, c) <= rmse(a, b) + rmse(b, c) + 1e-12
+
+
+def brute_force_ranks(x):
+    """1 + #{x_j < x_i} + (#{x_j == x_i} - 1) / 2 for each x_i of a 1-d sequence."""
+    return np.array([1 + sum(b < a for b in x) + (sum(b == a for b in x) - 1) / 2 for a in x])
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_matches_brute_force_on_tie_heavy_integers(self, axis):
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            shape = (int(rng.integers(1, 9)), int(rng.integers(1, 30)))
+            x = rng.integers(-2, int(rng.integers(-1, 5)), shape).astype(float)
+            got = average_ranks(x, axis=axis)
+            want = np.apply_along_axis(brute_force_ranks, axis, x)
+            assert got.dtype == np.float64 and got.shape == x.shape
+            assert np.array_equal(got, want)
+
+    def test_default_axis_is_last(self):
+        x = np.array([[3.0, 1.0, 2.0], [0.0, 0.0, 5.0]])
+        assert np.array_equal(average_ranks(x), [[3.0, 1.0, 2.0], [1.5, 1.5, 3.0]])
+        assert np.array_equal(average_ranks(x, axis=0), [[2.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_all_ties_share_the_middle_rank(self, n):
+        assert np.array_equal(average_ranks(np.full(n, 0.25)), np.full(n, (n + 1) / 2))
+        assert np.array_equal(average_ranks(np.full((n, 3), 4.0), axis=0),
+                              np.full((n, 3), (n + 1) / 2))
+
+    def test_single_element(self):
+        assert np.array_equal(average_ranks([7.0]), [1.0])
+        assert np.array_equal(average_ranks([[7.0, 8.0]], axis=0), [[1.0, 1.0]])
+
+    def test_negative_zero_ties_with_zero(self):
+        x = np.array([0.0, -0.0, 1.0, -0.0, -1.0])
+        assert np.array_equal(average_ranks(x), [3.0, 3.0, 5.0, 3.0, 1.0])
+        assert np.array_equal(average_ranks(x), brute_force_ranks(x))
 
 
 class TestAucLoss:
@@ -211,6 +249,8 @@ class TestStackLoss:
             got = StackLoss(task, y)(stack)
             want = np.array([auc_loss(row[:, 0], y) for row in stack])
             assert np.max(np.abs(got - want)) <= 1e-12
+            oracle = np.array([oracle_auc_pairwise(row[:, 0], y) for row in stack])
+            assert np.max(np.abs(got - oracle)) <= 1e-12
 
     def test_auc_all_ties_is_half(self):
         task = TaskMeta("d", 0, ProblemType.BINARY, n_val=4, n_test=4, o=1)

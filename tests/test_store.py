@@ -237,6 +237,48 @@ class TestOpen:
         with pytest.raises(StoreError, match="invalid 'folds_per_dataset' value"):
             open_repo(tmp_path / "r")
 
+    @pytest.mark.parametrize("field, kind", [("tasks", "task"), ("configs", "config")])
+    @pytest.mark.parametrize("value", [5, "x", None, ["a"]])
+    def test_non_object_manifest_entry_is_named(self, tmp_path, handmade_repo, field, kind,
+                                                value):
+        write_repo(handmade_repo, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        manifest[field][2] = value
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError) as err:
+            open_repo(tmp_path / "r")
+        assert str(err.value) == f"manifest.json: {kind} 2 is not a JSON object"
+
+    @pytest.mark.parametrize("field", ["tasks", "configs", "label_checksums"])
+    @pytest.mark.parametrize("value", [{}, {"0": "x"}, 5, "abc", None])
+    def test_non_list_manifest_field_is_named(self, tmp_path, handmade_repo, field, value):
+        write_repo(handmade_repo, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        manifest[field] = value
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError) as err:
+            open_repo(tmp_path / "r")
+        assert str(err.value) == f"manifest.json: invalid {field!r} value {value!r}"
+
+    @pytest.mark.parametrize("value", [5, None, ["x"], {"sha256": "x"}])
+    def test_non_string_label_checksum_is_a_manifest_error(self, tmp_path, handmade_repo,
+                                                           value):
+        write_repo(handmade_repo, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        manifest["label_checksums"][3] = value
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError) as err:
+            open_repo(tmp_path / "r")
+        assert str(err.value) == (f"manifest.json: task ('bin', 1): invalid label checksum "
+                                  f"{value!r}")
+
+    @pytest.mark.parametrize("manifest", [[], "prediction-repository", 5, None])
+    def test_non_object_manifest_is_rejected(self, tmp_path, handmade_repo, manifest):
+        write_repo(handmade_repo, tmp_path / "r")
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="not a prediction repository"):
+            open_repo(tmp_path / "r")
+
     def test_shifted_index_offset_rejected(self, tmp_path, handmade_repo):
         write_repo(handmade_repo, tmp_path / "r")
         idx = tmp_path / "r" / "preds.idx"
