@@ -28,7 +28,14 @@ import numpy as np
 
 from .aggregate import MethodResults, average_rank, mean_normalized_error, rescaled_loss, winrate
 from .ensemble import DEFAULT_STEPS, evaluate_ensemble
-from .portfolio import DEFAULT_SIZE, NORMALIZED_LOSS, RAW_LOSS, learn_portfolio, loo_train_tasks
+from .portfolio import (
+    DEFAULT_SIZE,
+    NORMALIZED_LOSS,
+    RAW_LOSS,
+    Portfolio,
+    learn_portfolio,
+    loo_train_tasks,
+)
 from .simulate import (
     FAMILY_MODES,
     MODE_DEFAULT,
@@ -36,8 +43,8 @@ from .simulate import (
     MODE_TUNED_ENSEMBLE,
     BudgetPolicy,
     SimResult,
+    _loo_portfolios,
     _simulate_loo,
-    simulate_portfolio,
     simulate_single_family,
 )
 from .store import STORE_FILES, Repository, StoreError, open_repo, validate_repo, write_repo
@@ -57,6 +64,7 @@ WINRATE_HEADER = ["method", "winrate", ">", "<", "=", "time fit (s)", "time infe
                   "loss (rescaled)", "rank"]
 
 AXES = ("configs-per-family", "n-train-datasets", "portfolio-size", "ensemble-members")
+SEEDED_AXES = ("configs-per-family", "n-train-datasets")
 
 
 def _fmt(x: float) -> str:
@@ -83,6 +91,15 @@ def _csv_ints(text: str) -> list[int]:
         return [int(v) for v in text.split(",") if v != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _csv_distinct_ints(text: str) -> list[int]:
+    values = _csv_ints(text)
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected distinct integers, got {text!r}")
+    return values
 
 
 def _csv_strs(text: str) -> list[str]:
@@ -216,9 +233,11 @@ def cmd_simulate(args) -> int:
     policy = _policy(repo, args)
     agg = AGG_FLAGS[args.aggregation]
 
+    # both portfolio methods run on one learned set; they differ only in c_max
+    portfolios = _loo_portfolios(repo, args.n_max, agg)
     methods: dict[str, list[SimResult]] = {}
-    methods[PORTFOLIO_ENSEMBLE] = simulate_portfolio(repo, policy, args.n_max, args.c_max, agg)
-    methods[PORTFOLIO_SINGLE] = simulate_portfolio(repo, policy, args.n_max, 1, agg)
+    methods[PORTFOLIO_ENSEMBLE], _ = _simulate_loo(repo, policy, portfolios, args.c_max)
+    methods[PORTFOLIO_SINGLE], _ = _simulate_loo(repo, policy, portfolios, 1)
     methods.update(_family_method_table(repo, policy, args.c_max, args.seed))
 
     _write_csv(args.out, TASK_CSV_HEADER, _sim_rows(repo, PORTFOLIO_ENSEMBLE,
@@ -275,40 +294,46 @@ def cmd_ablate(args) -> int:
     base = {name: _method_results(name, results)
             for name, results in _family_method_table(repo, policy, args.c_max, None).items()}
 
-    rows = []
-    per_value: dict[int, list[float]] = {v: [] for v in args.values}
+    # portfolio-size and ensemble-members do not depend on the seed: one set is learned
+    # per command (a size-k portfolio is the first k picks of a larger one)
+    if args.axis == "portfolio-size":
+        largest = _loo_portfolios(repo, max(args.values), agg)
+    elif args.axis == "ensemble-members":
+        learned = _loo_portfolios(repo, args.n_max, agg)
+
+    def run(value: int, seed: int | None) -> tuple[float, float]:
+        c_max = args.c_max
+        if args.axis == "portfolio-size":
+            portfolios = {d: Portfolio(p.configs[:value], p.objective_trajectory[:value], agg)
+                          for d, p in largest.items()}
+        elif args.axis == "ensemble-members":
+            portfolios, c_max = learned, value
+        elif args.axis == "configs-per-family":
+            candidates = _ablation_candidates(repo, value, seed)
+            portfolios = _loo_portfolios(repo, args.n_max, agg, candidates=candidates)
+        else:
+            train_datasets = _ablation_train_datasets(repo, value, seed)
+            portfolios = _loo_portfolios(repo, args.n_max, agg, train_datasets=train_datasets)
+        results, _ = _simulate_loo(repo, policy, portfolios, c_max)
+        tables = list(base.values()) + [_method_results(PORTFOLIO_ENSEMBLE, results)]
+        err = mean_normalized_error(tables)[PORTFOLIO_ENSEMBLE]
+        return err, float(np.mean([p.objective_trajectory[-1] for p in portfolios.values()]))
+
+    rows, summary = [], []
     for value in args.values:
-        for seed in args.seeds:
-            n_max, c_max = args.n_max, args.c_max
-            candidates = None
-            train_datasets = None
-            if args.axis == "portfolio-size":
-                n_max = value
-            elif args.axis == "ensemble-members":
-                c_max = value
-            elif args.axis == "configs-per-family":
-                candidates = _ablation_candidates(repo, value, seed)
-            else:
-                train_datasets = _ablation_train_datasets(repo, value, seed)
-            results, portfolios = _simulate_loo(
-                repo, policy, n_max, c_max, agg,
-                candidates=candidates, train_datasets=train_datasets)
-            tables = list(base.values()) + [_method_results(PORTFOLIO_ENSEMBLE, results)]
-            err = mean_normalized_error(tables)[PORTFOLIO_ENSEMBLE]
-            train_obj = float(np.mean([p.objective_trajectory[-1]
-                                       for p in portfolios.values()]))
-            per_value[value].append(err)
+        if args.axis in SEEDED_AXES:
+            scores = [run(value, seed) for seed in args.seeds]
+        else:
+            scores = [run(value, None)] * len(args.seeds)
+        for seed, (err, train_obj) in zip(args.seeds, scores):
             rows.append([args.axis, str(value), str(seed), _fmt(err), _fmt(train_obj)])
-
-    _write_csv(args.out, ["axis", "value", "seed", "mean_normalized_error",
-                          "mean_train_objective"], rows)
-
-    summary = []
-    for value in args.values:
-        errs = np.array(per_value[value])
+        errs = np.array([err for err, _ in scores])
         se = float(errs.std(ddof=1) / np.sqrt(errs.size)) if errs.size > 1 else 0.0
         summary.append([args.axis, str(value), _fmt(float(errs.mean())), _fmt(se),
                         str(errs.size)])
+
+    _write_csv(args.out, ["axis", "value", "seed", "mean_normalized_error",
+                          "mean_train_objective"], rows)
     _dump_csv(sys.stdout, ["axis", "value", "mean", "stderr", "n_seeds"], summary)
     return 0
 
@@ -456,8 +481,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_required=True)
     _add_budget(p, default_budget=14400.0)
     p.add_argument("--axis", choices=AXES, required=True)
-    p.add_argument("--values", type=_csv_ints, required=True)
-    p.add_argument("--seeds", type=_csv_ints, required=True)
+    p.add_argument("--values", type=_csv_distinct_ints, required=True)
+    p.add_argument("--seeds", type=_csv_distinct_ints, required=True)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("report", help="aggregate per-task result CSVs into comparison tables")

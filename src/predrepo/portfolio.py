@@ -47,8 +47,10 @@ def learn_portfolio(train_tasks, candidates, n_max: int, aggregation: str,
 
     Ties go to the lowest config ordinal; a config is never picked twice
     (re-picking cannot improve a min-based objective). Stops after ``n_max``
-    picks or when candidates are exhausted. A non-finite loss among the
-    selected tasks and candidates is a ValueError naming its (task, config).
+    picks or when candidates are exhausted. No step depends on ``n_max``, so
+    the first k picks and objectives of a larger run are the size-k
+    portfolio. A non-finite loss among the selected tasks and candidates is a
+    ValueError naming its (task, config).
     """
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
@@ -67,17 +69,23 @@ def learn_portfolio(train_tasks, candidates, n_max: int, aggregation: str,
         losses = normalize_losses(losses)
     # one C-contiguous row per candidate, so each row's mean sums the tasks in order
     by_cand = np.ascontiguousarray(losses.T)
-    current = np.full(len(task_ids), np.inf)
+    n_tasks = len(task_ids)
+    current = np.full(n_tasks, np.inf)
+    buf = np.empty_like(by_cand)
+    objective = np.empty(len(ordinals))
     taken = np.zeros(len(ordinals), dtype=bool)
     picked: list[int] = []
     trajectory: list[float] = []
     for _ in range(min(n_max, len(ordinals))):
-        objective = np.minimum(current, by_cand).mean(axis=1)
+        # the reduce and true-divide of .mean(axis=1), without its temporaries: same bits
+        np.minimum(current, by_cand, out=buf)
+        np.add.reduce(buf, axis=1, out=objective)
+        objective /= n_tasks
         objective[taken] = np.inf
         col = int(np.argmin(objective))  # first minimum: the lowest ordinal wins ties
         taken[col] = True
         picked.append(ordinals[col])
-        current = np.minimum(current, by_cand[col])
+        np.minimum(current, by_cand[col], out=current)
         trajectory.append(float(objective[col]))
     return Portfolio(configs=picked, objective_trajectory=trajectory, aggregation=aggregation)
 

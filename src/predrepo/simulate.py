@@ -76,10 +76,17 @@ def prefix_len(fit_times, budget_s: float) -> int:
     return len(fit_times)
 
 
+def _sum_in_order(values: list[float]) -> float:
+    """Left-to-right float sum. Not ``sum()``: from Python 3.12 it compensates float lists."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _filter_order(order: list[int], t: int, policy: BudgetPolicy,
                   repo: Repository) -> tuple[list[int], bool]:
-    times = [repo.eval_table[t, j, 2] for j in order]
-    k = prefix_len(times, policy.budget_s)
+    k = prefix_len(repo.eval_table[t, order, 2].tolist(), policy.budget_s)
     if k == 0:
         return [policy.fallback_config], True
     return order[:k], False
@@ -99,8 +106,9 @@ def _ensemble_result(repo: Repository, t: int, candidates: list[int], trained: l
     # candidates feed the greedy selection; trained is what the budget paid for
     meta = repo.tasks[t]
     w, val, test = _select_and_score(repo, t, candidates, c_max)
-    fit = float(sum(repo.eval_table[t, j, 2] for j in trained))
-    infer = float(sum(repo.eval_table[t, j, 3] for j, c in w.counts.items() if c > 0))
+    fit = _sum_in_order(repo.eval_table[t, trained, 2].tolist())
+    members = [j for j, c in w.counts.items() if c > 0]
+    infer = _sum_in_order(repo.eval_table[t, members, 3].tolist())
     return SimResult(meta.dataset_id, meta.fold, list(trained), used_fallback,
                      val, test, fit, infer)
 
@@ -113,6 +121,8 @@ def _loo_portfolios(repo: Repository, n_max: int, aggregation: str,
     ``train_datasets`` optionally restricts, per held-out dataset, which other
     datasets contribute training tasks (used by ablations).
     """
+    if len(repo.datasets) < 2:
+        raise ValueError("leave-one-out simulation needs at least 2 datasets")
     if candidates is None:
         candidates = list(range(repo.n_configs))
     portfolios = {}
@@ -127,14 +137,13 @@ def _loo_portfolios(repo: Repository, n_max: int, aggregation: str,
     return portfolios
 
 
-def _simulate_loo(repo: Repository, policy: BudgetPolicy, n_max: int, c_max: int,
-                  aggregation: str, candidates: list[int] | None = None,
-                  train_datasets: dict[str, list[str]] | None = None
-                  ) -> tuple[list[SimResult], dict[str, Portfolio]]:
-    if len(repo.datasets) < 2:
-        raise ValueError("leave-one-out simulation needs at least 2 datasets")
-    portfolios = _loo_portfolios(repo, n_max, aggregation, candidates, train_datasets)
+def _simulate_loo(repo: Repository, policy: BudgetPolicy, portfolios: dict[str, Portfolio],
+                  c_max: int) -> tuple[list[SimResult], dict[str, Portfolio]]:
+    """Each task run on its held-out dataset's portfolio from ``_loo_portfolios``.
 
+    Returns ``(results, portfolios)``; the benchmark's tracer counts the
+    results as the first item of that pair.
+    """
     def run(t: int) -> SimResult:
         meta = repo.tasks[t]
         included, fb = anytime_filter(portfolios[meta.dataset_id], t, policy, repo)
@@ -146,7 +155,7 @@ def _simulate_loo(repo: Repository, policy: BudgetPolicy, n_max: int, c_max: int
 def simulate_portfolio(repo: Repository, policy: BudgetPolicy, n_max: int,
                        c_max: int, aggregation: str = NORMALIZED_LOSS) -> list[SimResult]:
     """Anytime LOO simulation: one SimResult per task, in repository task order."""
-    results, _ = _simulate_loo(repo, policy, n_max, c_max, aggregation)
+    results, _ = _simulate_loo(repo, policy, _loo_portfolios(repo, n_max, aggregation), c_max)
     return results
 
 
@@ -185,13 +194,15 @@ def simulate_single_family(repo: Repository, family: str, mode: str,
             return SimResult(meta.dataset_id, meta.fold, [default], False,
                              float(rec[0]), float(rec[1]), float(rec[2]), float(rec[3]))
         included, fb = _filter_order(order, t, policy, repo)
+        # (validation loss, ordinal) pairs: the lowest loss first, the lowest ordinal on ties
+        ranked = list(zip(repo.eval_table[t, included, 0].tolist(), included))
         if mode == MODE_TUNED:
-            best = min(included, key=lambda j: (repo.eval_table[t, j, 0], j))
+            best = min(ranked)[1]
             rec = repo.eval_table[t, best]
-            fit = float(sum(repo.eval_table[t, j, 2] for j in included))
+            fit = _sum_in_order(repo.eval_table[t, included, 2].tolist())
             return SimResult(meta.dataset_id, meta.fold, list(included), fb,
                              float(rec[0]), float(rec[1]), fit, float(rec[3]))
-        pool = sorted(included, key=lambda j: (repo.eval_table[t, j, 0], j))[:TUNED_ENSEMBLE_POOL]
+        pool = [j for _, j in sorted(ranked)[:TUNED_ENSEMBLE_POOL]]
         return _ensemble_result(repo, t, pool, included, fb, c_max)
 
     return [run(t) for t in range(repo.n_tasks)]

@@ -544,6 +544,15 @@ def _typed(kind: type):
     return check
 
 
+def _u4(value) -> int:
+    """A JSON integer within ``<u4``, the width of the preds.idx shape fields."""
+    if type(value) is not int:
+        raise TypeError
+    if not 0 <= value <= 0xFFFF_FFFF:
+        raise ValueError
+    return value
+
+
 def _field(entry, key: str, convert, where: str | None = None):
     """``convert(entry[key])``; a missing or bad value is a StoreError naming the field."""
     if key not in entry:
@@ -559,21 +568,20 @@ def _field(entry, key: str, convert, where: str | None = None):
 def _manifest_tasks(entries: list) -> list[TaskMeta]:
     """Parse the manifest's tasks; a bad entry is a StoreError naming the task and the field."""
     tasks = []
-    integer = _typed(int)
     for i, entry in enumerate(entries):
         if type(entry) is not dict:
             raise StoreError(f"manifest.json: task {i} is not a JSON object")
         dataset_id = _field(entry, "dataset_id", _typed(str), f"task {i}")
-        fold = _field(entry, "fold", integer, f"task {i}")
+        fold = _field(entry, "fold", _u4, f"task {i}")
         name = f"task {(dataset_id, fold)}"
         try:
             tasks.append(TaskMeta(
                 dataset_id, fold,
                 problem=_field(entry, "problem", ProblemType, name),
-                n_val=_field(entry, "n_val", integer, name),
-                n_test=_field(entry, "n_test", integer, name),
-                o=_field(entry, "o", integer, name),
-                n_features=_field(entry, "n_features", integer, name) if "n_features" in entry else 0,
+                n_val=_field(entry, "n_val", _u4, name),
+                n_test=_field(entry, "n_test", _u4, name),
+                o=_field(entry, "o", _u4, name),
+                n_features=_field(entry, "n_features", _u4, name) if "n_features" in entry else 0,
             ))
         except ValueError as e:
             raise StoreError(f"manifest.json: {e}") from None
@@ -661,7 +669,7 @@ def open_repo(path: str | Path) -> Repository:
     try:
         tasks = _manifest_tasks(_field(manifest, "tasks", array))
         configs = _manifest_configs(_field(manifest, "configs", array))
-        folds = _field(manifest, "folds_per_dataset", _typed(int))
+        folds = _field(manifest, "folds_per_dataset", _u4)
         label_checksums = _field(manifest, "label_checksums", array)
     except KeyError as e:
         raise StoreError(f"manifest.json is missing required field {e.args[0]!r}") from None

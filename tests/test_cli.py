@@ -20,7 +20,7 @@ from predrepo import (
     simulate_portfolio,
 )
 from predrepo.cli import TASK_CSV_HEADER, main
-from predrepo.simulate import _simulate_loo
+from predrepo.simulate import _loo_portfolios, _simulate_loo
 
 from conftest import small_spec
 
@@ -180,6 +180,26 @@ class TestValidate:
         assert f"invalid '{field}' value" in err
         if field != "folds_per_dataset":
             assert "config 3:" in err
+
+    @pytest.mark.parametrize("field, value", [("n_val", 2**63), ("n_val", 10**12),
+                                              ("n_test", 2**32), ("folds_per_dataset", 2**64)])
+    def test_task_integer_outside_u4_exits_2(self, tmp_path, capsys, field, value):
+        spec_path = write_spec(tmp_path, seed=900)
+        run(capsys, "generate", "--spec", str(spec_path), "--out", str(tmp_path / "r"))
+        manifest_path = tmp_path / "r" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        task = manifest["tasks"][1]
+        if field == "folds_per_dataset":
+            manifest[field] = value
+        else:
+            task[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        code, out, err = run(capsys, "validate", "--repo", str(tmp_path / "r"))
+        assert code == 2
+        assert out == ""
+        assert f"invalid '{field}' value {value}" in err
+        if field != "folds_per_dataset":
+            assert f"task {(task['dataset_id'], task['fold'])!r}" in err
 
     def test_corrupt_evals_entries_exit_2(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, seed=251)
@@ -348,11 +368,86 @@ class TestAblateCommand:
 
         base = [_method_results(name, res) for name, res
                 in _family_method_table(repo, policy, 6, None).items()]
-        single, _ = _simulate_loo(repo, policy, 5, 1, "normalized_loss")
+        single, _ = _simulate_loo(repo, policy, _loo_portfolios(repo, 5, "normalized_loss"), 1)
         tables = base + [_method_results(PORTFOLIO_ENSEMBLE, single)]
         want = mean_normalized_error(tables)[PORTFOLIO_ENSEMBLE]
         assert float(rows[0][3]) == pytest.approx(want, rel=1e-5)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--values", ","), ("--values", ""), ("--values", "2,2"),
+        ("--seeds", ","), ("--seeds", "0,1,0")])
+    def test_empty_or_repeated_list_exits_2(self, repo_dir, tmp_path, capsys, flag, value):
+        lists = {"--values": "1,2", "--seeds": "0", flag: value}
+        out_csv = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--repo", str(repo_dir), "--axis", "portfolio-size",
+                  "--values", lists["--values"], "--seeds", lists["--seeds"],
+                  "--budget-s", "1e12", "--out", str(out_csv)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in captured.err
+        assert captured.out == "" and not out_csv.exists()
+
+
+def count_learned(monkeypatch) -> list[int]:
+    """Patch the learner every leave-one-out set goes through; returns a live call count."""
+    calls = [0]
+    learn = predrepo.simulate.learn_portfolio
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return learn(*args, **kwargs)
+
+    monkeypatch.setattr(predrepo.simulate, "learn_portfolio", counted)
+    return calls
+
+
+class TestLearnedOncePerCommand:
+    ARGS = ("--budget-s", "1e12", "--n-max", "5", "--c-max", "6")
+
+    def ablate(self, capsys, repo_dir, out_csv, axis, values, seeds):
+        code, out, _ = run(capsys, "ablate", "--repo", str(repo_dir), "--axis", axis,
+                           "--values", values, "--seeds", seeds, *self.ARGS,
+                           "--out", str(out_csv))
+        assert code == 0
+        return parse_csv(out_csv.read_text())[1], parse_csv(out)[1]
+
+    def test_simulate_learns_one_portfolio_per_dataset(self, repo_dir, tmp_path, capsys,
+                                                      monkeypatch):
+        calls = count_learned(monkeypatch)
+        code, _, _ = run(capsys, "simulate", "--repo", str(repo_dir), *self.ARGS,
+                         "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert calls[0] == len(open_repo(repo_dir).datasets)
+
+    def test_portfolio_size_learns_once_and_matches_single_runs(self, repo_dir, tmp_path,
+                                                               capsys, monkeypatch):
+        calls = count_learned(monkeypatch)
+        rows, summary = self.ablate(capsys, repo_dir, tmp_path / "all.csv", "portfolio-size",
+                                    "1,2,4", "0,1,2")
+        assert calls[0] == len(open_repo(repo_dir).datasets)
+        single = []
+        for value in ("1", "2", "4"):
+            for seed in ("0", "1", "2"):
+                single += self.ablate(capsys, repo_dir, tmp_path / "one.csv",
+                                      "portfolio-size", value, seed)[0]
+        assert rows == single
+        assert [r[4] for r in summary] == ["3"] * 3
+
+    def test_ensemble_members_learns_one_set(self, repo_dir, tmp_path, capsys, monkeypatch):
+        calls = count_learned(monkeypatch)
+        rows, _ = self.ablate(capsys, repo_dir, tmp_path / "a.csv", "ensemble-members",
+                              "1,3", "0,1")
+        assert calls[0] == len(open_repo(repo_dir).datasets)
+        assert len(rows) == 4
+
+    def test_seeded_axis_learns_per_value_and_seed(self, repo_dir, tmp_path, capsys,
+                                                   monkeypatch):
+        calls = count_learned(monkeypatch)
+        rows, _ = self.ablate(capsys, repo_dir, tmp_path / "a.csv", "configs-per-family",
+                              "1,2", "0,1,2")
+        assert calls[0] == len(open_repo(repo_dir).datasets) * 2 * 3
+        assert len(rows) == 6
 
 class TestReportCommand:
     def test_table2_columns_and_sorting(self, repo_dir, tmp_path, capsys):

@@ -96,6 +96,31 @@ class TestLearnPortfolio:
                 assert (pf.configs, pf.objective_trajectory) == scalar_portfolio(
                     losses, cands, n_max)
 
+    def test_smaller_portfolio_is_prefix_of_larger(self):
+        # ablate learns one set at the largest size and cuts it for the smaller ones
+        repo = generate_repo(small_spec(seed=67, families=(
+            FamilySpec("gbm", 12, 0.8, 0.5, 0.3), FamilySpec("mlp", 12, 0.6, 0.8, 0.2))))
+        rng = np.random.default_rng(9)
+        for trial in range(60):
+            if trial % 3 == 2:
+                repo.eval_table[:, :, 0] = rng.random((repo.n_tasks, repo.n_configs))
+            else:  # a few distinct levels: ties within and across tasks
+                levels = rng.integers(1, 4)
+                repo.eval_table[:, :, 0] = rng.integers(0, levels + 1,
+                                                        (repo.n_tasks, repo.n_configs)) / levels
+            task_ids = sorted(rng.choice(repo.n_tasks, size=rng.integers(1, repo.n_tasks + 1),
+                                         replace=False).tolist())
+            tasks = [repo.tasks[t] for t in task_ids]
+            cands = sorted(rng.choice(repo.n_configs, size=rng.integers(1, repo.n_configs + 1),
+                                      replace=False).tolist())
+            for aggregation in (RAW_LOSS, NORMALIZED_LOSS):
+                full = learn_portfolio(tasks, cands, len(cands), aggregation, repo)
+                for k in range(1, len(cands) + 1):
+                    pf = learn_portfolio(tasks, cands, k, aggregation, repo)
+                    assert pf.configs == full.configs[:k]
+                    assert ([x.hex() for x in pf.objective_trajectory]
+                            == [x.hex() for x in full.objective_trajectory[:k]])
+
     def test_no_duplicates_and_trajectory_non_increasing(self, synth_repo):
         pf = learn_portfolio(synth_repo.tasks, range(synth_repo.n_configs),
                              synth_repo.n_configs, NORMALIZED_LOSS, synth_repo)

@@ -19,6 +19,8 @@ from predrepo import (
     simulate_single_family,
     task_loss,
 )
+from predrepo.ensemble import _select_and_score
+from predrepo.simulate import TUNED_ENSEMBLE_POOL, _family_order, _filter_order, _loo_portfolios
 from predrepo.store import TEST, VAL
 
 from conftest import small_spec
@@ -216,6 +218,125 @@ class TestSimulateSingleFamily:
                     assert g.val_loss == pytest.approx(w["val"], abs=1e-10)
                     assert g.test_loss == pytest.approx(w["test"], abs=1e-10)
                     assert g.sim_fit_time_s == pytest.approx(w["fit"], abs=1e-9)
+
+
+# -- the budget walk as it was before array indexing: one eval_table scalar per config
+
+
+def scalar_filter_order(order, t, policy, repo):
+    times = [repo.eval_table[t, j, 2] for j in order]
+    k = prefix_len(times, policy.budget_s)
+    if k == 0:
+        return [policy.fallback_config], True
+    return order[:k], False
+
+
+def scalar_ensemble_times(repo, t, w, trained):
+    fit = float(sum(repo.eval_table[t, j, 2] for j in trained))
+    infer = float(sum(repo.eval_table[t, j, 3] for j, c in w.counts.items() if c > 0))
+    return fit, infer
+
+
+def scalar_family_result(repo, t, order, mode, policy, c_max):
+    """(included, fallback, val, test, fit, infer) of a tuned or tuned+ensemble row."""
+    included, fb = scalar_filter_order(order, t, policy, repo)
+    if mode == "tuned":
+        best = min(included, key=lambda j: (repo.eval_table[t, j, 0], j))
+        rec = repo.eval_table[t, best]
+        fit = float(sum(repo.eval_table[t, j, 2] for j in included))
+        return included, fb, float(rec[0]), float(rec[1]), fit, float(rec[3])
+    pool = sorted(included, key=lambda j: (repo.eval_table[t, j, 0], j))[:TUNED_ENSEMBLE_POOL]
+    w, val, test = _select_and_score(repo, t, pool, c_max)
+    return (included, fb, val, test) + scalar_ensemble_times(repo, t, w, included)
+
+
+def result_bits(r):
+    return (r.included_configs, r.used_fallback, r.val_loss.hex(), r.test_loss.hex(),
+            r.sim_fit_time_s.hex(), r.sim_infer_time_s.hex())
+
+
+def expected_bits(included, fb, val, test, fit, infer):
+    return (list(included), fb, val.hex(), test.hex(), fit.hex(), infer.hex())
+
+
+class TestArrayBudgetWalk:
+    """The array-indexed walk, picks and time sums are bit-equal to the scalar loops."""
+
+    C_MAX = 3
+
+    @pytest.fixture(scope="class")
+    def walk_repo(self):
+        repo = generate_repo(small_spec(seed=71, families=(
+            FamilySpec("gbm", 24, 0.8, 0.5, 0.3), FamilySpec("mlp", 5, 0.6, 0.8, 0.2))))
+        rng = np.random.default_rng(23)
+        shape = (repo.n_tasks, repo.n_configs)
+        # few levels of inexact binary fractions: zero fit times, tied sums and losses
+        repo.eval_table[:, :, 2] = rng.integers(0, 4, shape) * 0.1
+        repo.eval_table[:, :, 3] = rng.integers(0, 3, shape) * 0.01 + rng.random(shape) * 1e-3
+        repo.eval_table[:, :, 0] = rng.integers(0, 3, shape) / 3
+        return repo
+
+    def budgets(self, repo):
+        """Budgets equal to a cumulative fit time of some walk, plus a tiny and a huge one."""
+        out = {0.05, 1e12}
+        for family in repo.families:
+            order = repo.family_configs(family)
+            for t in range(3):
+                total = 0.0
+                for m, j in enumerate(order[:6]):
+                    total += float(repo.eval_table[t, j, 2])
+                    if total > 0 and m >= 2:
+                        out.add(total)
+        return sorted(out)
+
+    def test_filter_order_matches_scalar(self, walk_repo):
+        repo = walk_repo
+        rng = np.random.default_rng(4)
+        exact = 0
+        for budget in self.budgets(repo):
+            policy = BudgetPolicy(budget, 0, repo)
+            for t in range(repo.n_tasks):
+                for _ in range(5):
+                    order = rng.permutation(repo.n_configs)[:rng.integers(1, 12)].tolist()
+                    got = _filter_order(order, t, policy, repo)
+                    assert got == scalar_filter_order(order, t, policy, repo)
+                    total = 0.0
+                    for j in got[0]:
+                        total += float(repo.eval_table[t, j, 2])
+                    exact += not got[1] and total == budget
+        assert exact > 0  # some walk ends exactly on its budget
+
+    @pytest.mark.parametrize("mode", ["tuned", "tuned+ensemble"])
+    @pytest.mark.parametrize("order_seed", [None, 3, 11])
+    def test_family_rows_match_scalar(self, walk_repo, mode, order_seed):
+        repo = walk_repo
+        fallbacks = 0
+        for budget in self.budgets(repo):
+            policy = BudgetPolicy(budget, 0, repo)
+            for family in repo.families:
+                order = _family_order(repo, family, order_seed)
+                got = simulate_single_family(repo, family, mode, policy, self.C_MAX,
+                                             order_seed=order_seed)
+                for t, r in enumerate(got):
+                    want = scalar_family_result(repo, t, order, mode, policy, self.C_MAX)
+                    assert result_bits(r) == expected_bits(*want)
+                    fallbacks += r.used_fallback
+        assert fallbacks > 0
+
+    def test_portfolio_rows_match_scalar(self, walk_repo):
+        repo = walk_repo
+        portfolios = _loo_portfolios(repo, 8, NORMALIZED_LOSS)
+        fallbacks = 0
+        for budget in self.budgets(repo):
+            policy = BudgetPolicy(budget, 0, repo)
+            for t, r in enumerate(simulate_portfolio(repo, policy, 8, self.C_MAX)):
+                order = list(portfolios[repo.tasks[t].dataset_id].configs)
+                included, fb = scalar_filter_order(order, t, policy, repo)
+                w, val, test = _select_and_score(repo, t, included, self.C_MAX)
+                want = (included, fb, val, test) + scalar_ensemble_times(repo, t, w, included)
+                assert result_bits(r) == expected_bits(*want)
+                fallbacks += r.used_fallback
+        assert fallbacks > 0
 
 
 # -- straight-line reference implementations (independent of the library paths)

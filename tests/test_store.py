@@ -237,6 +237,37 @@ class TestOpen:
         with pytest.raises(StoreError, match="invalid 'folds_per_dataset' value"):
             open_repo(tmp_path / "r")
 
+    @pytest.mark.parametrize("field", ["n_val", "n_test", "o", "fold", "n_features"])
+    @pytest.mark.parametrize("value", [2**32, 10**12, 2**63, 2**70, -1])
+    def test_task_integer_outside_u4_is_named(self, tmp_path, handmade_repo, field, value):
+        # preds.idx stores these as <u4; a wider value must not wrap or overflow
+        write_repo(handmade_repo, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        manifest["tasks"][0][field] = value
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        where = "task 0" if field == "fold" else r"task \('reg', 0\)"
+        with pytest.raises(StoreError, match=rf"^manifest.json: {where}: invalid '{field}' "
+                                             rf"value {value}$"):
+            open_repo(tmp_path / "r")
+
+    @pytest.mark.parametrize("value", [2**32, 2**63, -1])
+    def test_folds_per_dataset_outside_u4_is_named(self, tmp_path, handmade_repo, value):
+        write_repo(handmade_repo, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        manifest["folds_per_dataset"] = value
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=f"invalid 'folds_per_dataset' value {value}$"):
+            open_repo(tmp_path / "r")
+
+    def test_largest_u4_shape_reaches_the_index_check(self, tmp_path, handmade_repo):
+        write_repo(handmade_repo, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        manifest["tasks"][0]["n_val"] = 2**32 - 1
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=r"does not match task \('reg', 0\) "
+                                             r"meta \(4294967295, 1\)"):
+            open_repo(tmp_path / "r")
+
     @pytest.mark.parametrize("field, kind", [("tasks", "task"), ("configs", "config")])
     @pytest.mark.parametrize("value", [5, "x", None, ["a"]])
     def test_non_object_manifest_entry_is_named(self, tmp_path, handmade_repo, field, kind,
