@@ -88,22 +88,26 @@ def _dump_csv(stream, header: list[str], rows: list[list[str]]) -> None:
 
 def _csv_ints(text: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        values = [int(v) for v in text.split(",") if v != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 def _csv_distinct_ints(text: str) -> list[int]:
     values = _csv_ints(text)
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
     if len(set(values)) < len(values):
         raise argparse.ArgumentTypeError(f"expected distinct integers, got {text!r}")
     return values
 
 
 def _csv_strs(text: str) -> list[str]:
-    return [v for v in text.split(",") if v != ""]
+    values = [v for v in text.split(",") if v != ""]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one id, got {text!r}")
+    return values
 
 
 def _default_fallback(repo: Repository) -> int:
@@ -200,9 +204,9 @@ def cmd_validate(args) -> int:
 
 def cmd_ensemble(args) -> int:
     repo = open_repo(args.repo)
-    datasets = _csv_strs(args.datasets) if args.datasets else repo.datasets
+    datasets = args.datasets if args.datasets is not None else repo.datasets
     folds = args.folds if args.folds is not None else list(range(repo.folds_per_dataset))
-    configs = _csv_strs(args.configs) if args.configs else list(range(repo.n_configs))
+    configs = args.configs if args.configs is not None else list(range(repo.n_configs))
     tensor = evaluate_ensemble(datasets, folds, configs, args.ensemble_size, repo)
     rows = []
     for i, d in enumerate(datasets):
@@ -457,9 +461,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", help="evaluate greedy ensembles over given configs")
     _add_common(p)
-    p.add_argument("--datasets", default=None, help="comma-separated dataset ids (default all)")
+    p.add_argument("--datasets", type=_csv_strs, default=None,
+                   help="comma-separated dataset ids (default all)")
     p.add_argument("--folds", type=_csv_ints, default=None, help="comma-separated folds (default all)")
-    p.add_argument("--configs", default=None, help="comma-separated config ids (default all)")
+    p.add_argument("--configs", type=_csv_strs, default=None,
+                   help="comma-separated config ids (default all)")
     p.add_argument("--ensemble-size", type=int, default=DEFAULT_STEPS)
     p.set_defaults(func=cmd_ensemble)
 

@@ -8,12 +8,26 @@ validation loss never worse than the best single candidate's.
 
 A task's candidate validation predictions are taken once from its
 validation slab (:meth:`Repository.task_predictions`) as an ``(M, n, o)``
-float64 array, and each step scores all M candidates in one
-array operation with :class:`metrics.StackLoss`, which checks and computes
-exactly what :func:`metrics.task_loss` does for each candidate. The scalar
-``task_loss`` stays the reference: the tests compare the batched picks
-against it, and the final validation and test losses of an ensemble come
-from it.
+float64 stack. :meth:`metrics.StackLoss.check` checks that stack once, as
+:func:`metrics.task_loss` checks each candidate, and returns the ``(M, n)``
+column each metric reads. Each step then scores all M candidates in one
+array operation, :meth:`metrics.StackLoss.score` of ``(running + columns) /
+step``, where ``running`` sums the picked candidates' columns. That is the
+column of the step's full average ``(running + stack) / step``, bit for bit,
+so every score equals a full ``StackLoss`` call on that average. The checks
+of that call hold without running it:
+
+- shape: every average has the stack's shape;
+- finite values: a step averages at most ``c_max`` stored float32 values,
+  which cannot overflow float64;
+- multiclass row sums: :class:`_RowSumScreen` bounds each average's row sums
+  from running sums of the candidates' row sums; a step whose bound comes
+  within its rounding margin of ``ROW_SUM_TOL`` runs the full check on the
+  full average, so a step raises exactly when that check would.
+
+The scalar ``task_loss`` stays the reference: the tests compare the batched
+picks against it, and the final validation and test losses of an ensemble
+come from it.
 """
 
 from __future__ import annotations
@@ -25,9 +39,10 @@ from functools import reduce
 import numpy as np
 
 from . import metrics
-from .store import TEST, VAL, Repository
+from .store import ROW_SUM_TOL, TEST, VAL, ProblemType, Repository
 
 DEFAULT_STEPS = 40
+SCREEN_MARGIN = 1e-9  # least distance inside ROW_SUM_TOL that skips a step's full row-sum check
 
 
 @dataclass
@@ -63,16 +78,24 @@ def caruana_select(task, candidate_configs, c_max: int, repo: Repository) -> Ens
         raise ValueError(f"c_max must be >= 1, got {c_max}")
     t = repo.task_index(task)
     ordinals = repo.config_ordinals(candidate_configs)
-    loss_of = metrics.StackLoss(repo.tasks[t], repo.labels(t, VAL))
+    meta = repo.tasks[t]
+    loss_of = metrics.StackLoss(meta, repo.labels(t, VAL))
     stack = repo.task_predictions(t, VAL)[ordinals].astype(np.float64)
+    columns = loss_of.check(stack)  # step one's check: its average (0 + stack) / 1 is the stack
+    multiclass = meta.problem is ProblemType.MULTICLASS
+    rows = _RowSumScreen(stack, c_max) if multiclass and c_max > 1 else None
 
-    running = np.zeros(stack.shape[1:], dtype=np.float64)
+    running = np.zeros(columns.shape[1], dtype=np.float64)
     trajectory: list[tuple[int, float]] = []
     picks: list[int] = []
     for step in range(1, c_max + 1):
-        scores = loss_of((running + stack) / step)
+        if rows is not None and step > 1:
+            rows.check(loss_of, step)
+        scores = loss_of.score((running + columns) / step)
         k = int(np.argmin(scores))  # first minimum: the lowest ordinal wins ties
-        running += stack[k]
+        running += columns[k]
+        if rows is not None:
+            rows.add(k)
         picks.append(ordinals[k])
         trajectory.append((ordinals[k], float(scores[k])))
 
@@ -80,6 +103,41 @@ def caruana_select(task, candidate_configs, c_max: int, repo: Repository) -> Ens
     best_step = int(np.argmin(losses))  # earliest minimum
     counts = dict(sorted(Counter(picks[: best_step + 1]).items()))
     return EnsembleWeights(counts=counts, steps=best_step + 1, trajectory=trajectory)
+
+
+class _RowSumScreen:
+    """Row-sum check of each multiclass greedy average, mostly without forming it.
+
+    The row sums of a step's average ``(running + stack) / step`` differ from
+    ``(R + S) / step`` by at most ``(c_max + o) * eps * mass``, where ``S``
+    holds each candidate's row sums, ``R`` the running sum of the picked
+    ones, and ``mass`` is the largest sum of absolute values in one candidate
+    row. Rounding is monotone, so ``(R + min S) / step`` and ``(R + max S) /
+    step`` bound ``(R + S) / step`` for every candidate. While both bounds are
+    inside ``ROW_SUM_TOL`` of one by twice that difference, and by at least
+    ``SCREEN_MARGIN``, no row can fail. Otherwise the step runs the full check
+    on the full average, so a step raises exactly when the full check would.
+    """
+
+    def __init__(self, stack: np.ndarray, c_max: int):
+        self.stack = stack
+        self.sums = stack.sum(axis=2)
+        self.low, self.high = self.sums.min(axis=0), self.sums.max(axis=0)
+        self.running = np.zeros(stack.shape[1:], dtype=np.float64)
+        self.running_sums = np.zeros(stack.shape[1], dtype=np.float64)
+        mass = np.abs(stack).sum(axis=2).max()
+        rounding = (c_max + stack.shape[2]) * np.finfo(np.float64).eps * mass
+        self.slack = ROW_SUM_TOL - max(SCREEN_MARGIN, 2.0 * rounding)
+
+    def add(self, k: int) -> None:
+        self.running += self.stack[k]
+        self.running_sums += self.sums[k]
+
+    def check(self, loss_of: metrics.StackLoss, step: int) -> None:
+        high = (self.running_sums + self.high) / step - 1.0
+        low = 1.0 - (self.running_sums + self.low) / step
+        if high.max() > self.slack or low.max() > self.slack:
+            loss_of.check((self.running + self.stack) / step)
 
 
 def ensemble_predict(weights: EnsembleWeights, task, split, repo: Repository) -> np.ndarray:

@@ -6,8 +6,12 @@ input dtype.
 
 The scalar functions score one prediction matrix and are the reference.
 :class:`StackLoss` scores a stack of matrices in one array operation per
-metric, with the same checks and the same values; greedy ensemble selection
-uses it to score every candidate of a step at once.
+metric, with the same checks and the same values. It is two parts: a check
+of the stack that returns the ``(M, n)`` column the metric reads, and a
+scorer of such columns. Greedy ensemble selection checks its candidate stack
+once and then scores the averaged columns of every step; the column of an
+average is the average of the columns, so the scores are those of the full
+average.
 
 The AUC losses and the Table 2 ranks of :mod:`predrepo.aggregate` share one
 tie-averaging rank kernel, :func:`average_ranks`. Ranks are half-integers, so
@@ -15,6 +19,8 @@ every sum of them is exact in float64.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -40,19 +46,28 @@ def _as_1d(x, name: str) -> np.ndarray:
 
 def _sorted_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort order along the last axis, and ``first + last`` in that order: the
-    sorted positions of the first and the last member of each value's tie group."""
+    sorted positions of the first and the last member of each value's tie group.
+
+    Both come back with shape ``(rows, n)``, one row per vector along the last axis."""
     n = x.shape[-1]
-    order = np.argsort(x, axis=-1)
-    ranked = np.take_along_axis(x, order, axis=-1)
+    rows = x.reshape(math.prod(x.shape[:-1]), n)
+    order = np.argsort(rows, axis=-1)
+    # one flat gather; take_along_axis broadcasts an index array per axis and costs more
+    ranked = rows.reshape(-1)[order + _row_starts(rows)]
     at = np.arange(n)
-    new_group = ranked[..., 1:] != ranked[..., :-1]  # a tie group starts at i + 1
-    first = np.zeros(x.shape, dtype=np.int64)
-    first[..., 1:] = np.where(new_group, at[1:], 0)
+    new_group = ranked[:, 1:] != ranked[:, :-1]  # a tie group starts at i + 1
+    first = np.zeros(rows.shape, dtype=np.int64)
+    first[:, 1:] = np.where(new_group, at[1:], 0)
     np.maximum.accumulate(first, axis=-1, out=first)
-    last = np.full(x.shape, n - 1, dtype=np.int64)
-    last[..., :-1] = np.where(new_group, at[:-1], n - 1)
-    last = np.minimum.accumulate(last[..., ::-1], axis=-1)[..., ::-1]
+    last = np.full(rows.shape, n - 1, dtype=np.int64)
+    last[:, :-1] = np.where(new_group, at[:-1], n - 1)
+    last = np.minimum.accumulate(last[:, ::-1], axis=-1)[:, ::-1]
     return order, first + last
+
+
+def _row_starts(rows: np.ndarray) -> np.ndarray:
+    """Flat offset of each row of a C-contiguous 2-D array, as a column."""
+    return (np.arange(rows.shape[0]) * rows.shape[1])[:, None]
 
 
 def average_ranks(x, axis: int = -1) -> np.ndarray:
@@ -60,9 +75,9 @@ def average_ranks(x, axis: int = -1) -> np.ndarray:
     first..last shares rank (first + last) / 2 + 1. ``x`` must hold no NaN."""
     a = np.moveaxis(np.asarray(x), axis, -1)
     order, twice = _sorted_ranks(a)
-    ranks = np.empty(a.shape)
-    np.put_along_axis(ranks, order, twice / 2.0 + 1.0, axis=-1)
-    return np.moveaxis(ranks, -1, axis)
+    ranks = np.empty(twice.shape)
+    ranks.reshape(-1)[order + _row_starts(ranks)] = twice / 2.0 + 1.0
+    return np.moveaxis(ranks.reshape(a.shape), -1, axis)
 
 
 def rmse(pred, target) -> float:
@@ -135,9 +150,19 @@ class StackLoss:
     ``StackLoss(task, target)(stack)`` maps an ``(M, n, o)`` stack of
     prediction matrices to the ``(M,)`` array whose entry ``m`` equals
     ``task_loss(task, stack[m], target)``. The labels are checked once, on
-    construction; every call checks the stack as ``task_loss`` checks each
-    matrix: its shape, finite values and, for multiclass tasks, rows that
-    sum to one within 1e-5. Any failed check raises ``ValueError``.
+    construction. A call is :meth:`check` followed by :meth:`score`:
+
+    - :meth:`check` checks the stack as ``task_loss`` checks each matrix: its
+      shape, finite values and, for multiclass tasks, rows that sum to one
+      within 1e-5. Any failed check raises ``ValueError``. It returns the
+      ``(M, n)`` column the metric reads: column 0, or for multiclass tasks
+      each row's true-class probability.
+    - :meth:`score` computes the loss from such a column and checks nothing.
+
+    Every metric is elementwise in the stack before it reduces a row, so the
+    column of an average of stacks is the same average of their columns, bit
+    for bit. Greedy ensemble selection relies on this: it checks its
+    candidates once and then scores averaged columns.
 
     The AUC sums the positive rows' average ranks, as :func:`average_ranks`
     gives them. Those are half-integers, so rank sums are exact in float64 and
@@ -165,6 +190,11 @@ class StackLoss:
         self._y = y
 
     def __call__(self, stack) -> np.ndarray:
+        return self.score(self.check(stack))
+
+    def check(self, stack) -> np.ndarray:
+        """Check an ``(M, n, o)`` stack; return the float64 ``(M, n)`` column
+        the task's metric reads."""
         p = np.asarray(stack, dtype=np.float64)
         expected = (self._y.size, self.task.o)
         if p.ndim != 3 or p.shape[1:] != expected:
@@ -172,16 +202,22 @@ class StackLoss:
                              f"needs (M, {expected[0]}, {expected[1]})")
         if not np.all(np.isfinite(p)):
             raise ValueError("predictions contain NaN or infinity")
-        if self.task.problem is ProblemType.REGRESSION:
-            return np.sqrt(np.mean((p[:, :, 0] - self._y) ** 2, axis=1))
-        if self.task.problem is ProblemType.BINARY:
-            return self._auc_loss(p[:, :, 0])
+        if self.task.problem is not ProblemType.MULTICLASS:
+            return p[:, :, 0]
         if np.any(np.abs(p.sum(axis=2) - 1.0) > ROW_SUM_TOL):
             raise ValueError("probs rows are not row-stochastic within 1e-5")
         # take_along_axis gives C-contiguous rows, so the mean sums each row in
         # the same order as log_loss does
-        true = np.take_along_axis(p, self._y[None, :, None], axis=2)[:, :, 0]
-        picked = np.clip(true, LOG_LOSS_EPS, 1.0 - LOG_LOSS_EPS)
+        return np.take_along_axis(p, self._y[None, :, None], axis=2)[:, :, 0]
+
+    def score(self, column: np.ndarray) -> np.ndarray:
+        """``(M,)`` losses of an ``(M, n)`` column from :meth:`check`, or of an
+        average of such columns."""
+        if self.task.problem is ProblemType.REGRESSION:
+            return np.sqrt(np.mean((column - self._y) ** 2, axis=1))
+        if self.task.problem is ProblemType.BINARY:
+            return self._auc_loss(column)
+        picked = np.clip(column, LOG_LOSS_EPS, 1.0 - LOG_LOSS_EPS)
         return -np.mean(np.log(picked), axis=1)
 
     def _auc_loss(self, scores: np.ndarray) -> np.ndarray:

@@ -163,7 +163,9 @@ def _family_order(repo: Repository, family: str, order_seed: int | None) -> list
     order = repo.family_configs(family)
     if order_seed is not None:
         tag = zlib.crc32(family.encode("utf-8"))
-        rng = np.random.Generator(np.random.Philox(key=[order_seed & (2**64 - 1), tag]))
+        # a uint64 array, as in synth.rng_stream: a list would go through float64
+        key = np.array([order_seed & (2**64 - 1), tag], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
         order = [order[i] for i in rng.permutation(len(order))]
     return order
 

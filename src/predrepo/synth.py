@@ -73,7 +73,10 @@ def rng_stream(seed: int, purpose: int, a: int = 0, b: int = 0) -> np.random.Gen
     if not (0 <= a < 2**24 and 0 <= b < 2**24 and 0 <= purpose < 2**16):
         raise ValueError(f"stream id out of range: purpose={purpose}, a={a}, b={b}")
     tag = (purpose << 48) | (a << 24) | b
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), tag]))
+    # a uint64 array: numpy casts a Python list with a key at or above 2**63
+    # through float64, which rounds it or wraps it to 0
+    key = np.array([seed & (2**64 - 1), tag], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def subsample_rng(seed: int, a: int = 0, b: int = 0) -> np.random.Generator:

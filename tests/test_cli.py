@@ -231,6 +231,17 @@ class TestEnsembleCommand:
         assert header == ["dataset", "fold", "val_loss", "test_loss"]
         assert len(rows) == 8  # 4 datasets x 2 folds
 
+    @pytest.mark.parametrize("flag", ["--datasets", "--folds", "--configs"])
+    @pytest.mark.parametrize("value", [",", ""])
+    def test_empty_list_exits_2(self, repo_dir, tmp_path, capsys, flag, value):
+        out_csv = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["ensemble", "--repo", str(repo_dir), flag, value, "--out", str(out_csv)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in captured.err
+        assert captured.out == "" and not out_csv.exists()
+
 
 class TestPortfolioCommand:
     def test_objective_non_increasing(self, repo_dir, capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from predrepo import (
     ensemble_predict,
     evaluate_ensemble,
     generate_repo,
+    metrics,
     task_loss,
 )
-from predrepo.store import TEST, VAL
+from predrepo.store import ROW_SUM_TOL, TEST, VAL
 from predrepo.synth import oracle_greedy_extension
 
 from conftest import small_spec
@@ -188,6 +191,147 @@ class TestBatchedScoring:
         repo = unchecked_repo(ProblemType.BINARY, [1, 1, 1, 1], [col(0.1, 0.9, 0.2, 0.8)])
         with pytest.raises(ValueError, match="single class"):
             caruana_select(("d", 0), [0], 3, repo)
+
+
+def full_average_select(task, candidates, c_max, repo):
+    """Reference greedy trajectory: every step checks and scores the full
+    average ``(running + stack) / step`` in one StackLoss call."""
+    t = repo.task_index(task)
+    ordinals = repo.config_ordinals(candidates)
+    loss_of = metrics.StackLoss(repo.tasks[t], repo.labels(t, VAL))
+    stack = repo.task_predictions(t, VAL)[ordinals].astype(np.float64)
+    running = np.zeros(stack.shape[1:])
+    trajectory = []
+    for step in range(1, c_max + 1):
+        scores = loss_of((running + stack) / step)
+        k = int(np.argmin(scores))
+        running += stack[k]
+        trajectory.append((ordinals[k], float(scores[k])))
+    return trajectory
+
+
+@pytest.fixture()
+def check_calls(monkeypatch):
+    """Live count of StackLoss.check calls."""
+    calls = [0]
+    check = metrics.StackLoss.check
+
+    def counted(self, stack):
+        calls[0] += 1
+        return check(self, stack)
+
+    monkeypatch.setattr(metrics.StackLoss, "check", counted)
+    return calls
+
+
+# the row sums furthest from one that pass the check: one float64 further fails
+HIGHEST_SUM = 1.0 + math.floor(ROW_SUM_TOL * 2**52) * 2**-52
+LOWEST_SUM = 1.0 - math.floor(ROW_SUM_TOL * 2**53) * 2**-53
+
+
+def row_summing_to(total, *leading):
+    """The float32 ``leading`` entries and three more; the row's float64 sum,
+    taken in order, is exactly ``total``."""
+    entries = [np.float32(v) for v in leading]
+    rest = Fraction(total) - sum(Fraction(float(v)) for v in entries)
+    for _ in range(3):
+        entries.append(np.float32(float(rest)))
+        rest -= Fraction(float(entries[-1]))
+    assert rest == 0
+    return entries
+
+
+def row_sum_repo(total, seed, big=0.0, m=6, n=40):
+    """A multiclass task: first a decoy whose rows sum to about one and which
+    greedy steps never pick, then ``m`` candidates whose every row sums to
+    ``total``. A nonzero ``big`` puts entries near ``big`` and ``-big`` in each row."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, n)
+    if big:
+        y[:] = 2  # the column of ``first``: the big entries would clip
+    preds = []
+    for _ in range(m):
+        first = rng.uniform(0.2, 0.8, n)
+        if big:
+            # unequal magnitudes: the averages of +big and -big entries round apart
+            plus, minus = (big + 4.0 * rng.integers(-3, 4, n) for _ in range(2))
+            rows = [row_summing_to(total, a, -b, f) for a, b, f in zip(plus, minus, first)]
+        else:
+            rows = [row_summing_to(total, f) for f in first]
+        preds.append(np.array(rows))
+    assert all(np.all(p.astype(np.float64).sum(axis=1) == total) for p in preds)
+    decoy = np.full((n, preds[0].shape[1]), 0.01)
+    decoy[np.arange(n), (y + 1) % decoy.shape[1]] = 1.0 - 0.01 * (decoy.shape[1] - 1)
+    return unchecked_repo(ProblemType.MULTICLASS, y, [decoy] + preds)
+
+
+def outcome(run):
+    """A trajectory, or the message of the ValueError that ended it."""
+    try:
+        return run()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestCheckOnce:
+    """caruana_select checks its candidates once and scores averaged columns;
+    every step must equal a full check and score of the full average."""
+
+    def test_trajectory_bit_equal_to_full_average_loop(self, synth_repo, check_calls):
+        rng = np.random.default_rng(19)
+        for t in range(synth_repo.n_tasks):
+            for candidates in (list(range(synth_repo.n_configs)),
+                               sorted(rng.choice(synth_repo.n_configs, 3, replace=False).tolist())):
+                check_calls[0] = 0
+                w = caruana_select(t, candidates, 40, synth_repo)
+                assert check_calls[0] == 1  # stored rows never come near the tolerance
+                assert w.trajectory == full_average_select(t, candidates, 40, synth_repo)
+        assert {task.problem for task in synth_repo.tasks} == set(ProblemType)
+
+    @pytest.mark.parametrize("levels", [2, 3, 6])
+    def test_tie_heavy_binary_bit_equal(self, levels):
+        rng = np.random.default_rng(20 + levels)
+        for _ in range(10):
+            n = int(rng.integers(8, 60))
+            y = rng.integers(0, 2, n)
+            y[:2] = (0, 1)
+            preds = [np.floor(rng.random((n, 1)) * levels) / levels for _ in range(8)]
+            repo = unchecked_repo(ProblemType.BINARY, y, preds)
+            w = caruana_select(0, range(8), 15, repo)
+            assert w.trajectory == full_average_select(0, range(8), 15, repo)
+
+    @pytest.mark.parametrize("total", [HIGHEST_SUM - 2**-33, LOWEST_SUM + 2**-33])
+    def test_rows_inside_the_margin_run_the_full_check(self, total, check_calls):
+        # 1.2e-10 inside the tolerance: the screen cannot rule a failure out
+        repo = row_sum_repo(total, 0)
+        w = caruana_select(0, range(7), 11, repo)
+        assert check_calls[0] == 11
+        assert w.trajectory == full_average_select(0, range(7), 11, repo)
+
+    @pytest.mark.parametrize("total", [HIGHEST_SUM - 2**-28, LOWEST_SUM + 2**-28])
+    def test_rows_outside_the_margin_are_checked_once(self, total, check_calls):
+        repo = row_sum_repo(total, 0)  # 3.7e-9 inside the tolerance
+        w = caruana_select(0, range(7), 11, repo)
+        assert check_calls[0] == 1
+        assert w.trajectory == full_average_select(0, range(7), 11, repo)
+
+    @pytest.mark.parametrize("total,big,first_failing_step", [
+        (HIGHEST_SUM, 0.0, 3), (LOWEST_SUM, 0.0, 2),
+        # 1.9e-9 inside the tolerance, but entries of 2**25 round by up to 3.7e-9
+        (HIGHEST_SUM - 2**-29, 2.0**25, 3), (LOWEST_SUM + 2**-29, 2.0**25, 3),
+    ])
+    def test_rows_near_the_tolerance_raise_at_the_same_step(self, total, big,
+                                                            first_failing_step):
+        # every candidate row passes; rounding in some average pushes a row sum over
+        repo = row_sum_repo(total, 0, big)
+        for c_max in range(1, 8):
+            got = outcome(lambda: caruana_select(0, range(7), c_max, repo).trajectory)
+            want = outcome(lambda: full_average_select(0, range(7), c_max, repo))
+            if c_max < first_failing_step:
+                assert isinstance(want, list)
+            else:
+                assert want == "probs rows are not row-stochastic within 1e-5"
+            assert got == want
 
 
 class TestEnsemblePredict:

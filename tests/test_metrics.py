@@ -309,6 +309,42 @@ class TestStackLoss:
         with pytest.raises(ValueError, match="shape"):
             loss(np.full((4, 3), 1 / 3))  # a single matrix, not a stack
 
+    @pytest.mark.parametrize("problem,o,levels", [
+        (ProblemType.BINARY, 1, 3), (ProblemType.BINARY, 1, 9), (ProblemType.BINARY, 1, None),
+        (ProblemType.MULTICLASS, 2, None), (ProblemType.MULTICLASS, 5, None),
+        (ProblemType.MULTICLASS, 3, 4), (ProblemType.REGRESSION, 1, None),
+    ])
+    def test_averaged_columns_score_like_averaged_stacks(self, problem, o, levels):
+        # greedy selection scores (running column + columns) / step; a full call
+        # scores (running + stack) / step: every step's scores must be bit-equal
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            m, n = int(rng.integers(1, 20)), int(rng.integers(2, 160))
+            task = TaskMeta("d", 0, problem, n_val=n, n_test=n, o=o)
+            if problem is ProblemType.MULTICLASS:
+                stack = stochastic(rng, (m, n, o))
+                y = rng.integers(0, o, n)
+            else:
+                stack = rng.random((m, n, o)) * (4.0 if problem is ProblemType.REGRESSION else 1.0)
+                y = rng.integers(0, 2, n) if problem is ProblemType.BINARY else rng.random(n)
+            if levels is not None:  # a few distinct values: scores tie within a row
+                stack = np.floor(stack * levels) / levels
+                if problem is ProblemType.MULTICLASS:
+                    stack[:, :, -1] = 1.0 - stack[:, :, :-1].sum(axis=2)
+            stack = stack.astype(np.float32).astype(np.float64)  # stored predictions
+            if problem is ProblemType.BINARY:
+                y[:2] = (0, 1)
+            loss = StackLoss(task, y)
+            columns = loss.check(stack)
+            running, running_column = np.zeros((n, o)), np.zeros(n)
+            for step in range(1, 25):
+                got = loss.score((running_column + columns) / step)
+                want = loss((running + stack) / step)
+                assert got.tobytes() == want.tobytes(), step
+                k = int(rng.integers(m))
+                running += stack[k]
+                running_column += columns[k]
+
     def test_labels_checked_on_construction(self):
         binary = TaskMeta("d", 0, ProblemType.BINARY, n_val=4, n_test=4, o=1)
         with pytest.raises(ValueError, match="single class"):

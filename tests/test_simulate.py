@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,19 @@ class TestSimulateSingleFamily:
 
 
 # -- the budget walk as it was before array indexing: one eval_table scalar per config
+
+
+class TestFamilyOrder:
+    def test_wrapping_seeds_draw_distinct_orders_without_warning(self):
+        repo = generate_repo(small_spec(seed=17, n_datasets=2, folds=1, families=(
+            FamilySpec("gbm", 12, 0.85, 0.5, 0.3),)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            orders = [tuple(_family_order(repo, "gbm", seed))
+                      for seed in (0, -1, -2, -3, 2**63 + 1)]
+            assert tuple(_family_order(repo, "gbm", 2**64 - 1)) == orders[1]
+        assert len(set(orders)) == len(orders)
+        assert sorted(orders[0]) == repo.family_configs("gbm")
 
 
 def scalar_filter_order(order, t, policy, repo):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from predrepo import (
     write_repo,
 )
 from predrepo.store import TEST, VAL
-from predrepo.synth import oracle_auc_pairwise, oracle_greedy_extension
+from predrepo.synth import oracle_auc_pairwise, oracle_greedy_extension, rng_stream, subsample_rng
 
 from conftest import small_spec
 
@@ -134,6 +136,32 @@ class TestGenerateRepo:
             if np.mean(ens) <= np.mean(single):
                 wins += 1
         assert wins >= 0.95 * runs
+
+
+# 64-bit seed values above 2**63 (every negative seed too): a key list cast
+# through float64 rounded them; -1, -2 and -3 drew seed 0's streams, 2**63 + 1
+# drew 2**63's
+WRAPPING_SEEDS = [0, -1, -2, -3, 2**63 + 1]
+
+
+class TestSeedStreams:
+    def test_wrapping_seeds_draw_distinct_streams_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for stream in (lambda s: rng_stream(s, 3, 1, 2), lambda s: subsample_rng(s, 1, 2)):
+                draws = [tuple(stream(seed).integers(0, 2**62, 4)) for seed in WRAPPING_SEEDS]
+                assert len(set(draws)) == len(WRAPPING_SEEDS)
+                # a seed is taken modulo 2**64: -1 and 2**64 - 1 are one seed
+                assert tuple(stream(2**64 - 1).integers(0, 2**62, 4)) == draws[1]
+            tables = [generate_repo(small_spec(seed=seed, n_datasets=2, folds=1)).eval_table
+                      for seed in (0, -1)]
+        assert not np.array_equal(*tables)
+
+    @pytest.mark.parametrize("seed", [0, 7919, 2**53 + 1, 2**63 - 1])
+    def test_seeds_below_2_63_keep_their_streams(self, seed):
+        tag = (3 << 48) | (1 << 24) | 2
+        want = np.random.Generator(np.random.Philox(key=[seed, tag])).integers(0, 2**62, 4)
+        assert np.array_equal(rng_stream(seed, 3, 1, 2).integers(0, 2**62, 4), want)
 
 
 class TestAggregateBagPredictions:
