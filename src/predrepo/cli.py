@@ -110,6 +110,13 @@ def _csv_strs(text: str) -> list[str]:
     return values
 
 
+def _csv_distinct_strs(text: str) -> list[str]:
+    values = _csv_strs(text)
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected distinct ids, got {text!r}")
+    return values
+
+
 def _default_fallback(repo: Repository) -> int:
     """Config whose worst-case fit time is smallest (a fast, safe baseline)."""
     worst = np.asarray(repo.eval_table[:, :, 2]).max(axis=0)
@@ -461,9 +468,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", help="evaluate greedy ensembles over given configs")
     _add_common(p)
-    p.add_argument("--datasets", type=_csv_strs, default=None,
-                   help="comma-separated dataset ids (default all)")
-    p.add_argument("--folds", type=_csv_ints, default=None, help="comma-separated folds (default all)")
+    p.add_argument("--datasets", type=_csv_distinct_strs, default=None,
+                   help="comma-separated distinct dataset ids (default all)")
+    p.add_argument("--folds", type=_csv_distinct_ints, default=None,
+                   help="comma-separated distinct folds (default all)")
     p.add_argument("--configs", type=_csv_strs, default=None,
                    help="comma-separated config ids (default all)")
     p.add_argument("--ensemble-size", type=int, default=DEFAULT_STEPS)

@@ -213,12 +213,15 @@ class StackLoss:
     def score(self, column: np.ndarray) -> np.ndarray:
         """``(M,)`` losses of an ``(M, n)`` column from :meth:`check`, or of an
         average of such columns."""
+        # np.add.reduce and a true divide are what np.mean runs along a row,
+        # without its wrapper's cost on every greedy step
+        n = column.shape[1]
         if self.task.problem is ProblemType.REGRESSION:
-            return np.sqrt(np.mean((column - self._y) ** 2, axis=1))
+            return np.sqrt(np.add.reduce((column - self._y) ** 2, axis=1) / n)
         if self.task.problem is ProblemType.BINARY:
             return self._auc_loss(column)
         picked = np.clip(column, LOG_LOSS_EPS, 1.0 - LOG_LOSS_EPS)
-        return -np.mean(np.log(picked), axis=1)
+        return -(np.add.reduce(np.log(picked), axis=1) / n)
 
     def _auc_loss(self, scores: np.ndarray) -> np.ndarray:
         # gather the ranks in sorted order; scattering them back costs a third more

@@ -242,12 +242,13 @@ class Repository:
         predictions: Sequence[tuple[np.ndarray, np.ndarray]],
         evals: np.ndarray,
     ) -> "Repository":
-        """Build a repository from in-memory arrays (as the generator does).
+        """Build a repository from in-memory arrays, such as another one's slabs.
 
         ``predictions`` holds one (val, test) pair of (n_configs, rows, o)
         slabs per task, the shape :meth:`task_predictions` returns, and
         ``labels`` one (val, test) array pair per task. Each task's labels
-        and slabs are copied into its regions of the packed buffers. A wrong
+        and slabs are copied into its regions of the packed buffers (the
+        generator skips this copy and fills such buffers itself). A wrong
         number of pairs, a slab of the wrong shape or labels of the wrong
         length is a :class:`StoreError`; values are not checked here, so
         that :func:`validate_repo` can report them.

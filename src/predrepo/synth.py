@@ -14,9 +14,13 @@ so that, for example, regenerating one task's labels never shifts another
 task's draws. Draw order within a stream is fixed: labels draw val rows then
 test rows; per-config prediction streams draw, for each bag fold in order,
 the fold's validation-segment noise and then its test noise. Identical specs
-therefore produce byte-identical repositories. Each task's predictions are
-written into one validation and one test slab of shape (configs, rows, o),
-which :meth:`Repository.in_memory` takes as they are, and each slab's stored
+therefore produce byte-identical repositories. The streams stay one per
+(task, config), but everything after the draws runs once per task slab of
+shape (configs, rows, o): each bag fold's noise for every config lands in one
+slab, and the blend, the link and the bag mean are applied to the whole slab,
+elementwise and in the per-config order of operations, so the values are the
+per-config ones bit for bit. Each task's slabs are written straight into the
+task's region of the repository's packed prediction buffer, and their stored
 losses come from one :class:`metrics.StackLoss` call, which equals
 :func:`metrics.task_loss` bit for bit. Structural metadata (task
 shapes, problem assignment, class counts) is keyed on a constant instead of
@@ -45,7 +49,8 @@ import numpy as np
 
 from . import metrics
 from .portfolio import AGGREGATIONS, RAW_LOSS, NORMALIZED_LOSS
-from .store import VAL, ConfigMeta, ProblemType, Repository, TaskMeta
+from .store import (VAL, ConfigMeta, ProblemType, Repository, TaskMeta, _label_starts,
+                    _pred_starts, _task_region)
 
 BINARY_LOGIT_SCALE = 2.0
 MULTICLASS_LOGIT_SCALE = 3.0
@@ -196,7 +201,11 @@ def _segment_sizes(n: int, parts: int) -> list[int]:
 
 
 def aggregate_bag_predictions(fold_preds) -> np.ndarray:
-    """Elementwise mean of the per-fold prediction matrices."""
+    """Elementwise mean of the per-fold prediction matrices.
+
+    The per-config reference for the generator's bag mean, which accumulates
+    every config's folds at once in the same order; tests compare the two.
+    """
     arrs = [np.asarray(a, dtype=np.float64) for a in fold_preds]
     if not arrs:
         raise ValueError("need at least one bag fold")
@@ -232,12 +241,13 @@ def _truth_logits(problem: ProblemType, y: np.ndarray, o: int) -> np.ndarray:
 
 
 def _link(problem: ProblemType, logits: np.ndarray) -> np.ndarray:
+    """Identity, logistic function or softmax over the last axis, by problem type."""
     if problem is ProblemType.REGRESSION:
         return logits
     if problem is ProblemType.BINARY:
         return 1.0 / (1.0 + np.exp(-logits))
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
+    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def generate_repo(spec: GeneratorSpec) -> Repository:
@@ -293,64 +303,78 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
         fam_time_base.append(float(np.exp(const_rng.uniform(np.log(2.0), np.log(300.0)))))
         fam_infer_const.append(float(np.exp(const_rng.uniform(np.log(1e-5), np.log(1e-2)))))
 
-    labels: list[tuple[np.ndarray, np.ndarray]] = []
-    predictions: list[tuple[np.ndarray, np.ndarray]] = []
-    evals = np.zeros((len(tasks), len(configs), 4), dtype=np.float64)
+    # per-config blend weights as (M, 1, 1) columns, so that every expression
+    # below is the per-config one applied elementwise to a whole task slab
+    M, F = len(configs), len(spec.families)
+    family = np.array(config_family)
+    rho = np.array([f.rho for f in spec.families])[family]
+    skill = np.array([f.skill for f in spec.families])[family][:, None, None]
+    sig = np.array(sigma)[:, None, None]
+    w_shared = np.sqrt(rho)[:, None, None]
+    w_own = np.sqrt(1.0 - rho)[:, None, None]
+    time_base = np.array(fam_time_base)[family]
+
+    label_start = _label_starts(tasks)
+    pred_start = _pred_starts(tasks, M)
+    labels = np.empty(label_start[-1], dtype="<f8")
+    preds = np.empty(pred_start[-1], dtype="<f4")
+    evals = np.zeros((len(tasks), M, 4), dtype=np.float64)
+    evals[:, :, 3] = np.array(fam_infer_const)[family] * np.array(infer_factor)
 
     for t, task in enumerate(tasks):
         label_rng = rng_stream(seed, _P_LABELS, a=t)
         y_val, y_test = _draw_labels(label_rng, task.problem, task.n_val, task.n_test, task.o)
-        labels.append((y_val, y_test))
+        labels[label_start[t]:label_start[t + 1]] = np.concatenate([y_val, y_test])
         z_val = _truth_logits(task.problem, y_val, task.o)
         z_test = _truth_logits(task.problem, y_test, task.o)
 
-        fam_noise = {}
-        for fi in range(len(spec.families)):
+        fam_val = np.empty((F,) + z_val.shape)
+        fam_test = np.empty((F,) + z_test.shape)
+        for fi in range(F):
             fam_rng = rng_stream(seed, _P_FAMILY_NOISE, a=t, b=fi)
-            fam_noise[fi] = (fam_rng.standard_normal(z_val.shape),
-                             fam_rng.standard_normal(z_test.shape))
+            fam_rng.standard_normal(out=fam_val[fi])
+            fam_rng.standard_normal(out=fam_test[fi])
 
-        seg_sizes = _segment_sizes(task.n_val, B)
-        val_slab = np.empty((len(configs),) + z_val.shape, dtype="<f4")
-        test_slab = np.empty((len(configs),) + z_test.shape, dtype="<f4")
-        for j in range(len(configs)):
-            fi = config_family[j]
-            fam = spec.families[fi]
-            e_fam_val, e_fam_test = fam_noise[fi]
-            w_shared, w_own = np.sqrt(fam.rho), np.sqrt(1.0 - fam.rho)
-
-            pred_rng = rng_stream(seed, _P_CONFIG_PREDS, a=t, b=j)
-            val_logits = np.empty_like(z_val)
-            bag_tests = []
-            start = 0
-            for size in seg_sizes:
-                seg = slice(start, start + size)
-                e_own = pred_rng.standard_normal((size, task.o))
-                val_logits[seg] = (fam.skill * z_val[seg]
-                                   + sigma[j] * (w_shared * e_fam_val[seg] + w_own * e_own))
-                e_test = pred_rng.standard_normal(z_test.shape)
-                bag_tests.append(_link(task.problem,
-                                       fam.skill * z_test
-                                       + sigma[j] * (w_shared * e_fam_test + w_own * e_test)))
-                start += size
-
-            val_slab[j] = _link(task.problem, val_logits)
-            test_slab[j] = aggregate_bag_predictions(bag_tests)
-
-            time_rng = rng_stream(seed, _P_TIMES, a=t, b=j)
-            if j == 0:
-                time_fit = float(time_rng.uniform(*FALLBACK_FIT_RANGE))
+        # one stream per config; each bag fold draws its validation segment's
+        # noise, then its test noise, in one call: a stream's draws do not
+        # depend on how they are split into calls
+        draws = [rng_stream(seed, _P_CONFIG_PREDS, a=t, b=j).standard_normal for j in range(M)]
+        sizes = _segment_sizes(task.n_val, B)
+        own_val = np.empty((M,) + z_val.shape)
+        fold_noise = np.empty((M, sizes[0] + task.n_test, task.o))
+        base_test = skill * z_test
+        shared_test = w_shared * fam_test[family]
+        start = 0
+        for b, size in enumerate(sizes):
+            for j, draw in enumerate(draws):
+                draw(out=fold_noise[j, :size + task.n_test])
+            own_val[:, start:start + size] = fold_noise[:, :size]
+            own_test = fold_noise[:, size:size + task.n_test]
+            start += size
+            linked = _link(task.problem, base_test + sig * (shared_test + w_own * own_test))
+            # np.mean over stacked folds copies the first, adds the others in
+            # order, then divides
+            if b == 0:
+                test = linked
             else:
-                time_fit = fam_time_base[fi] * float(np.exp(FIT_TIME_SPREAD * time_rng.standard_normal()))
-            time_infer = fam_infer_const[fi] * infer_factor[j]
+                test += linked
+        test /= B
+        val = _link(task.problem,
+                    skill * z_val + sig * (w_shared * fam_val[family] + w_own * own_val))
 
-            evals[t, j, 2] = time_fit
-            evals[t, j, 3] = time_infer
-        evals[t, :, 0] = metrics.StackLoss(task, y_val)(val_slab)
-        evals[t, :, 1] = metrics.StackLoss(task, y_test)(test_slab)
-        predictions.append((val_slab, test_slab))
+        region = _task_region(preds, pred_start[t], M, task)
+        region[:, :task.n_val] = val
+        region[:, task.n_val:] = test
+        evals[t, :, 0] = metrics.StackLoss(task, y_val)(region[:, :task.n_val])
+        evals[t, :, 1] = metrics.StackLoss(task, y_test)(region[:, task.n_val:])
 
-    return Repository.in_memory(tasks, configs, S, labels, predictions, evals)
+        evals[t, 0, 2] = rng_stream(seed, _P_TIMES, a=t, b=0).uniform(*FALLBACK_FIT_RANGE)
+        fit_draws = [rng_stream(seed, _P_TIMES, a=t, b=j).standard_normal() for j in range(1, M)]
+        evals[t, 1:, 2] = time_base[1:] * np.exp(FIT_TIME_SPREAD * np.array(fit_draws))
+
+    preds.flags.writeable = False
+    labels.flags.writeable = False
+    return Repository(tasks, configs, S, labels, preds, evals)
 
 
 # -- brute-force oracles -------------------------------------------------

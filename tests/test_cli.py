@@ -242,6 +242,22 @@ class TestEnsembleCommand:
         assert f"argument {flag}:" in captured.err
         assert captured.out == "" and not out_csv.exists()
 
+    def assert_repeat_exits_2(self, repo_dir, tmp_path, capsys, flag, value):
+        # a repeat used to print its (dataset, fold) rows twice with exit 0
+        out_csv = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["ensemble", "--repo", str(repo_dir), flag, value, "--out", str(out_csv)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected distinct" in captured.err
+        assert captured.out == "" and not out_csv.exists()
+
+    def test_repeated_fold_exits_2(self, repo_dir, tmp_path, capsys):
+        self.assert_repeat_exits_2(repo_dir, tmp_path, capsys, "--folds", "0,1,0")
+
+    def test_repeated_dataset_exits_2(self, repo_dir, tmp_path, capsys):
+        self.assert_repeat_exits_2(repo_dir, tmp_path, capsys, "--datasets", "d000,d000")
+
 
 class TestPortfolioCommand:
     def test_objective_non_increasing(self, repo_dir, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -17,10 +18,56 @@ from predrepo import (
     validate_repo,
     write_repo,
 )
+from predrepo import synth
 from predrepo.store import TEST, VAL
 from predrepo.synth import oracle_auc_pairwise, oracle_greedy_extension, rng_stream, subsample_rng
 
 from conftest import small_spec
+
+
+def uneven_bag_spec() -> GeneratorSpec:
+    """Multiclass-heavy spec with 8 bag folds and 5-13 validation rows.
+
+    No n_val here is a multiple of 8, so the bag segments are uneven, and
+    n_val 6 and 7 leave some segments empty; one task has 9 classes.
+    """
+    return small_spec(seed=0, problem_mix={"binary": 0.25, "multiclass": 0.5, "regression": 0.25},
+                      rows_val=(5, 13), rows_test=(6, 9), multiclass_classes=(3, 9), bag_folds=8)
+
+
+# sha256 of the five store files, keyed by small_spec seed or by name; the
+# byte contract of the generator (every stream, its draw order and the
+# arithmetic after it)
+PINNED_STORE_DIGESTS = {
+    0: {
+        "manifest.json": "bf5b4bb484a4bcf28e6a9d4f340b5fbc1c01b0fd08020aa2138be23646320cec",
+        "labels.bin": "4d41b6304e2d466e39d27110369e7551fa09e12702032a28fdd6f438fc79c52f",
+        "evals.bin": "c820105dbef20393a66466d818544e4fe9e73f68b1ce88a3553aac818bb2e9c8",
+        "preds.idx": "91ad47c198c278d1048077952d206b986a4ae5723537db6f10ab3107c23fcd5c",
+        "preds.blob": "7340fbfa9511e80e32c805e1ad60c4c6e0909ec60c444aaaad4174d4e46b3ebf",
+    },
+    900: {
+        "manifest.json": "7fa75c56ac07007ef943962eeb77984b3f02720298a375ef539bb46755119ddf",
+        "labels.bin": "b158467572a3a46a29b2b2d5bee8460bb9d48ff4a401452bad351096385ac6c4",
+        "evals.bin": "9e4ddc86654fc7c8c786548719be4e3b0201432c9d4102df8eb3413cf8a2f7e6",
+        "preds.idx": "91ad47c198c278d1048077952d206b986a4ae5723537db6f10ab3107c23fcd5c",
+        "preds.blob": "e8bb21aa3b65acbf8219a9f949f81fab73cd34119083d15ae443cf31742afd59",
+    },
+    2**64 - 1: {
+        "manifest.json": "a12cc4af1dbe89808ed207bd5ef8871f2bbdb9e52e1e504b1423da46c33a337d",
+        "labels.bin": "c719e4c14de8ca56d219d647e4032ea1acf1980e15407d936d7ddba92ef9ca07",
+        "evals.bin": "da24ccc588e84e837480510394697442a06584e6665db55878ece4967ad5370f",
+        "preds.idx": "91ad47c198c278d1048077952d206b986a4ae5723537db6f10ab3107c23fcd5c",
+        "preds.blob": "ccca5ea43d63516849b75e247e34c9a7849b2f799428a1d093d77727e9a6495c",
+    },
+    "uneven-bags": {
+        "manifest.json": "b0926145d29acaa77ed19d3b22ed1e21e948f35d31e56e245761373a60ac5c1c",
+        "labels.bin": "7e334903c951a0504e125a51aeb0a8e007b1154d6cc2c7962c04934c25a1e2e7",
+        "evals.bin": "726a0b78321740285b8e1ca6891f21a09b9389a9cee6c53163915ff803a17dff",
+        "preds.idx": "320f8c75e94852de8f768782c2d361730b7357a840ab81827aa4fb24f14bede3",
+        "preds.blob": "3f8d60fd0240cfa1045c555c81464fd6654e0529779cd124dc6b76088718bab0",
+    },
+}
 
 
 class TestGeneratorSpec:
@@ -162,6 +209,86 @@ class TestSeedStreams:
         tag = (3 << 48) | (1 << 24) | 2
         want = np.random.Generator(np.random.Philox(key=[seed, tag])).integers(0, 2**62, 4)
         assert np.array_equal(rng_stream(seed, 3, 1, 2).integers(0, 2**62, 4), want)
+
+
+def per_config_reference(spec: GeneratorSpec, repo, t: int):
+    """Task ``t``'s val and test slabs and fit times, drawn config by config.
+
+    The per-config form of the generator: one stream per config, each bag
+    fold drawing its validation segment's noise and then its test noise, the
+    scalar ``_link`` per matrix and ``aggregate_bag_predictions`` for the bag
+    mean.
+    """
+    task = repo.tasks[t]
+    z_val = synth._truth_logits(task.problem, repo.labels(t, VAL), task.o)
+    z_test = synth._truth_logits(task.problem, repo.labels(t, TEST), task.o)
+    fam_noise, sigma, time_base = [], [], []
+    for fi, fam in enumerate(spec.families):
+        fam_rng = rng_stream(spec.seed, synth._P_FAMILY_NOISE, a=t, b=fi)
+        fam_noise.append((fam_rng.standard_normal(z_val.shape),
+                          fam_rng.standard_normal(z_test.shape)))
+        props = rng_stream(spec.seed, synth._P_CONFIG_PROPS, a=fi)
+        mult = np.exp(synth.CONFIG_NOISE_SPREAD * props.standard_normal(fam.count))
+        mult[0] = 1.0
+        sigma += [fam.noise * float(m) for m in mult]
+        const_rng = rng_stream(spec.seed, synth._P_FAMILY_CONST, a=fi)
+        time_base += [float(np.exp(const_rng.uniform(np.log(2.0), np.log(300.0))))] * fam.count
+    family = [fi for fi, fam in enumerate(spec.families) for _ in range(fam.count)]
+
+    vals, tests, fit = [], [], []
+    for j, fi in enumerate(family):
+        fam = spec.families[fi]
+        e_fam_val, e_fam_test = fam_noise[fi]
+        w_shared, w_own = np.sqrt(fam.rho), np.sqrt(1.0 - fam.rho)
+        pred_rng = rng_stream(spec.seed, synth._P_CONFIG_PREDS, a=t, b=j)
+        val_logits = np.empty_like(z_val)
+        bag_tests = []
+        start = 0
+        for size in synth._segment_sizes(task.n_val, spec.bag_folds):
+            seg = slice(start, start + size)
+            e_own = pred_rng.standard_normal((size, task.o))
+            val_logits[seg] = (fam.skill * z_val[seg]
+                               + sigma[j] * (w_shared * e_fam_val[seg] + w_own * e_own))
+            e_test = pred_rng.standard_normal(z_test.shape)
+            bag_tests.append(synth._link(task.problem, fam.skill * z_test
+                                         + sigma[j] * (w_shared * e_fam_test + w_own * e_test)))
+            start += size
+        vals.append(synth._link(task.problem, val_logits).astype("<f4"))
+        tests.append(aggregate_bag_predictions(bag_tests).astype("<f4"))
+        time_rng = rng_stream(spec.seed, synth._P_TIMES, a=t, b=j)
+        if j == 0:
+            fit.append(float(time_rng.uniform(*synth.FALLBACK_FIT_RANGE)))
+        else:
+            fit.append(time_base[j] * float(np.exp(synth.FIT_TIME_SPREAD * time_rng.standard_normal())))
+    return np.stack(vals), np.stack(tests), np.array(fit)
+
+
+class TestByteContract:
+    @pytest.mark.parametrize("key", list(PINNED_STORE_DIGESTS), ids=str)
+    def test_store_files_match_pinned_digests(self, key, tmp_path):
+        spec = uneven_bag_spec() if key == "uneven-bags" else small_spec(seed=key)
+        write_repo(generate_repo(spec), tmp_path)
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_STORE_DIGESTS[key]}
+        assert got == PINNED_STORE_DIGESTS[key]
+
+    @pytest.mark.parametrize("problem", list(ProblemType))
+    def test_slabs_match_per_config_reference(self, problem):
+        spec = uneven_bag_spec()
+        repo = generate_repo(spec)
+        for t, task in enumerate(repo.tasks):
+            if task.problem is not problem:
+                continue
+            val, test, fit = per_config_reference(spec, repo, t)
+            assert repo.task_predictions(t, VAL).tobytes() == val.tobytes()
+            assert repo.task_predictions(t, TEST).tobytes() == test.tobytes()
+            assert repo.eval_table[t, :, 2].tobytes() == fit.tobytes()
+            for j in range(repo.n_configs):
+                for split, slab in ((VAL, val), (TEST, test)):
+                    assert repo.eval_table[t, j, split] == task_loss(task, slab[j], repo.labels(t, split))
+            break
+        else:
+            pytest.fail(f"no {problem.value} task in the spec")
 
 
 class TestAggregateBagPredictions:
