@@ -520,6 +520,9 @@ def main(argv=None) -> int:
     except SpecError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except OSError as e:  # an input path that cannot be read or an output that cannot be written
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except KeyError as e:
         print(f"error: {e.args[0] if e.args else e}", file=sys.stderr)
         return 3

@@ -20,10 +20,16 @@ of that call hold without running it:
 - shape: every average has the stack's shape;
 - finite values: a step averages at most ``c_max`` stored float32 values,
   which cannot overflow float64;
-- multiclass row sums: :class:`_RowSumScreen` bounds each average's row sums
-  from running sums of the candidates' row sums; a step whose bound comes
-  within its rounding margin of ``ROW_SUM_TOL`` runs the full check on the
-  full average, so a step raises exactly when that check would.
+- multiclass row sums: decided once per task. Let ``D`` be the largest
+  distance from one of a candidate row sum. An average of row sums that are
+  each within ``D`` of one is itself within ``D`` of one, and the row sums
+  of a step's full average differ from that exact average by at most
+  ``(c_max + o) * eps * mass``, where ``mass`` is the largest sum of
+  absolute values in one candidate row. So when ``D`` is inside
+  ``ROW_SUM_TOL`` by twice that bound, and by at least ``SCREEN_MARGIN``, no
+  row of any step can fail and no later step is checked. Otherwise every
+  later step runs the full check on its full average, so a step raises
+  exactly when that check would.
 
 The scalar ``task_loss`` stays the reference: the tests compare the batched
 picks against it, and the final validation and test losses of an ensemble
@@ -42,7 +48,7 @@ from . import metrics
 from .store import ROW_SUM_TOL, TEST, VAL, ProblemType, Repository
 
 DEFAULT_STEPS = 40
-SCREEN_MARGIN = 1e-9  # least distance inside ROW_SUM_TOL that skips a step's full row-sum check
+SCREEN_MARGIN = 1e-9  # least distance inside ROW_SUM_TOL that skips later steps' row-sum checks
 
 
 @dataclass
@@ -82,20 +88,24 @@ def caruana_select(task, candidate_configs, c_max: int, repo: Repository) -> Ens
     loss_of = metrics.StackLoss(meta, repo.labels(t, VAL))
     stack = repo.task_predictions(t, VAL)[ordinals].astype(np.float64)
     columns = loss_of.check(stack)  # step one's check: its average (0 + stack) / 1 is the stack
-    multiclass = meta.problem is ProblemType.MULTICLASS
-    rows = _RowSumScreen(stack, c_max) if multiclass and c_max > 1 else None
+    picked = None  # running sum of the picked rows, kept only when later steps need the full check
+    if meta.problem is ProblemType.MULTICLASS and c_max > 1:
+        mass = np.abs(stack).sum(axis=2).max()
+        rounding = (c_max + stack.shape[2]) * np.finfo(np.float64).eps * mass
+        if np.abs(stack.sum(axis=2) - 1.0).max() > ROW_SUM_TOL - max(SCREEN_MARGIN, 2.0 * rounding):
+            picked = np.zeros(stack.shape[1:], dtype=np.float64)
 
     running = np.zeros(columns.shape[1], dtype=np.float64)
     trajectory: list[tuple[int, float]] = []
     picks: list[int] = []
     for step in range(1, c_max + 1):
-        if rows is not None and step > 1:
-            rows.check(loss_of, step)
+        if picked is not None and step > 1:
+            loss_of.check((picked + stack) / step)
         scores = loss_of.score((running + columns) / step)
         k = int(np.argmin(scores))  # first minimum: the lowest ordinal wins ties
         running += columns[k]
-        if rows is not None:
-            rows.add(k)
+        if picked is not None:
+            picked += stack[k]
         picks.append(ordinals[k])
         trajectory.append((ordinals[k], float(scores[k])))
 
@@ -103,41 +113,6 @@ def caruana_select(task, candidate_configs, c_max: int, repo: Repository) -> Ens
     best_step = int(np.argmin(losses))  # earliest minimum
     counts = dict(sorted(Counter(picks[: best_step + 1]).items()))
     return EnsembleWeights(counts=counts, steps=best_step + 1, trajectory=trajectory)
-
-
-class _RowSumScreen:
-    """Row-sum check of each multiclass greedy average, mostly without forming it.
-
-    The row sums of a step's average ``(running + stack) / step`` differ from
-    ``(R + S) / step`` by at most ``(c_max + o) * eps * mass``, where ``S``
-    holds each candidate's row sums, ``R`` the running sum of the picked
-    ones, and ``mass`` is the largest sum of absolute values in one candidate
-    row. Rounding is monotone, so ``(R + min S) / step`` and ``(R + max S) /
-    step`` bound ``(R + S) / step`` for every candidate. While both bounds are
-    inside ``ROW_SUM_TOL`` of one by twice that difference, and by at least
-    ``SCREEN_MARGIN``, no row can fail. Otherwise the step runs the full check
-    on the full average, so a step raises exactly when the full check would.
-    """
-
-    def __init__(self, stack: np.ndarray, c_max: int):
-        self.stack = stack
-        self.sums = stack.sum(axis=2)
-        self.low, self.high = self.sums.min(axis=0), self.sums.max(axis=0)
-        self.running = np.zeros(stack.shape[1:], dtype=np.float64)
-        self.running_sums = np.zeros(stack.shape[1], dtype=np.float64)
-        mass = np.abs(stack).sum(axis=2).max()
-        rounding = (c_max + stack.shape[2]) * np.finfo(np.float64).eps * mass
-        self.slack = ROW_SUM_TOL - max(SCREEN_MARGIN, 2.0 * rounding)
-
-    def add(self, k: int) -> None:
-        self.running += self.stack[k]
-        self.running_sums += self.sums[k]
-
-    def check(self, loss_of: metrics.StackLoss, step: int) -> None:
-        high = (self.running_sums + self.high) / step - 1.0
-        low = 1.0 - (self.running_sums + self.low) / step
-        if high.max() > self.slack or low.max() > self.slack:
-            loss_of.check((self.running + self.stack) / step)
 
 
 def ensemble_predict(weights: EnsembleWeights, task, split, repo: Repository) -> np.ndarray:

@@ -683,9 +683,10 @@ def open_repo(path: str | Path) -> Repository:
     _check_index(path / "preds.idx", tasks, configs)
     end = 8 + 4 * _pred_starts(tasks, M)[-1]
     blob_size = os.path.getsize(path / "preds.blob")
-    if end > blob_size:
+    if blob_size != end:
+        side = "shorter" if blob_size < end else "longer"
         raise StoreError(
-            f"blob shorter than index extent: need {end} bytes, preds.blob has {blob_size}"
+            f"blob {side} than index extent: need {end} bytes, preds.blob has {blob_size}"
         )
 
     evals_size = os.path.getsize(path / "evals.bin")

@@ -50,7 +50,7 @@ import numpy as np
 from . import metrics
 from .portfolio import AGGREGATIONS, RAW_LOSS, NORMALIZED_LOSS
 from .store import (VAL, ConfigMeta, ProblemType, Repository, TaskMeta, _label_starts,
-                    _pred_starts, _task_region)
+                    _pred_starts, _task_region, _typed)
 
 BINARY_LOGIT_SCALE = 2.0
 MULTICLASS_LOGIT_SCALE = 3.0
@@ -91,6 +91,51 @@ def subsample_rng(seed: int, a: int = 0, b: int = 0) -> np.random.Generator:
 
 class SpecError(ValueError):
     """Invalid generator spec (bad field values or malformed file)."""
+
+
+def _number(value) -> float:
+    """A finite JSON number that is not a bool, as a float."""
+    if type(value) not in (int, float):
+        raise TypeError
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError
+    return value
+
+
+def _range(value) -> tuple[int, int]:
+    """A ``(lo, hi)`` range: a JSON array, or a tuple, of two integers."""
+    if type(value) not in (list, tuple) or len(value) != 2:
+        raise TypeError
+    if any(type(v) is not int for v in value):
+        raise TypeError
+    return tuple(value)
+
+
+def _mix(value) -> dict:
+    """Problem-type weights: a JSON object whose values pass :func:`_number`."""
+    if type(value) is not dict:
+        raise TypeError
+    for weight in value.values():
+        _number(weight)
+    return dict(value)
+
+
+def _spec_field(entry, key: str, convert, where: str = ""):
+    """``convert(entry[key])``; a bad value is a SpecError naming the field."""
+    value = entry[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecError(f"generator spec:{where} invalid {key!r} value {value!r}") from None
+
+
+_FAMILY_FIELDS = (("family", _typed(str)), ("count", _typed(int)), ("skill", _number),
+                  ("noise", _number), ("rho", _number))
+_SPEC_FIELDS = (("seed", _typed(int)), ("n_datasets", _typed(int)), ("folds", _typed(int)),
+                ("rows_val", _range), ("rows_test", _range), ("problem_mix", _mix),
+                ("multiclass_classes", _range), ("bag_folds", _typed(int)))
+_SPEC_REQUIRED = ("seed", "n_datasets", "folds")  # the other fields have defaults
 
 
 @dataclass(frozen=True)
@@ -155,16 +200,20 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorSpec":
+        """Read a spec from JSON data; a value of the wrong JSON type is a SpecError.
+
+        Integers must be JSON integers (not bools, floats or strings), weights
+        and family parameters finite numbers that are not bools, ranges arrays
+        or tuples of two integers, and family names strings.
+        """
         try:
-            families = tuple(FamilySpec(str(f["family"]), int(f["count"]), float(f["skill"]),
-                                        float(f["noise"]), float(f["rho"]))
-                             for f in data["families"])
-            optional = (("rows_val", tuple), ("rows_test", tuple), ("problem_mix", dict),
-                        ("multiclass_classes", tuple), ("bag_folds", int))  # else the defaults
-            spec = cls(seed=int(data["seed"]), n_datasets=int(data["n_datasets"]),
-                       folds=int(data["folds"]), families=families,
-                       **{key: convert(data[key]) for key, convert in optional if key in data})
-        except (KeyError, TypeError, ValueError) as e:
+            families = tuple(FamilySpec(*(_spec_field(f, key, convert, f" family {i}:")
+                                          for key, convert in _FAMILY_FIELDS))
+                             for i, f in enumerate(data["families"]))
+            spec = cls(families=families,
+                       **{key: _spec_field(data, key, convert) for key, convert in _SPEC_FIELDS
+                          if key in data or key in _SPEC_REQUIRED})
+        except (KeyError, TypeError) as e:
             raise SpecError(f"malformed generator spec: {e}") from None
         spec.validate()
         return spec

@@ -109,6 +109,30 @@ class TestGenerate:
                            "--out", str(tmp_path / "repo"))
         assert code == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 1.5), ("folds", True), ("bag_folds", "2"), ("rows_val", "55"),
+        ("problem_mix", {"binary": "x"})])
+    def test_mistyped_spec_values_exit_2(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.json"
+        data = small_spec().to_dict()
+        data[key] = value
+        bad.write_text(json.dumps(data))
+        code, _, err = run(capsys, "generate", "--spec", str(bad),
+                           "--out", str(tmp_path / "repo"))
+        assert code == 2
+        assert err == f"error: generator spec: invalid {key!r} value {value!r}\n"
+        assert not (tmp_path / "repo").exists()
+
+    def test_out_is_an_existing_file_exits_2(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, seed=227)
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        code, _, err = run(capsys, "generate", "--spec", str(spec_path), "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+        assert out.read_text() == "not a directory"
+
 
 class TestValidate:
     def test_valid_repo(self, repo_dir, capsys):
@@ -124,6 +148,15 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "--repo", str(tmp_path / "r"))
         assert code == 2
         assert "blob shorter than index extent" in err
+
+    def test_blob_longer_than_index_extent_exits_2(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, seed=227)
+        run(capsys, "generate", "--spec", str(spec_path), "--out", str(tmp_path / "r"))
+        blob = tmp_path / "r" / "preds.blob"
+        blob.write_bytes(blob.read_bytes() + bytes(1000))
+        code, _, err = run(capsys, "validate", "--repo", str(tmp_path / "r"))
+        assert code == 2
+        assert "blob longer than index extent" in err
 
     def test_violations_exit_3(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, seed=229)
@@ -568,6 +601,14 @@ class TestReportCommand:
         fold = "1" if column != "fold" else value
         assert err == (f"error: {path}: method 'B', dataset 'd0', fold {fold!r}: "
                        f"invalid {column!r} value {value!r}\n")
+
+    def test_missing_results_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code, out, err = run(capsys, "report", "--results", str(missing))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(missing) in err
 
     def test_empty_time_columns_are_skipped(self, tmp_path, capsys):
         rows = [["A", "d0", "0", "0.5", "0.5", "", "", "false", ""],

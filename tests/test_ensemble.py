@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predrepo import (
     ConfigMeta,
@@ -332,6 +334,21 @@ class TestCheckOnce:
             else:
                 assert want == "probs rows are not row-stochastic within 1e-5"
             assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(high=st.booleans(), inset=st.sampled_from([0, *range(26, 41)]),
+           big=st.sampled_from([0.0] + [2.0**e for e in range(10, 27)]),
+           m=st.integers(2, 6), n=st.integers(5, 40), c_max=st.integers(1, 8),
+           seed=st.integers(0, 2**16))
+    def test_near_tolerance_outcome_equals_full_average_loop(self, high, inset, big, m, n,
+                                                             c_max, seed):
+        # row sums on the tolerance or 2**-inset inside it, on either side; the
+        # exponents are sampled uniformly so that large entries meet a small inset
+        shift = 2.0**-inset if inset else 0.0
+        total = HIGHEST_SUM - shift if high else LOWEST_SUM + shift
+        repo = row_sum_repo(total, seed, big, m, n)
+        got = outcome(lambda: caruana_select(0, range(m + 1), c_max, repo).trajectory)
+        assert got == outcome(lambda: full_average_select(0, range(m + 1), c_max, repo))
 
 
 class TestEnsemblePredict:

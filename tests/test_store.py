@@ -165,6 +165,15 @@ class TestOpen:
         with pytest.raises(StoreError, match="blob shorter than index extent"):
             open_repo(tmp_path / "r")
 
+    def test_blob_longer_than_index_extent(self, tmp_path, handmade_repo):
+        write_repo(handmade_repo, tmp_path / "r")
+        blob = tmp_path / "r" / "preds.blob"
+        size = blob.stat().st_size
+        blob.write_bytes(blob.read_bytes() + bytes(1000))
+        with pytest.raises(StoreError, match=f"blob longer than index extent: need {size} "
+                                             f"bytes, preds.blob has {size + 1000}"):
+            open_repo(tmp_path / "r")
+
     def test_bad_magic(self, tmp_path, handmade_repo):
         write_repo(handmade_repo, tmp_path / "r")
         blob = tmp_path / "r" / "preds.blob"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -74,6 +75,36 @@ class TestGeneratorSpec:
     def test_round_trip_through_dict(self):
         spec = small_spec()
         assert GeneratorSpec.from_dict(spec.to_dict()) == spec
+        assert GeneratorSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 1.5), ("seed", True), ("seed", "1"), ("n_datasets", 2.0), ("folds", True),
+        ("bag_folds", "2"), ("bag_folds", None), ("rows_val", "55"), ("rows_val", [2, 5.0]),
+        ("rows_test", [2, 3, 4]), ("multiclass_classes", [True, 4]),
+        ("problem_mix", {"binary": "x"}), ("problem_mix", {"binary": True}),
+        ("problem_mix", {"binary": float("inf")}), ("problem_mix", [0.5, 0.5])])
+    def test_mistyped_values_rejected_naming_the_field(self, key, value):
+        data = small_spec().to_dict()
+        data[key] = value
+        with pytest.raises(SpecError, match=f"^generator spec: invalid '{key}' value "):
+            GeneratorSpec.from_dict(data)
+
+    @pytest.mark.parametrize("key,value", [
+        ("family", 3), ("count", 2.0), ("count", True), ("count", "2"), ("skill", "0.5"),
+        ("skill", False), ("noise", None), ("noise", float("inf")), ("rho", float("nan"))])
+    def test_mistyped_family_values_rejected_naming_the_field(self, key, value):
+        data = json.loads(json.dumps(small_spec().to_dict()))
+        data["families"][1][key] = value
+        with pytest.raises(SpecError, match=f"^generator spec: family 1: invalid '{key}' value "):
+            GeneratorSpec.from_dict(data)
+
+    def test_integer_weights_and_family_parameters_accepted(self):
+        data = json.loads(json.dumps(small_spec().to_dict()))
+        data["families"][0].update(skill=1, noise=2, rho=0)
+        data["problem_mix"] = {"binary": 1, "regression": 2}
+        spec = GeneratorSpec.from_dict(data)
+        assert (spec.families[0].skill, spec.families[0].noise, spec.families[0].rho) == (1, 2, 0)
+        assert spec.problem_mix == {"binary": 1, "regression": 2}
 
     @pytest.mark.parametrize(
         "overrides",
