@@ -17,6 +17,7 @@ covering different tasks, an unknown name, or an out-of-range value.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -63,6 +64,8 @@ TABLE2_HEADER = ["method", "normalized-error", "rank", "time fit (s)", "time inf
 WINRATE_HEADER = ["method", "winrate", ">", "<", "=", "time fit (s)", "time infer (s)",
                   "loss (rescaled)", "rank"]
 
+DEFAULT_BUDGET_S = 14400.0
+
 AXES = ("configs-per-family", "n-train-datasets", "portfolio-size", "ensemble-members")
 SEEDED_AXES = ("configs-per-family", "n-train-datasets")
 
@@ -72,49 +75,28 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
-    if path is None:
-        out = sys.stdout
-        _dump_csv(out, header, rows)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            _dump_csv(f, header, rows)
+    """Write ``header`` and ``rows`` to the file ``path``, or to stdout when it is None."""
+    # sys.stdout is looked up per call: redirect_stdout and capsys replace it
+    with (open(path, "w", encoding="utf-8", newline="") if path is not None
+          else contextlib.nullcontext(sys.stdout)) as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _dump_csv(stream, header: list[str], rows: list[list[str]]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _csv_ints(text: str) -> list[int]:
-    try:
-        values = [int(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
-    return values
-
-
-def _csv_distinct_ints(text: str) -> list[int]:
-    values = _csv_ints(text)
-    if len(set(values)) < len(values):
-        raise argparse.ArgumentTypeError(f"expected distinct integers, got {text!r}")
-    return values
-
-
-def _csv_strs(text: str) -> list[str]:
-    values = [v for v in text.split(",") if v != ""]
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected at least one id, got {text!r}")
-    return values
-
-
-def _csv_distinct_strs(text: str) -> list[str]:
-    values = _csv_strs(text)
-    if len(set(values)) < len(values):
-        raise argparse.ArgumentTypeError(f"expected distinct ids, got {text!r}")
-    return values
+def _csv_list(convert, kind: str, distinct: bool = True):
+    """Argparse type for a non-empty comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            values = [convert(v) for v in text.split(",") if v != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind}s, got {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one {kind}, got {text!r}")
+        if distinct and len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"expected distinct {kind}s, got {text!r}")
+        return values
+    return parse
 
 
 def _default_fallback(repo: Repository) -> int:
@@ -190,6 +172,8 @@ def cmd_generate(args) -> int:
         print(f"error: spec parse failure at line {e.lineno}, column {e.colno}: {e.msg}",
               file=sys.stderr)
         return 2
+    # write_repo's mkdir, made first so that a bad --out costs no generation
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     repo = generate_repo(spec)
     write_repo(repo, args.out)
     total = sum(os.path.getsize(Path(args.out) / n) for n in STORE_FILES)
@@ -259,9 +243,15 @@ def cmd_simulate(args) -> int:
             rows.extend(_sim_rows(repo, name, results))
         _write_csv(args.methods_out, TASK_CSV_HEADER, rows)
 
-    _dump_csv(sys.stdout, TABLE2_HEADER,
-              _table2_rows([_method_results(name, results) for name, results in methods.items()]))
+    _write_csv(None, TABLE2_HEADER,
+               _table2_rows([_method_results(name, results) for name, results in methods.items()]))
     return 0
+
+
+def _subsample(pool: list, value: int, seed: int, i: int) -> list:
+    """``value`` entries of ``pool`` in pool order, drawn by the stream ``(seed, i, value)``."""
+    take = subsample_rng(seed, a=i, b=value).choice(len(pool), size=value, replace=False)
+    return [pool[k] for k in sorted(take)]
 
 
 def _ablation_candidates(repo: Repository, value: int, seed: int) -> list[int]:
@@ -271,9 +261,7 @@ def _ablation_candidates(repo: Repository, value: int, seed: int) -> list[int]:
         if value > len(members):
             raise ValueError(
                 f"configs-per-family value {value} exceeds family {family!r} size {len(members)}")
-        rng = subsample_rng(seed, a=fi, b=value)
-        take = rng.choice(len(members), size=value, replace=False)
-        chosen.extend(members[i] for i in sorted(take))
+        chosen.extend(_subsample(members, value, seed, fi))
     return sorted(chosen)
 
 
@@ -282,13 +270,8 @@ def _ablation_train_datasets(repo: Repository, value: int, seed: int) -> dict[st
     if value > len(datasets) - 1:
         raise ValueError(
             f"n-train-datasets value {value} exceeds available count {len(datasets) - 1}")
-    out = {}
-    for di, dataset in enumerate(datasets):
-        others = [d for d in datasets if d != dataset]
-        rng = subsample_rng(seed, a=di, b=value)
-        take = rng.choice(len(others), size=value, replace=False)
-        out[dataset] = [others[i] for i in sorted(take)]
-    return out
+    return {dataset: _subsample([d for d in datasets if d != dataset], value, seed, di)
+            for di, dataset in enumerate(datasets)}
 
 
 def cmd_ablate(args) -> int:
@@ -345,7 +328,7 @@ def cmd_ablate(args) -> int:
 
     _write_csv(args.out, ["axis", "value", "seed", "mean_normalized_error",
                           "mean_train_objective"], rows)
-    _dump_csv(sys.stdout, ["axis", "value", "mean", "stderr", "n_seeds"], summary)
+    _write_csv(None, ["axis", "value", "mean", "stderr", "n_seeds"], summary)
     return 0
 
 
@@ -431,17 +414,15 @@ def cmd_report(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, repo: bool = True, out_required: bool = False):
-    if repo:
-        p.add_argument("--repo", required=True, help="repository directory")
+def _add_common(p: argparse.ArgumentParser, out_required: bool = False):
+    p.add_argument("--repo", required=True, help="repository directory")
     p.add_argument("--out", required=out_required, default=None, help="output CSV path")
     p.add_argument("--threads", type=int, default=1,
                    help="ignored: all work runs serially (kept so existing scripts still parse)")
-    p.add_argument("--seed", type=int, default=None, help="seed for optional shuffling")
 
 
-def _add_budget(p: argparse.ArgumentParser, default_budget: float):
-    p.add_argument("--budget-s", type=float, default=default_budget,
+def _add_budget(p: argparse.ArgumentParser):
+    p.add_argument("--budget-s", type=float, default=DEFAULT_BUDGET_S,
                    help="training-time budget in seconds")
     p.add_argument("--n-max", type=int, default=DEFAULT_SIZE, help="max portfolio size")
     p.add_argument("--c-max", type=int, default=DEFAULT_STEPS, help="greedy ensemble steps")
@@ -456,50 +437,61 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Prediction-repository simulation engine",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # allow_abbrev=False on every subcommand: each flag has one spelling, so a
+    # prefix such as --seed can never silently mean --seeds
 
-    p = sub.add_parser("generate", help="generate a synthetic repository from a spec file")
+    p = sub.add_parser("generate", help="generate a synthetic repository from a spec file",
+                       allow_abbrev=False)
     p.add_argument("--spec", required=True, help="generator spec (JSON)")
     p.add_argument("--out", required=True, help="output repository directory")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("validate", help="check repository invariants")
+    p = sub.add_parser("validate", help="check repository invariants", allow_abbrev=False)
     p.add_argument("--repo", required=True)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("ensemble", help="evaluate greedy ensembles over given configs")
+    p = sub.add_parser("ensemble", help="evaluate greedy ensembles over given configs",
+                       allow_abbrev=False)
     _add_common(p)
-    p.add_argument("--datasets", type=_csv_distinct_strs, default=None,
+    p.add_argument("--datasets", type=_csv_list(str, "id"), default=None,
                    help="comma-separated distinct dataset ids (default all)")
-    p.add_argument("--folds", type=_csv_distinct_ints, default=None,
+    p.add_argument("--folds", type=_csv_list(int, "integer"), default=None,
                    help="comma-separated distinct folds (default all)")
-    p.add_argument("--configs", type=_csv_strs, default=None,
+    p.add_argument("--configs", type=_csv_list(str, "id", distinct=False), default=None,
                    help="comma-separated config ids (default all)")
     p.add_argument("--ensemble-size", type=int, default=DEFAULT_STEPS)
     p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("portfolio", help="learn a greedy portfolio from stored losses")
+    p = sub.add_parser("portfolio", help="learn a greedy portfolio from stored losses",
+                       allow_abbrev=False)
     _add_common(p)
     p.add_argument("--n-max", type=int, default=DEFAULT_SIZE)
     p.add_argument("--aggregation", choices=sorted(AGG_FLAGS), default="normalized")
     p.add_argument("--hold-out", default=None, help="dataset to exclude from training tasks")
     p.set_defaults(func=cmd_portfolio)
 
-    p = sub.add_parser("simulate", help="anytime LOO portfolio simulation plus family baselines")
+    p = sub.add_parser("simulate", help="anytime LOO portfolio simulation plus family baselines",
+                       allow_abbrev=False)
     _add_common(p, out_required=True)
-    _add_budget(p, default_budget=14400.0)
+    _add_budget(p)
     p.add_argument("--methods-out", default=None,
                    help="optional CSV with per-task rows for every compared method")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the order in which each family's tuned search tries its "
+                        "configs (default: repository order)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("ablate", help="axis ablations over repeated seeded LOO simulations")
+    p = sub.add_parser("ablate", help="axis ablations over repeated seeded LOO simulations",
+                       allow_abbrev=False)
     _add_common(p, out_required=True)
-    _add_budget(p, default_budget=14400.0)
+    _add_budget(p)
     p.add_argument("--axis", choices=AXES, required=True)
-    p.add_argument("--values", type=_csv_distinct_ints, required=True)
-    p.add_argument("--seeds", type=_csv_distinct_ints, required=True)
+    p.add_argument("--values", type=_csv_list(int, "integer"), required=True)
+    p.add_argument("--seeds", type=_csv_list(int, "integer"), required=True)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("report", help="aggregate per-task result CSVs into comparison tables")
+    p = sub.add_parser("report", help="aggregate per-task result CSVs into comparison tables",
+                       allow_abbrev=False)
     p.add_argument("--results", nargs="+", required=True, help="per-task result CSV files")
     p.add_argument("--out", default=None)
     p.add_argument("--mode", choices=("table2", "winrate"), default="table2")
@@ -514,13 +506,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StoreError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:  # an input path that cannot be read or an output that cannot be written
+    # before ValueError, as a SpecError is one; an OSError is an input path that
+    # cannot be read or an output that cannot be written
+    except (StoreError, SpecError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except KeyError as e:

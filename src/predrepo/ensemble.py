@@ -69,9 +69,6 @@ class EnsembleWeights:
         """Validation loss of the returned (best-prefix) weights."""
         return self.trajectory[self.steps - 1][1]
 
-    def weight(self, config: int) -> float:
-        return self.counts.get(config, 0) / self.steps
-
 
 def caruana_select(task, candidate_configs, c_max: int, repo: Repository) -> EnsembleWeights:
     """Run ``c_max`` greedy selection steps on a task's validation predictions.

@@ -119,7 +119,7 @@ def log_loss(probs, label) -> float:
     if not np.all(np.isfinite(p)):
         raise ValueError("probs contains NaN or infinity")
     sums = p.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-5):
+    if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
         raise ValueError("probs rows are not row-stochastic within 1e-5")
     y = np.asarray(label).reshape(-1)
     if y.size != p.shape[0]:

@@ -103,13 +103,19 @@ def _number(value) -> float:
     return value
 
 
-def _range(value) -> tuple[int, int]:
-    """A ``(lo, hi)`` range: a JSON array, or a tuple, of two integers."""
-    if type(value) not in (list, tuple) or len(value) != 2:
-        raise TypeError
-    if any(type(v) is not int for v in value):
+def _array(value) -> tuple:
+    """A JSON array, or a tuple."""
+    if type(value) not in (list, tuple):
         raise TypeError
     return tuple(value)
+
+
+def _range(value) -> tuple[int, int]:
+    """A ``(lo, hi)`` range: a JSON array, or a tuple, of two integers."""
+    value = _array(value)
+    if len(value) != 2 or any(type(v) is not int for v in value):
+        raise TypeError
+    return value
 
 
 def _mix(value) -> dict:
@@ -121,8 +127,17 @@ def _mix(value) -> dict:
     return dict(value)
 
 
-def _spec_field(entry, key: str, convert, where: str = ""):
-    """``convert(entry[key])``; a bad value is a SpecError naming the field."""
+def _spec_object(value, where: str = "") -> dict:
+    """A JSON object; anything else is a SpecError naming where it was read."""
+    if type(value) is not dict:
+        raise SpecError(f"generator spec:{where} expected a JSON object, got {value!r}")
+    return value
+
+
+def _spec_field(entry: dict, key: str, convert, where: str = ""):
+    """``convert(entry[key])``; a missing or bad value is a SpecError naming the field."""
+    if key not in entry:
+        raise SpecError(f"generator spec:{where} missing field {key!r}")
     value = entry[key]
     try:
         return convert(value)
@@ -200,21 +215,24 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GeneratorSpec":
-        """Read a spec from JSON data; a value of the wrong JSON type is a SpecError.
+        """Read a spec from JSON data; a missing field or a value of the wrong JSON
+        type is a SpecError naming the field (and the family's ordinal).
 
         Integers must be JSON integers (not bools, floats or strings), weights
         and family parameters finite numbers that are not bools, ranges arrays
-        or tuples of two integers, and family names strings.
+        or tuples of two integers, ``families`` an array of objects, and family
+        names strings.
         """
-        try:
-            families = tuple(FamilySpec(*(_spec_field(f, key, convert, f" family {i}:")
-                                          for key, convert in _FAMILY_FIELDS))
-                             for i, f in enumerate(data["families"]))
-            spec = cls(families=families,
-                       **{key: _spec_field(data, key, convert) for key, convert in _SPEC_FIELDS
-                          if key in data or key in _SPEC_REQUIRED})
-        except (KeyError, TypeError) as e:
-            raise SpecError(f"malformed generator spec: {e}") from None
+        data = _spec_object(data)
+        families = []
+        for i, entry in enumerate(_spec_field(data, "families", _array)):
+            where = f" family {i}:"
+            entry = _spec_object(entry, where)
+            families.append(FamilySpec(*(_spec_field(entry, key, convert, where)
+                                         for key, convert in _FAMILY_FIELDS)))
+        spec = cls(families=tuple(families),
+                   **{key: _spec_field(data, key, convert) for key, convert in _SPEC_FIELDS
+                      if key in data or key in _SPEC_REQUIRED})
         spec.validate()
         return spec
 

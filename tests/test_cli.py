@@ -18,6 +18,7 @@ from predrepo import (
     mean_normalized_error,
     open_repo,
     simulate_portfolio,
+    simulate_single_family,
 )
 from predrepo.cli import TASK_CSV_HEADER, main
 from predrepo.simulate import _loo_portfolios, _simulate_loo
@@ -132,6 +133,38 @@ class TestGenerate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out) in err
         assert out.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_bad_out_fails_before_generating(self, tmp_path, capsys, monkeypatch, under_file):
+        # a bad --out used to be found only after the whole repository was generated
+        calls = [0]
+        generate = predrepo.cli.generate_repo
+
+        def counted(spec):
+            calls[0] += 1
+            return generate(spec)
+
+        monkeypatch.setattr(predrepo.cli, "generate_repo", counted)
+        spec_path = write_spec(tmp_path, seed=227)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        out = taken / "repo" if under_file else taken
+        code, stdout, err = run(capsys, "generate", "--spec", str(spec_path), "--out", str(out))
+        assert code == 2
+        assert calls[0] == 0
+        assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert taken.read_text() == "not a directory"
+
+    def test_family_entry_not_an_object_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        data = small_spec().to_dict()
+        data["families"] = ["a"]
+        bad.write_text(json.dumps(data))
+        code, _, err = run(capsys, "generate", "--spec", str(bad),
+                           "--out", str(tmp_path / "repo"))
+        assert code == 2
+        assert err == "error: generator spec: family 0: expected a JSON object, got 'a'\n"
+        assert not (tmp_path / "repo").exists()
 
 
 class TestValidate:
@@ -387,6 +420,27 @@ class TestSimulateCommand:
         assert len(methods) == 2 + 2 * 3  # two portfolio variants + families x modes
         assert len(rows) == len(methods) * 8
 
+    def test_seed_orders_the_tuned_search(self, repo_dir, tmp_path, capsys):
+        from predrepo.cli import _default_fallback, _sim_rows
+
+        all_csv = tmp_path / "all.csv"
+        code, _, _ = run(capsys, "simulate", "--repo", str(repo_dir), "--seed", "5",
+                         "--budget-s", "600", "--n-max", "5", "--c-max", "6",
+                         "--out", str(tmp_path / "sim.csv"), "--methods-out", str(all_csv))
+        assert code == 0
+        _, rows = parse_csv(all_csv.read_text())
+        repo = open_repo(repo_dir)
+        policy = BudgetPolicy(600, _default_fallback(repo), repo)
+
+        def tuned_rows(order_seed):
+            return [row for family in repo.families for row in _sim_rows(
+                repo, f"{family} (tuned)", simulate_single_family(
+                    repo, family, "tuned", policy, 6, order_seed=order_seed))]
+
+        got = [r for r in rows if r[0].endswith(" (tuned)")]
+        assert got == tuned_rows(5)
+        assert got != tuned_rows(None)  # the seed reaches the search
+
 
 class TestAblateCommand:
     def test_row_count_and_train_objective_monotone(self, repo_dir, tmp_path, capsys):
@@ -447,6 +501,36 @@ class TestAblateCommand:
         assert exc.value.code == 2
         assert f"argument {flag}:" in captured.err
         assert captured.out == "" and not out_csv.exists()
+
+
+class TestFlags:
+    def exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["ensemble"], ["portfolio"],
+        ["ablate", "--axis", "portfolio-size", "--values", "1", "--seeds", "0,1"]])
+    def test_seed_only_on_simulate(self, repo_dir, tmp_path, capsys, command):
+        # the other commands used to accept a --seed they never read
+        argv = [command[0], "--repo", str(repo_dir), "--out", str(tmp_path / "x.csv"),
+                *command[1:], "--seed", "0"]
+        self.exits_2(capsys, argv, "unrecognized arguments: --seed 0")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        (["simulate"], "--budget"), (["ablate", "--axis", "portfolio-size", "--values", "1",
+                                      "--seeds", "0"], "--budget"),
+        (["ensemble"], "--ensemble"), (["portfolio"], "--hold")])
+    def test_abbreviated_flag_exits_2(self, repo_dir, tmp_path, capsys, command, flag):
+        argv = [command[0], "--repo", str(repo_dir), "--out", str(tmp_path / "x.csv"),
+                *command[1:], flag, "600"]
+        self.exits_2(capsys, argv, f"unrecognized arguments: {flag} 600")
+        assert not (tmp_path / "x.csv").exists()
 
 
 def count_learned(monkeypatch) -> list[int]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
@@ -96,6 +97,24 @@ class TestGeneratorSpec:
         data = json.loads(json.dumps(small_spec().to_dict()))
         data["families"][1][key] = value
         with pytest.raises(SpecError, match=f"^generator spec: family 1: invalid '{key}' value "):
+            GeneratorSpec.from_dict(data)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.update(families=["a"]), "family 0: expected a JSON object, got 'a'"),
+        (lambda d: d.update(families=3), "invalid 'families' value 3"),
+        (lambda d: d.update(families=[{"family": "x"}]), "family 0: missing field 'count'"),
+        (lambda d: d["families"][1].pop("rho"), "family 1: missing field 'rho'"),
+        (lambda d: d.pop("families"), "missing field 'families'"),
+        (lambda d: d.pop("seed"), "missing field 'seed'")])
+    def test_malformed_families_and_missing_fields_are_named(self, mutate, message):
+        data = json.loads(json.dumps(small_spec().to_dict()))
+        mutate(data)
+        with pytest.raises(SpecError, match=f"^generator spec: {re.escape(message)}$"):
+            GeneratorSpec.from_dict(data)
+
+    @pytest.mark.parametrize("data", [[], 3, "families"])
+    def test_spec_not_an_object_rejected(self, data):
+        with pytest.raises(SpecError, match="^generator spec: expected a JSON object, got "):
             GeneratorSpec.from_dict(data)
 
     def test_integer_weights_and_family_parameters_accepted(self):
