@@ -99,6 +99,23 @@ def _csv_list(convert, kind: str, distinct: bool = True):
     return parse
 
 
+def _int_type(valid, expected: str):
+    """Argparse type for an integer for which ``valid`` holds."""
+    def parse(text: str) -> int:
+        value = int(text)  # a ValueError is reported by argparse or by _csv_list
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return parse
+
+
+# the seed range GeneratorSpec.validate takes: the streams mask a seed to 64 bits,
+# so seeds outside it would silently draw another seed's streams
+SEED = _int_type(lambda v: -(2**63) <= v < 2**64, "a seed in [-(2**63), 2**64)")
+POSITIVE = _int_type(lambda v: v >= 1, "an integer >= 1")
+
+
 def _default_fallback(repo: Repository) -> int:
     """Config whose worst-case fit time is smallest (a fast, safe baseline)."""
     worst = np.asarray(repo.eval_table[:, :, 2]).max(axis=0)
@@ -424,8 +441,8 @@ def _add_common(p: argparse.ArgumentParser, out_required: bool = False):
 def _add_budget(p: argparse.ArgumentParser):
     p.add_argument("--budget-s", type=float, default=DEFAULT_BUDGET_S,
                    help="training-time budget in seconds")
-    p.add_argument("--n-max", type=int, default=DEFAULT_SIZE, help="max portfolio size")
-    p.add_argument("--c-max", type=int, default=DEFAULT_STEPS, help="greedy ensemble steps")
+    p.add_argument("--n-max", type=POSITIVE, default=DEFAULT_SIZE, help="max portfolio size")
+    p.add_argument("--c-max", type=POSITIVE, default=DEFAULT_STEPS, help="greedy ensemble steps")
     p.add_argument("--aggregation", choices=sorted(AGG_FLAGS), default="normalized")
     p.add_argument("--fallback", default=None,
                    help="fallback config id (default: config with smallest worst-case fit time)")
@@ -459,13 +476,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated distinct folds (default all)")
     p.add_argument("--configs", type=_csv_list(str, "id", distinct=False), default=None,
                    help="comma-separated config ids (default all)")
-    p.add_argument("--ensemble-size", type=int, default=DEFAULT_STEPS)
+    p.add_argument("--ensemble-size", type=POSITIVE, default=DEFAULT_STEPS)
     p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("portfolio", help="learn a greedy portfolio from stored losses",
                        allow_abbrev=False)
     _add_common(p)
-    p.add_argument("--n-max", type=int, default=DEFAULT_SIZE)
+    p.add_argument("--n-max", type=POSITIVE, default=DEFAULT_SIZE)
     p.add_argument("--aggregation", choices=sorted(AGG_FLAGS), default="normalized")
     p.add_argument("--hold-out", default=None, help="dataset to exclude from training tasks")
     p.set_defaults(func=cmd_portfolio)
@@ -476,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_budget(p)
     p.add_argument("--methods-out", default=None,
                    help="optional CSV with per-task rows for every compared method")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=SEED, default=None,
                    help="seed of the order in which each family's tuned search tries its "
                         "configs (default: repository order)")
     p.set_defaults(func=cmd_simulate)
@@ -487,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_budget(p)
     p.add_argument("--axis", choices=AXES, required=True)
     p.add_argument("--values", type=_csv_list(int, "integer"), required=True)
-    p.add_argument("--seeds", type=_csv_list(int, "integer"), required=True)
+    p.add_argument("--seeds", type=_csv_list(SEED, "integer"), required=True)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("report", help="aggregate per-task result CSVs into comparison tables",

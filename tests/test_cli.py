@@ -532,6 +532,47 @@ class TestFlags:
         self.exits_2(capsys, argv, f"unrecognized arguments: {flag} 600")
         assert not (tmp_path / "x.csv").exists()
 
+    ABLATE = ["ablate", "--axis", "portfolio-size", "--values", "1", "--seeds", "0"]
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command, flag", [
+        (["portfolio"], "--n-max"), (["simulate"], "--n-max"), (["simulate"], "--c-max"),
+        (ABLATE, "--n-max"), (ABLATE, "--c-max"), (["ensemble"], "--ensemble-size")])
+    def test_size_below_one_exits_2(self, tmp_path, capsys, command, flag, value):
+        # rejected while parsing: the repository is never opened, so it need not exist
+        argv = [command[0], "--repo", str(tmp_path / "missing"), "--out",
+                str(tmp_path / "x.csv"), *command[1:], flag, value]
+        self.exits_2(capsys, argv, f"argument {flag}: expected an integer >= 1, got '{value}'")
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (["simulate"], "--seed", str(2**64)),
+        (["simulate"], "--seed", str(-(2**63) - 1)),
+        (["ablate", "--axis", "configs-per-family", "--values", "2"], "--seeds",
+         f"0,{2**64},{-(2**64)}")])
+    def test_seed_outside_64_bits_exits_2(self, repo_dir, tmp_path, capsys, command, flag,
+                                          value):
+        # the streams mask seeds to 64 bits: 0, 2**64 and -(2**64) used to give three
+        # identical ablation rows and a stderr of 0
+        argv = [command[0], "--repo", str(repo_dir), "--out", str(tmp_path / "x.csv"),
+                *command[1:], flag, value]
+        self.exits_2(capsys, argv, f"argument {flag}: expected a seed in [-(2**63), 2**64)")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_seed_range_ends_accepted(self, repo_dir, tmp_path, capsys):
+        ends = [str(-(2**63)), str(2**64 - 1)]
+        budget = ["--budget-s", "600", "--n-max", "5", "--c-max", "6"]
+        for seed in ends:
+            code, _, _ = run(capsys, "simulate", "--repo", str(repo_dir), "--seed", seed,
+                             *budget, "--out", str(tmp_path / "sim.csv"))
+            assert code == 0
+        out_csv = tmp_path / "abl.csv"
+        # "--seeds=": a list that starts with "-" would otherwise read as a flag
+        code, _, _ = run(capsys, "ablate", "--repo", str(repo_dir), "--axis",
+                         "configs-per-family", "--values", "2", "--seeds=" + ",".join(ends),
+                         *budget, "--out", str(out_csv))
+        assert code == 0
+        assert [row[2] for row in parse_csv(out_csv.read_text())[1]] == ends
+
 
 def count_learned(monkeypatch) -> list[int]:
     """Patch the learner every leave-one-out set goes through; returns a live call count."""

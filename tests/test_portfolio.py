@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predrepo import (
     NORMALIZED_LOSS,
+    ConfigMeta,
     FamilySpec,
+    ProblemType,
     RAW_LOSS,
+    Repository,
+    TaskMeta,
     generate_repo,
     learn_portfolio,
     loo_train_tasks,
@@ -37,6 +43,61 @@ def scalar_portfolio(losses, ordinals, n_max):
         trajectory.append(best_obj)
         remaining.remove(best_col)
     return picked, trajectory
+
+
+def full_scan_portfolio(losses, ordinals, n_max):
+    """The greedy loop that scores every remaining candidate at every step.
+
+    ``losses`` is (tasks, candidates), already normalized where the mode
+    asks for it; returns the picked ordinals and the objective after each
+    pick, with the arithmetic ``learn_portfolio`` must reproduce bit for bit.
+    """
+    by_cand = np.ascontiguousarray(losses.T)
+    n_tasks = losses.shape[0]
+    current = np.full(n_tasks, np.inf)
+    buf = np.empty_like(by_cand)
+    objective = np.empty(len(ordinals))
+    taken = np.zeros(len(ordinals), dtype=bool)
+    picked, trajectory = [], []
+    for _ in range(min(n_max, len(ordinals))):
+        np.minimum(current, by_cand, out=buf)
+        np.add.reduce(buf, axis=1, out=objective)
+        objective /= n_tasks
+        objective[taken] = np.inf
+        col = int(np.argmin(objective))
+        taken[col] = True
+        picked.append(ordinals[col])
+        np.minimum(current, by_cand[col], out=current)
+        trajectory.append(float(objective[col]))
+    return picked, trajectory
+
+
+def loss_table_repo(losses) -> Repository:
+    """Repository whose validation losses are ``losses`` (tasks, configs), stored as given."""
+    n_tasks, n_configs = losses.shape
+    tasks = [TaskMeta(f"d{t // 2}", t % 2, ProblemType.REGRESSION, n_val=1, n_test=1, o=1)
+             for t in range(n_tasks)]
+    configs = [ConfigMeta(f"c{j:02d}", "fam") for j in range(n_configs)]
+    slab = np.zeros((n_configs, 1, 1), dtype=np.float32)
+    evals = np.ones((n_tasks, n_configs, 4))
+    evals[:, :, 0] = losses
+    return Repository.in_memory(tasks, configs, 2, [(np.zeros(1), np.zeros(1))] * n_tasks,
+                                [(slab, slab)] * n_tasks, evals)
+
+
+LOSS_TABLES = ("tie_heavy", "saturating", "continuous", "signed_zero")
+
+
+def draw_loss_table(kind: str, rng, n_tasks: int, n_cands: int):
+    shape = (n_tasks, n_cands)
+    if kind == "tie_heavy":  # a few distinct levels: ties within and across tasks
+        levels = int(rng.integers(1, 4))
+        return rng.integers(0, levels + 1, shape) / levels
+    if kind == "saturating":  # few tasks: the normalized objective soon reaches 0
+        return rng.random((min(n_tasks, 3), n_cands))
+    if kind == "continuous":
+        return rng.random(shape) ** 3 * 10.0
+    return rng.choice(np.array([0.0, -0.0, 0.25]), shape)  # raw losses hold both zeros
 
 
 class TestLearnPortfolio:
@@ -95,6 +156,39 @@ class TestLearnPortfolio:
                                      aggregation, repo)
                 assert (pf.configs, pf.objective_trajectory) == scalar_portfolio(
                     losses, cands, n_max)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(LOSS_TABLES), normalized=st.booleans(),
+           n_tasks=st.integers(1, 12), n_cands=st.integers(1, 40),
+           extra=st.integers(-39, 3), seed=st.integers(0, 2**16))
+    def test_lazy_steps_match_full_scan(self, kind, normalized, n_tasks, n_cands, extra, seed):
+        rng = np.random.default_rng(seed)
+        losses = draw_loss_table(kind, rng, n_tasks, n_cands)
+        aggregation = NORMALIZED_LOSS if normalized and kind != "signed_zero" else RAW_LOSS
+        n_max = max(1, n_cands + extra)  # from 1 to beyond the candidate count
+        repo = loss_table_repo(losses)
+        cands = sorted(rng.choice(n_cands, size=rng.integers(1, n_cands + 1),
+                                  replace=False).tolist())
+        pf = learn_portfolio(repo.tasks, cands, n_max, aggregation, repo)
+        table = losses[:, cands]
+        if aggregation == NORMALIZED_LOSS:
+            table = normalize_losses(table)
+        configs, trajectory = full_scan_portfolio(table, cands, n_max)
+        assert pf.configs == configs
+        assert [x.hex() for x in pf.objective_trajectory] == [x.hex() for x in trajectory]
+
+    @pytest.mark.parametrize("losses", [[[0.0, -0.0, 0.0]], [[-0.0, 0.0, 0.5], [0.0, -0.0, 0.5]],
+                                        [[0.5, -0.0, 0.0], [0.0, 0.5, -0.0]]])
+    def test_saturation_tail_keeps_zero_bits(self, losses):
+        # np.minimum keeps a row's -0.0 against a +0.0 of the running minimum, so
+        # the full scan sums it where the tail repeats the last objective
+        losses = np.array(losses)
+        repo = loss_table_repo(losses)
+        n = losses.shape[1]
+        pf = learn_portfolio(repo.tasks, range(n), n, RAW_LOSS, repo)
+        configs, trajectory = full_scan_portfolio(losses, list(range(n)), n)
+        assert pf.configs == configs
+        assert [x.hex() for x in pf.objective_trajectory] == [x.hex() for x in trajectory]
 
     def test_smaller_portfolio_is_prefix_of_larger(self):
         # ablate learns one set at the largest size and cuts it for the smaller ones
