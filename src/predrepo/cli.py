@@ -38,7 +38,6 @@ from .portfolio import (
     loo_train_tasks,
 )
 from .simulate import (
-    FAMILY_MODES,
     MODE_DEFAULT,
     MODE_TUNED,
     MODE_TUNED_ENSEMBLE,
@@ -46,7 +45,7 @@ from .simulate import (
     SimResult,
     _loo_portfolios,
     _simulate_loo,
-    simulate_single_family,
+    _simulate_methods,
 )
 from .store import STORE_FILES, Repository, StoreError, open_repo, validate_repo, write_repo
 from .synth import GeneratorSpec, SpecError, generate_repo, subsample_rng
@@ -149,13 +148,20 @@ def _method_results(name: str, results: list[SimResult]) -> MethodResults:
 
 
 def _family_method_table(repo: Repository, policy: BudgetPolicy, c_max: int,
-                         order_seed: int | None) -> dict[str, list[SimResult]]:
+                         order_seed: int | None,
+                         portfolios: dict[str, Portfolio] | None = None
+                         ) -> dict[str, list[SimResult]]:
+    """Results by method name: with ``portfolios``, the two portfolio methods
+    first, then every family's three methods."""
     labels = {MODE_DEFAULT: "default", MODE_TUNED: "tuned", MODE_TUNED_ENSEMBLE: "tuned + ensemble"}
+    families, portfolio_ensemble, portfolio = _simulate_methods(repo, policy, c_max, order_seed,
+                                                                portfolios)
     out: dict[str, list[SimResult]] = {}
-    for family in repo.families:
-        for mode in FAMILY_MODES:
-            out[f"{family} ({labels[mode]})"] = simulate_single_family(
-                repo, family, mode, policy, c_max, order_seed=order_seed)
+    if portfolios is not None:
+        out[PORTFOLIO_ENSEMBLE] = portfolio_ensemble
+        out[PORTFOLIO_SINGLE] = portfolio
+    for (family, mode), results in families.items():
+        out[f"{family} ({labels[mode]})"] = results
     return out
 
 
@@ -245,12 +251,10 @@ def cmd_simulate(args) -> int:
     policy = _policy(repo, args)
     agg = AGG_FLAGS[args.aggregation]
 
-    # both portfolio methods run on one learned set; they differ only in c_max
+    # both portfolio methods run on one learned set; Portfolio is the first
+    # step of each task's Portfolio (ensemble) run
     portfolios = _loo_portfolios(repo, args.n_max, agg)
-    methods: dict[str, list[SimResult]] = {}
-    methods[PORTFOLIO_ENSEMBLE], _ = _simulate_loo(repo, policy, portfolios, args.c_max)
-    methods[PORTFOLIO_SINGLE], _ = _simulate_loo(repo, policy, portfolios, 1)
-    methods.update(_family_method_table(repo, policy, args.c_max, args.seed))
+    methods = _family_method_table(repo, policy, args.c_max, args.seed, portfolios)
 
     _write_csv(args.out, TASK_CSV_HEADER, _sim_rows(repo, PORTFOLIO_ENSEMBLE,
                                                     methods[PORTFOLIO_ENSEMBLE]))
@@ -295,8 +299,6 @@ def cmd_ablate(args) -> int:
     repo = open_repo(args.repo)
     policy = _policy(repo, args)
     agg = AGG_FLAGS[args.aggregation]
-    if any(v < 1 for v in args.values):
-        raise ValueError(f"axis values must be positive, got {args.values}")
     if args.axis == "portfolio-size" and max(args.values) > repo.n_configs:
         raise ValueError(
             f"portfolio-size value {max(args.values)} exceeds config count {repo.n_configs}")
@@ -503,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p, out_required=True)
     _add_budget(p)
     p.add_argument("--axis", choices=AXES, required=True)
-    p.add_argument("--values", type=_csv_list(int, "integer"), required=True)
+    p.add_argument("--values", type=_csv_list(POSITIVE, "integer"), required=True)
     p.add_argument("--seeds", type=_csv_list(SEED, "integer"), required=True)
     p.set_defaults(func=cmd_ablate)
 

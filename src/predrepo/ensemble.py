@@ -6,34 +6,55 @@ lowest config ordinal. The full trajectory is recorded for every step; the
 returned weights come from the best prefix, which makes the ensemble's
 validation loss never worse than the best single candidate's.
 
-A task's candidate validation predictions are taken once from its
-validation slab (:meth:`Repository.task_predictions`) as an ``(M, n, o)``
-float64 stack. :meth:`metrics.StackLoss.check` checks that stack once, as
+There is one greedy loop. It runs P candidate pools of one task side by
+side, each pool exactly as a run of that pool alone would, and
+:func:`caruana_select` is its call with one pool. The candidates of all pools
+are taken once from the task's validation slab
+(:meth:`Repository.task_predictions`) as an ``(M, n, o)`` float64 stack of
+their union. :meth:`metrics.StackLoss.check` checks that stack once, as
 :func:`metrics.task_loss` checks each candidate, and returns the ``(M, n)``
-column each metric reads. Each step then scores all M candidates in one
-array operation, :meth:`metrics.StackLoss.score` of ``(running + columns) /
-step``, where ``running`` sums the picked candidates' columns. That is the
-column of the step's full average ``(running + stack) / step``, bit for bit,
-so every score equals a full ``StackLoss`` call on that average. The checks
-of that call hold without running it:
+column each metric reads. The pools' entries, one pool after another,
+gather their columns from it once. Each step then scores every entry of
+every pool in one :meth:`metrics.StackLoss.score` call on ``(running +
+columns) / step``, where ``running`` is the entry's pool's sum of picked
+columns. That is the column of the pool's full average ``(running + stack)
+/ step``, bit for bit, and every score reduces one row of that same
+elementwise expression, so it equals the score of the pool's own run and
+of a full ``StackLoss`` call on its average. The scores go into a ``(P,
+W)`` grid, ``W`` the widest pool, whose slots past a pool's end hold
+``inf``; the first minimum of each grid row is that pool's pick, so the
+lowest ordinal wins ties and an ``inf`` slot never does. Only real entries
+are scored: a pool of 200 next to pools of 20 would otherwise score mostly
+padding. The checks of a full call hold without running it:
 
 - shape: every average has the stack's shape;
 - finite values: a step averages at most ``c_max`` stored float32 values,
   which cannot overflow float64;
-- multiclass row sums: decided once per task. Let ``D`` be the largest
+- multiclass row sums: decided once per pool, from that pool's candidates
+  alone, so each pool decides as its own run does. Let ``D`` be the largest
   distance from one of a candidate row sum. An average of row sums that are
   each within ``D`` of one is itself within ``D`` of one, and the row sums
   of a step's full average differ from that exact average by at most
   ``(c_max + o) * eps * mass``, where ``mass`` is the largest sum of
   absolute values in one candidate row. So when ``D`` is inside
   ``ROW_SUM_TOL`` by twice that bound, and by at least ``SCREEN_MARGIN``, no
-  row of any step can fail and no later step is checked. Otherwise every
-  later step runs the full check on its full average, so a step raises
-  exactly when that check would.
+  row of any step can fail and no later step of the pool is checked.
+  Otherwise the pool keeps the sum of its picked rows, and every later step
+  runs the full check on the full averages of all such pools at once, so a
+  step raises exactly when one of their own checks would.
 
-The scalar ``task_loss`` stays the reference: the tests compare the batched
-picks against it, and the final validation and test losses of an ensemble
-come from it.
+A pooled run therefore raises exactly when some pool's own run raises, with
+a message that some pool's own run gives. The one check of the union fails
+exactly when the check of some pool's candidates fails, and the first of its
+parts to fail (shape, then finite values, then row sums) is the first to
+fail for some pool. A later step raises exactly when the check of some
+checked pool's full average fails, as that pool's own run does at that step.
+
+The validation and test losses of a task's ensembles come from one
+``StackLoss`` call per split on the stack of their float32 predictions,
+whose entries equal ``task_loss`` of each, bit for bit. The scalar
+``task_loss`` stays the reference: the tests compare the batched picks and
+those losses against it.
 """
 
 from __future__ import annotations
@@ -41,6 +62,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -77,39 +99,72 @@ def caruana_select(task, candidate_configs, c_max: int, repo: Repository) -> Ens
     loss (earliest such prefix on ties). Step one therefore always picks the
     best single candidate.
     """
+    return _select_pools(repo, task, [candidate_configs], c_max)[0]
+
+
+def _select_pools(repo: Repository, task, pools, c_max: int) -> list[EnsembleWeights]:
+    """:func:`caruana_select` of each candidate pool of one task, in one greedy loop."""
     if c_max < 1:
         raise ValueError(f"c_max must be >= 1, got {c_max}")
     t = repo.task_index(task)
-    ordinals = repo.config_ordinals(candidate_configs)
+    pools = [repo.config_ordinals(pool) for pool in pools]
     meta = repo.tasks[t]
     loss_of = metrics.StackLoss(meta, repo.labels(t, VAL))
-    stack = repo.task_predictions(t, VAL)[ordinals].astype(np.float64)
+    union = sorted(set().union(*pools))
+    stack = repo.task_predictions(t, VAL)[union].astype(np.float64)
     columns = loss_of.check(stack)  # step one's check: its average (0 + stack) / 1 is the stack
-    picked = None  # running sum of the picked rows, kept only when later steps need the full check
-    if meta.problem is ProblemType.MULTICLASS and c_max > 1:
-        mass = np.abs(stack).sum(axis=2).max()
-        rounding = (c_max + stack.shape[2]) * np.finfo(np.float64).eps * mass
-        if np.abs(stack.sum(axis=2) - 1.0).max() > ROW_SUM_TOL - max(SCREEN_MARGIN, 2.0 * rounding):
-            picked = np.zeros(stack.shape[1:], dtype=np.float64)
+    # the pools' entries, one pool after another, as rows of the stack
+    at = {j: i for i, j in enumerate(union)}
+    rows = np.array([at[j] for pool in pools for j in pool])
+    cols = columns[rows]
+    sizes = [len(pool) for pool in pools]
+    p, width = len(pools), max(sizes)
+    owner = np.repeat(np.arange(p), sizes)
+    firsts = np.array([0, *accumulate(sizes[:-1])])
+    # a (P, W) grid of inf takes each step's scores, for the first minimum of each
+    # pool; its slots past a pool's end stay inf
+    slots = np.arange(len(rows)) + (owner * width - firsts[owner])
+    grid = np.empty(p * width, dtype=np.float64)
 
-    running = np.zeros(columns.shape[1], dtype=np.float64)
-    trajectory: list[tuple[int, float]] = []
-    picks: list[int] = []
+    # each pool's own row-sum decision; picked sums each pool's picked rows, kept
+    # only when later steps check some pool's full averages
+    picked = None
+    if meta.problem is ProblemType.MULTICLASS and c_max > 1:
+        per_row = np.stack([np.abs(stack.sum(axis=2) - 1.0).max(axis=1),
+                            np.abs(stack).sum(axis=2).max(axis=1)])
+        distance, mass = np.maximum.reduceat(per_row[:, rows], firsts, axis=1)
+        rounding = (c_max + stack.shape[2]) * np.finfo(np.float64).eps * mass
+        checked = (distance > ROW_SUM_TOL - np.maximum(SCREEN_MARGIN, 2.0 * rounding))[owner]
+        if checked.any():
+            checked_stack, checked_owner = stack[rows[checked]], owner[checked]
+            picked = np.zeros((p, *stack.shape[1:]), dtype=np.float64)
+
+    running = np.zeros((p, columns.shape[1]), dtype=np.float64)
+    picks = np.empty((c_max, p), dtype=np.int64)  # each step's picked entry per pool
+    losses = np.empty((c_max, p), dtype=np.float64)
     for step in range(1, c_max + 1):
         if picked is not None and step > 1:
-            loss_of.check((picked + stack) / step)
-        scores = loss_of.score((running + columns) / step)
-        k = int(np.argmin(scores))  # first minimum: the lowest ordinal wins ties
-        running += columns[k]
+            loss_of.check((picked.take(checked_owner, axis=0) + checked_stack) / step)
+        scores = loss_of.score((running.take(owner, axis=0) + cols) / step)
+        grid.fill(np.inf)
+        grid[slots] = scores
+        # each pool's first minimum: the lowest ordinal wins ties
+        k = grid.reshape(p, width).argmin(axis=1) + firsts
+        running += cols[k]
         if picked is not None:
-            picked += stack[k]
-        picks.append(ordinals[k])
-        trajectory.append((ordinals[k], float(scores[k])))
+            picked += stack[rows[k]]
+        picks[step - 1] = k
+        losses[step - 1] = scores[k]
 
-    losses = [loss for _, loss in trajectory]
-    best_step = int(np.argmin(losses))  # earliest minimum
-    counts = dict(sorted(Counter(picks[: best_step + 1]).items()))
-    return EnsembleWeights(counts=counts, steps=best_step + 1, trajectory=trajectory)
+    chosen = np.array(union)[rows[picks]]  # (c_max, P) ordinals
+    out = []
+    for steps, pool_picks, pool_losses in zip((losses.argmin(axis=0) + 1).tolist(),
+                                              chosen.T.tolist(), losses.T.tolist()):
+        # argmin gives the earliest best prefix
+        counts = dict(sorted(Counter(pool_picks[:steps]).items()))
+        out.append(EnsembleWeights(counts=counts, steps=steps,
+                                   trajectory=list(zip(pool_picks, pool_losses))))
+    return out
 
 
 def ensemble_predict(weights: EnsembleWeights, task, split, repo: Repository) -> np.ndarray:
@@ -129,13 +184,21 @@ def ensemble_predict(weights: EnsembleWeights, task, split, repo: Repository) ->
     return (reduce(np.add, terms) / weights.steps).astype(np.float32)
 
 
+def _ensemble_losses(repo: Repository, t: int, weights: list[EnsembleWeights]
+                     ) -> tuple[list[float], list[float]]:
+    """Validation and test losses of each ensemble of task ``t``: one StackLoss call per split."""
+    meta = repo.tasks[t]
+    return tuple(
+        metrics.StackLoss(meta, repo.labels(t, split))(
+            np.stack([ensemble_predict(w, t, split, repo) for w in weights])).tolist()
+        for split in (VAL, TEST))
+
+
 def _select_and_score(repo: Repository, t: int, candidates, c_max: int
                       ) -> tuple[EnsembleWeights, float, float]:
     """Greedy weights of task ``t`` and the validation and test losses of that ensemble."""
-    meta = repo.tasks[t]
     w = caruana_select(t, candidates, c_max, repo)
-    val = metrics.task_loss(meta, ensemble_predict(w, t, VAL, repo), repo.labels(t, VAL))
-    test = metrics.task_loss(meta, ensemble_predict(w, t, TEST, repo), repo.labels(t, TEST))
+    [val], [test] = _ensemble_losses(repo, t, [w])
     return w, val, test
 
 

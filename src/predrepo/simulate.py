@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import _select_and_score
+from .ensemble import EnsembleWeights, _ensemble_losses, _select_pools, caruana_select
 from .portfolio import NORMALIZED_LOSS, Portfolio, learn_portfolio, loo_train_tasks
 from .store import Repository
 
@@ -101,16 +101,38 @@ def anytime_filter(portfolio: Portfolio, task, policy: BudgetPolicy,
     return _filter_order(list(portfolio.configs), t, policy, repo)
 
 
-def _ensemble_result(repo: Repository, t: int, candidates: list[int], trained: list[int],
-                     used_fallback: bool, c_max: int) -> SimResult:
-    # candidates feed the greedy selection; trained is what the budget paid for
+@dataclass
+class _Pool:
+    """A task's greedy candidate pool, and what the budget paid to train for it."""
+
+    candidates: list[int]
+    trained: list[int]
+    used_fallback: bool
+
+
+def _ensemble_results(repo: Repository, t: int, pools: list[_Pool],
+                      weights: list[EnsembleWeights]) -> list[SimResult]:
+    """One SimResult per pool and its ensemble weights on task ``t``."""
     meta = repo.tasks[t]
-    w, val, test = _select_and_score(repo, t, candidates, c_max)
-    fit = _sum_in_order(repo.eval_table[t, trained, 2].tolist())
-    members = [j for j, c in w.counts.items() if c > 0]
-    infer = _sum_in_order(repo.eval_table[t, members, 3].tolist())
-    return SimResult(meta.dataset_id, meta.fold, list(trained), used_fallback,
-                     val, test, fit, infer)
+    out = []
+    for pool, w, val, test in zip(pools, weights, *_ensemble_losses(repo, t, weights)):
+        fit = _sum_in_order(repo.eval_table[t, pool.trained, 2].tolist())
+        members = [j for j, c in w.counts.items() if c > 0]
+        infer = _sum_in_order(repo.eval_table[t, members, 3].tolist())
+        out.append(SimResult(meta.dataset_id, meta.fold, list(pool.trained), pool.used_fallback,
+                             val, test, fit, infer))
+    return out
+
+
+def _ensemble_result(repo: Repository, t: int, pool: _Pool, c_max: int) -> SimResult:
+    return _ensemble_results(repo, t, [pool], [caruana_select(t, pool.candidates, c_max, repo)])[0]
+
+
+def _first_step(w: EnsembleWeights) -> EnsembleWeights:
+    """The one-member ensemble of a greedy run's first pick: what a run with
+    ``c_max`` 1 returns."""
+    first = w.trajectory[0]
+    return EnsembleWeights(counts={first[0]: 1}, steps=1, trajectory=[first])
 
 
 def _loo_portfolios(repo: Repository, n_max: int, aggregation: str,
@@ -137,6 +159,12 @@ def _loo_portfolios(repo: Repository, n_max: int, aggregation: str,
     return portfolios
 
 
+def _loo_pool(repo: Repository, t: int, portfolios: dict[str, Portfolio],
+              policy: BudgetPolicy) -> _Pool:
+    included, fb = anytime_filter(portfolios[repo.tasks[t].dataset_id], t, policy, repo)
+    return _Pool(included, included, fb)
+
+
 def _simulate_loo(repo: Repository, policy: BudgetPolicy, portfolios: dict[str, Portfolio],
                   c_max: int) -> tuple[list[SimResult], dict[str, Portfolio]]:
     """Each task run on its held-out dataset's portfolio from ``_loo_portfolios``.
@@ -144,12 +172,8 @@ def _simulate_loo(repo: Repository, policy: BudgetPolicy, portfolios: dict[str, 
     Returns ``(results, portfolios)``; the benchmark's tracer counts the
     results as the first item of that pair.
     """
-    def run(t: int) -> SimResult:
-        meta = repo.tasks[t]
-        included, fb = anytime_filter(portfolios[meta.dataset_id], t, policy, repo)
-        return _ensemble_result(repo, t, included, included, fb, c_max)
-
-    return [run(t) for t in range(repo.n_tasks)], portfolios
+    return [_ensemble_result(repo, t, _loo_pool(repo, t, portfolios, policy), c_max)
+            for t in range(repo.n_tasks)], portfolios
 
 
 def simulate_portfolio(repo: Repository, policy: BudgetPolicy, n_max: int,
@@ -170,6 +194,33 @@ def _family_order(repo: Repository, family: str, order_seed: int | None) -> list
     return order
 
 
+def _family_plan(repo: Repository, family: str, order_seed: int | None) -> tuple[int, list[int]]:
+    """A family's default config and the order in which its tuned search tries its configs."""
+    defaults = [j for j in repo.family_configs(family) if repo.configs[j].is_default]
+    if not defaults:
+        raise ValueError(f"family {family!r} has no default config")
+    return defaults[0], _family_order(repo, family, order_seed)
+
+
+def _family_task(repo: Repository, t: int, default: int, order: list[int],
+                 policy: BudgetPolicy) -> tuple[SimResult, SimResult, _Pool]:
+    """A family's ``default`` and ``tuned`` results on task ``t``, and its
+    ``tuned+ensemble`` pool."""
+    meta = repo.tasks[t]
+    rec = repo.eval_table[t, default]
+    plain = SimResult(meta.dataset_id, meta.fold, [default], False,
+                      float(rec[0]), float(rec[1]), float(rec[2]), float(rec[3]))
+    included, fb = _filter_order(order, t, policy, repo)
+    # (validation loss, ordinal) pairs: the lowest loss first, the lowest ordinal on ties
+    ranked = sorted(zip(repo.eval_table[t, included, 0].tolist(), included))
+    rec = repo.eval_table[t, ranked[0][1]]
+    fit = _sum_in_order(repo.eval_table[t, included, 2].tolist())
+    tuned = SimResult(meta.dataset_id, meta.fold, list(included), fb,
+                      float(rec[0]), float(rec[1]), fit, float(rec[3]))
+    pool = _Pool([j for _, j in ranked[:TUNED_ENSEMBLE_POOL]], included, fb)
+    return plain, tuned, pool
+
+
 def simulate_single_family(repo: Repository, family: str, mode: str,
                            policy: BudgetPolicy, c_max: int,
                            order_seed: int | None = None) -> list[SimResult]:
@@ -182,29 +233,54 @@ def simulate_single_family(repo: Repository, family: str, mode: str,
     """
     if mode not in FAMILY_MODES:
         raise ValueError(f"mode must be one of {FAMILY_MODES}, got {mode!r}")
-    members = repo.family_configs(family)
-    defaults = [j for j in members if repo.configs[j].is_default]
-    if not defaults:
-        raise ValueError(f"family {family!r} has no default config")
-    default = defaults[0]
-    order = _family_order(repo, family, order_seed)
+    default, order = _family_plan(repo, family, order_seed)
 
     def run(t: int) -> SimResult:
-        meta = repo.tasks[t]
-        if mode == MODE_DEFAULT:
-            rec = repo.eval_table[t, default]
-            return SimResult(meta.dataset_id, meta.fold, [default], False,
-                             float(rec[0]), float(rec[1]), float(rec[2]), float(rec[3]))
-        included, fb = _filter_order(order, t, policy, repo)
-        # (validation loss, ordinal) pairs: the lowest loss first, the lowest ordinal on ties
-        ranked = list(zip(repo.eval_table[t, included, 0].tolist(), included))
-        if mode == MODE_TUNED:
-            best = min(ranked)[1]
-            rec = repo.eval_table[t, best]
-            fit = _sum_in_order(repo.eval_table[t, included, 2].tolist())
-            return SimResult(meta.dataset_id, meta.fold, list(included), fb,
-                             float(rec[0]), float(rec[1]), fit, float(rec[3]))
-        pool = [j for _, j in sorted(ranked)[:TUNED_ENSEMBLE_POOL]]
-        return _ensemble_result(repo, t, pool, included, fb, c_max)
+        plain, tuned, pool = _family_task(repo, t, default, order, policy)
+        if mode == MODE_TUNED_ENSEMBLE:
+            return _ensemble_result(repo, t, pool, c_max)
+        return plain if mode == MODE_DEFAULT else tuned
 
     return [run(t) for t in range(repo.n_tasks)]
+
+
+def _simulate_methods(repo: Repository, policy: BudgetPolicy, c_max: int,
+                      order_seed: int | None = None,
+                      portfolios: dict[str, Portfolio] | None = None
+                      ) -> tuple[dict[tuple[str, str], list[SimResult]], list[SimResult],
+                                 list[SimResult]]:
+    """Every family method and, given leave-one-out ``portfolios``, both
+    portfolio methods, with one greedy run per task for all of its pools.
+
+    Returns ``(families, portfolio_ensemble, portfolio)``. ``families`` maps
+    each ``(family, mode)``, in repository family order and then
+    ``FAMILY_MODES`` order, to what :func:`simulate_single_family` returns.
+    ``portfolio_ensemble`` is what :func:`_simulate_loo` returns for
+    ``portfolios``, and ``portfolio`` is what it returns with ``c_max`` 1:
+    the first step of each ``portfolio_ensemble`` run. Both are empty without
+    ``portfolios``.
+    """
+    plans = [_family_plan(repo, family, order_seed) for family in repo.families]
+    families = {(family, mode): [] for family in repo.families for mode in FAMILY_MODES}
+    portfolio_ensemble: list[SimResult] = []
+    portfolio: list[SimResult] = []
+    for t in range(repo.n_tasks):
+        pools = []
+        for family, (default, order) in zip(repo.families, plans):
+            plain, tuned, pool = _family_task(repo, t, default, order, policy)
+            families[family, MODE_DEFAULT].append(plain)
+            families[family, MODE_TUNED].append(tuned)
+            pools.append(pool)
+        if portfolios is not None:
+            pools.append(_loo_pool(repo, t, portfolios, policy))
+        weights = _select_pools(repo, t, [pool.candidates for pool in pools], c_max)
+        if portfolios is not None:
+            pools.append(pools[-1])
+            weights.append(_first_step(weights[-1]))
+        results = _ensemble_results(repo, t, pools, weights)
+        for family, result in zip(repo.families, results):
+            families[family, MODE_TUNED_ENSEMBLE].append(result)
+        if portfolios is not None:
+            portfolio_ensemble.append(results[-2])
+            portfolio.append(results[-1])
+    return families, portfolio_ensemble, portfolio

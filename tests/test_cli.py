@@ -544,6 +544,13 @@ class TestFlags:
                 str(tmp_path / "x.csv"), *command[1:], flag, value]
         self.exits_2(capsys, argv, f"argument {flag}: expected an integer >= 1, got '{value}'")
 
+    def test_ablate_value_below_one_exits_2(self, repo_dir, tmp_path, capsys):
+        # used to open the repository first, then exit 3 naming no flag
+        argv = ["ablate", "--repo", str(repo_dir), "--out", str(tmp_path / "x.csv"),
+                "--axis", "portfolio-size", "--values", "0,2", "--seeds", "0"]
+        self.exits_2(capsys, argv, "argument --values: expected an integer >= 1, got '0'")
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("command, flag, value", [
         (["simulate"], "--seed", str(2**64)),
         (["simulate"], "--seed", str(-(2**63) - 1)),
@@ -633,6 +640,73 @@ class TestLearnedOncePerCommand:
                               "1,2", "0,1,2")
         assert calls[0] == len(open_repo(repo_dir).datasets) * 2 * 3
         assert len(rows) == 6
+
+def count_greedy(monkeypatch) -> list[tuple[int, int, int]]:
+    """Patch the greedy loop at every name a simulation calls it by; returns a live
+    list of (task, number of pools, c_max), one per call."""
+    calls = []
+    select = predrepo.ensemble._select_pools
+
+    def counted(repo, task, pools, c_max):
+        calls.append((repo.task_index(task), len(pools), c_max))
+        return select(repo, task, pools, c_max)
+
+    for module in (predrepo.ensemble, predrepo.simulate):
+        monkeypatch.setattr(module, "_select_pools", counted)
+    return calls
+
+
+class TestOneGreedyRunPerTask:
+    ARGS = ("--budget-s", "5", "--n-max", "5", "--c-max", "6")
+
+    def test_simulate_makes_one_pooled_call_per_task(self, repo_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        calls = count_greedy(monkeypatch)
+        code, _, _ = run(capsys, "simulate", "--repo", str(repo_dir), *self.ARGS,
+                         "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        repo = open_repo(repo_dir)
+        # the Portfolio (ensemble) pool and one tuned+ensemble pool per family; no c_max=1 run
+        assert calls == [(t, 1 + len(repo.families), 6) for t in range(repo.n_tasks)]
+
+    def test_ablate_base_table_makes_one_call_per_task(self, repo_dir, tmp_path, capsys,
+                                                       monkeypatch):
+        calls = count_greedy(monkeypatch)
+        code, _, _ = run(capsys, "ablate", "--repo", str(repo_dir), "--axis", "portfolio-size",
+                         "--values", "1,3", "--seeds", "0", *self.ARGS,
+                         "--out", str(tmp_path / "a.csv"))
+        assert code == 0
+        repo = open_repo(repo_dir)
+        tasks = range(repo.n_tasks)
+        base = [(t, len(repo.families), 6) for t in tasks]
+        assert calls == base + [(t, 1, 6) for t in tasks] * 2  # then one run per value
+
+    @pytest.mark.parametrize("budget", ["5", "1e12"])
+    def test_every_method_equals_its_own_simulation(self, repo_dir, tmp_path, capsys, budget):
+        from predrepo.cli import _default_fallback, _sim_rows
+
+        all_csv = tmp_path / "all.csv"
+        code, _, _ = run(capsys, "simulate", "--repo", str(repo_dir), "--seed", "3",
+                         "--budget-s", budget, "--n-max", "5", "--c-max", "5",
+                         "--out", str(tmp_path / "s.csv"), "--methods-out", str(all_csv))
+        assert code == 0
+        repo = open_repo(repo_dir)
+        policy = BudgetPolicy(float(budget), _default_fallback(repo), repo)
+        portfolios = _loo_portfolios(repo, 5, "normalized_loss")
+        want = _sim_rows(repo, "Portfolio (ensemble)",
+                         _simulate_loo(repo, policy, portfolios, 5)[0])
+        # Portfolio is the first step of each Portfolio (ensemble) run
+        want += _sim_rows(repo, "Portfolio", _simulate_loo(repo, policy, portfolios, 1)[0])
+        labels = {"default": "default", "tuned": "tuned", "tuned+ensemble": "tuned + ensemble"}
+        for family in repo.families:
+            for mode, label in labels.items():
+                want += _sim_rows(repo, f"{family} ({label})", simulate_single_family(
+                    repo, family, mode, policy, 5, order_seed=3))
+        rows = parse_csv(all_csv.read_text())[1]
+        assert rows == want
+        # with a budget of 5 some tasks fall back; without one each portfolio pool has 5 configs
+        assert any(r[7] == "true" for r in rows) == (budget == "5")
+
 
 class TestReportCommand:
     def test_table2_columns_and_sorting(self, repo_dir, tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from predrepo import (
     ConfigMeta,
     EnsembleWeights,
+    FamilySpec,
     ProblemType,
     Repository,
     TaskMeta,
@@ -22,6 +24,7 @@ from predrepo import (
     metrics,
     task_loss,
 )
+from predrepo.ensemble import _ensemble_losses, _select_pools
 from predrepo.store import ROW_SUM_TOL, TEST, VAL
 from predrepo.synth import oracle_greedy_extension
 
@@ -349,6 +352,131 @@ class TestCheckOnce:
         repo = row_sum_repo(total, seed, big, m, n)
         got = outcome(lambda: caruana_select(0, range(m + 1), c_max, repo).trajectory)
         assert got == outcome(lambda: full_average_select(0, range(m + 1), c_max, repo))
+
+
+def weights_bits(w):
+    """Everything a run returns, with each trajectory loss as its float's hex."""
+    return w.counts, w.steps, [(j, loss.hex()) for j, loss in w.trajectory]
+
+
+def pooled_outcome(repo, t, pools, c_max):
+    return outcome(lambda: [weights_bits(w) for w in _select_pools(repo, t, pools, c_max)])
+
+
+def assert_pooled_equals_own_runs(repo, t, pools, c_max):
+    """The pooled run gives each pool its own run's result, bit for bit; it
+    raises when some pool's own run raises, with a message one of them gives."""
+    own = [outcome(lambda: weights_bits(caruana_select(t, pool, c_max, repo))) for pool in pools]
+    got = pooled_outcome(repo, t, pools, c_max)
+    if all(isinstance(o, tuple) for o in own):
+        assert got == own
+    else:
+        assert isinstance(got, str) and got in own
+    return got
+
+
+@lru_cache(maxsize=None)
+def wide_repo():
+    """22 configs over every problem type: room for pools of up to 20."""
+    repo = generate_repo(small_spec(seed=31, families=(
+        FamilySpec("gbm", 12, 0.85, 0.5, 0.3), FamilySpec("mlp", 10, 0.6, 0.8, 0.2))))
+    assert {task.problem for task in repo.tasks} == set(ProblemType)
+    return repo
+
+
+def mixed_row_sum_repo(totals, seed, big=0.0, m=4, n=30):
+    """A multiclass task with row_sum_repo's decoy first, then ``m`` candidates
+    per total in ``totals`` (the labels of the first total's repository)."""
+    parts = [row_sum_repo(total, seed + i, big, m, n) for i, total in enumerate(totals)]
+    slabs = [part.task_predictions(0, VAL) for part in parts]
+    preds = [slabs[0][0]] + [c for slab in slabs for c in slab[1:]]
+    return unchecked_repo(ProblemType.MULTICLASS, parts[0].labels(0, VAL), preds)
+
+
+POOLS = st.lists(st.lists(st.integers(0, 21), min_size=1, max_size=20), min_size=1, max_size=5)
+
+
+class TestPooledRuns:
+    """One greedy loop runs many pools of a task; each pool must get its own run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.integers(0, 7), pools=POOLS, c_max=st.integers(1, 12))
+    def test_every_problem_type_equals_own_runs(self, t, pools, c_max):
+        # uneven sizes from 1 to 20; pools overlap and may repeat a config
+        repo = wide_repo()
+        assert_pooled_equals_own_runs(repo, t, pools, c_max)
+        for pool, w in zip(pools, _select_pools(repo, t, pools, c_max)):
+            assert w.trajectory == full_average_select(t, pool, c_max, repo)
+
+    @settings(max_examples=40, deadline=None)
+    @given(levels=st.sampled_from([2, 3, 6]), n=st.integers(8, 40), seed=st.integers(0, 2**16),
+           pools=st.lists(st.lists(st.integers(0, 19), min_size=1, max_size=20),
+                          min_size=1, max_size=5),
+           c_max=st.integers(1, 12))
+    def test_tie_heavy_binary_equals_own_runs(self, levels, n, seed, pools, c_max):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 2, n)
+        y[:2] = (0, 1)
+        preds = [np.floor(rng.random((n, 1)) * levels) / levels for _ in range(20)]
+        assert_pooled_equals_own_runs(unchecked_repo(ProblemType.BINARY, y, preds), 0,
+                                      pools, c_max)
+
+    @settings(max_examples=80, deadline=None)
+    @given(totals=st.lists(st.sampled_from([
+               1.0, HIGHEST_SUM - 2**-28, LOWEST_SUM + 2**-28,  # outside the margin
+               HIGHEST_SUM - 2**-33, LOWEST_SUM + 2**-33,  # inside the margin
+               HIGHEST_SUM, LOWEST_SUM]), min_size=1, max_size=3),  # on the tolerance
+           big=st.sampled_from([0.0, 2.0**25]), seed=st.integers(0, 2**16),
+           pools=st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=8),
+                          min_size=1, max_size=5),
+           c_max=st.integers(1, 8))
+    def test_multiclass_row_sum_decisions_stay_per_pool(self, totals, big, seed, pools, c_max):
+        repo = mixed_row_sum_repo(totals, seed, big)
+        pools = [[j % repo.n_configs for j in pool] for pool in pools]
+        assert_pooled_equals_own_runs(repo, 0, pools, c_max)
+
+    def test_checked_pools_run_the_full_check_and_clean_ones_do_not(self, check_calls):
+        # configs 1-4 sum to one, configs 5-8 are 1.2e-10 inside the tolerance
+        repo = mixed_row_sum_repo([1.0, HIGHEST_SUM - 2**-33], 0)
+        pools = [[1, 2, 3, 4], [0, 5, 6], [2, 7, 8], [4]]
+        got = assert_pooled_equals_own_runs(repo, 0, pools, 9)
+        assert isinstance(got, list)
+        check_calls[0] = 0
+        _select_pools(repo, 0, pools, 9)
+        assert check_calls[0] == 9  # the candidates once, then each later step once
+        check_calls[0] = 0
+        _select_pools(repo, 0, [pools[0], pools[3]], 9)
+        assert check_calls[0] == 1
+
+    def test_nan_in_one_pool_raises_its_message(self):
+        bad = col(0.3, 0.6, np.nan, 0.7)
+        clean = [col(0.1, 0.9, 0.2, 0.8), col(0.2, 0.7, 0.4, 0.9), col(0.5, 0.1, 0.3, 0.2)]
+        repo = unchecked_repo(ProblemType.REGRESSION, [0.0, 1.0, 0.0, 1.0], clean + [bad])
+        pools = [[0, 1], [1, 2], [2, 3], [0]]
+        got = assert_pooled_equals_own_runs(repo, 0, pools, 3)
+        assert got == "predictions contain NaN or infinity"
+        assert isinstance(pooled_outcome(repo, 0, [pools[0], pools[1], pools[3]], 3), list)
+
+    @pytest.mark.parametrize("c_max", range(1, 6))
+    def test_one_pool_over_the_tolerance_at_step_3(self, c_max):
+        # configs 1-4 sum to one; configs 5-8 pass, but some average of them goes
+        # over the tolerance at step 3 (see test_rows_near_the_tolerance_raise_at_the_same_step)
+        repo = mixed_row_sum_repo([1.0, HIGHEST_SUM], 0)
+        pools = [[1, 2, 3, 4], [0, 5, 6, 7, 8], [2, 4]]
+        own = outcome(lambda: caruana_select(0, pools[1], c_max, repo).trajectory)
+        assert isinstance(own, list) == (c_max < 3)
+        got = assert_pooled_equals_own_runs(repo, 0, pools, c_max)
+        if c_max >= 3:
+            assert got == "probs rows are not row-stochastic within 1e-5"
+
+    def test_final_losses_equal_task_loss(self):
+        repo = wide_repo()
+        for t, meta in enumerate(repo.tasks):
+            weights = _select_pools(repo, t, [range(20), [3, 7], [21, 0, 5, 9]], 10)
+            for split, losses in zip((VAL, TEST), _ensemble_losses(repo, t, weights)):
+                want = [task_loss(meta, ensemble_predict(w, t, split, repo), repo.labels(t, split))
+                        for w in weights]
+                assert [x.hex() for x in losses] == [x.hex() for x in want]
 
 
 class TestEnsemblePredict:
