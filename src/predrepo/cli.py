@@ -44,7 +44,6 @@ from .simulate import (
     BudgetPolicy,
     SimResult,
     _loo_portfolios,
-    _simulate_loo,
     _simulate_methods,
 )
 from .store import STORE_FILES, Repository, StoreError, open_repo, validate_repo, write_repo
@@ -147,22 +146,11 @@ def _method_results(name: str, results: list[SimResult]) -> MethodResults:
     )
 
 
-def _family_method_table(repo: Repository, policy: BudgetPolicy, c_max: int,
-                         order_seed: int | None,
-                         portfolios: dict[str, Portfolio] | None = None
-                         ) -> dict[str, list[SimResult]]:
-    """Results by method name: with ``portfolios``, the two portfolio methods
-    first, then every family's three methods."""
+def _family_methods(by_family: dict[tuple[str, str], list[SimResult]]
+                    ) -> dict[str, list[SimResult]]:
+    """``_simulate_methods``' family results by method name, in the same order."""
     labels = {MODE_DEFAULT: "default", MODE_TUNED: "tuned", MODE_TUNED_ENSEMBLE: "tuned + ensemble"}
-    families, portfolio_ensemble, portfolio = _simulate_methods(repo, policy, c_max, order_seed,
-                                                                portfolios)
-    out: dict[str, list[SimResult]] = {}
-    if portfolios is not None:
-        out[PORTFOLIO_ENSEMBLE] = portfolio_ensemble
-        out[PORTFOLIO_SINGLE] = portfolio
-    for (family, mode), results in families.items():
-        out[f"{family} ({labels[mode]})"] = results
-    return out
+    return {f"{family} ({labels[mode]})": results for (family, mode), results in by_family.items()}
 
 
 def _mean_or_nan(d: dict) -> float:
@@ -254,7 +242,10 @@ def cmd_simulate(args) -> int:
     # both portfolio methods run on one learned set; Portfolio is the first
     # step of each task's Portfolio (ensemble) run
     portfolios = _loo_portfolios(repo, args.n_max, agg)
-    methods = _family_method_table(repo, policy, args.c_max, args.seed, portfolios)
+    by_family, [ensemble], [single] = _simulate_methods(repo, policy, args.c_max, repo.families,
+                                                        [portfolios], args.seed)
+    methods = {PORTFOLIO_ENSEMBLE: ensemble, PORTFOLIO_SINGLE: single,
+               **_family_methods(by_family)}
 
     _write_csv(args.out, TASK_CSV_HEADER, _sim_rows(repo, PORTFOLIO_ENSEMBLE,
                                                     methods[PORTFOLIO_ENSEMBLE]))
@@ -303,41 +294,54 @@ def cmd_ablate(args) -> int:
         raise ValueError(
             f"portfolio-size value {max(args.values)} exceeds config count {repo.n_configs}")
 
-    # fixed single-family table anchors the normalization across all runs
-    base = {name: _method_results(name, results)
-            for name, results in _family_method_table(repo, policy, args.c_max, None).items()}
-
-    # portfolio-size and ensemble-members do not depend on the seed: one set is learned
-    # per command (a size-k portfolio is the first k picks of a larger one)
+    # each run's leave-one-out set and c_max, keyed by (value, seed); portfolio-size
+    # and ensemble-members do not depend on the seed: one set is learned per command
+    # (a size-k portfolio is the first k picks of a larger one), and one run per value
+    seeds = args.seeds if args.axis in SEEDED_AXES else [None]
     if args.axis == "portfolio-size":
         largest = _loo_portfolios(repo, max(args.values), agg)
     elif args.axis == "ensemble-members":
         learned = _loo_portfolios(repo, args.n_max, agg)
+    runs = {}
+    for value in args.values:
+        for seed in seeds:
+            c_max = args.c_max
+            if args.axis == "portfolio-size":
+                portfolios = {d: Portfolio(p.configs[:value], p.objective_trajectory[:value], agg)
+                              for d, p in largest.items()}
+            elif args.axis == "ensemble-members":
+                portfolios, c_max = learned, value
+            elif args.axis == "configs-per-family":
+                candidates = _ablation_candidates(repo, value, seed)
+                portfolios = _loo_portfolios(repo, args.n_max, agg, candidates=candidates)
+            else:
+                train_datasets = _ablation_train_datasets(repo, value, seed)
+                portfolios = _loo_portfolios(repo, args.n_max, agg, train_datasets=train_datasets)
+            runs[value, seed] = portfolios, c_max
 
-    def run(value: int, seed: int | None) -> tuple[float, float]:
-        c_max = args.c_max
-        if args.axis == "portfolio-size":
-            portfolios = {d: Portfolio(p.configs[:value], p.objective_trajectory[:value], agg)
-                          for d, p in largest.items()}
-        elif args.axis == "ensemble-members":
-            portfolios, c_max = learned, value
-        elif args.axis == "configs-per-family":
-            candidates = _ablation_candidates(repo, value, seed)
-            portfolios = _loo_portfolios(repo, args.n_max, agg, candidates=candidates)
-        else:
-            train_datasets = _ablation_train_datasets(repo, value, seed)
-            portfolios = _loo_portfolios(repo, args.n_max, agg, train_datasets=train_datasets)
-        results, _ = _simulate_loo(repo, policy, portfolios, c_max)
-        tables = list(base.values()) + [_method_results(PORTFOLIO_ENSEMBLE, results)]
+    # one simulation per distinct c_max; the fixed single-family table, which anchors
+    # the normalization across all runs, shares the one at --c-max
+    base, results = [], {}
+    for c_max in dict.fromkeys([args.c_max, *(c for _, c in runs.values())]):
+        keys = [key for key, (_, c) in runs.items() if c == c_max]
+        by_family, ensembles, _ = _simulate_methods(
+            repo, policy, c_max, repo.families if c_max == args.c_max else [],
+            [runs[key][0] for key in keys])
+        base += [_method_results(name, res) for name, res in _family_methods(by_family).items()]
+        results.update(zip(keys, ensembles))
+
+    def score(value: int, seed: int | None) -> tuple[float, float]:
+        portfolios, _ = runs[value, seed]
+        tables = base + [_method_results(PORTFOLIO_ENSEMBLE, results[value, seed])]
         err = mean_normalized_error(tables)[PORTFOLIO_ENSEMBLE]
         return err, float(np.mean([p.objective_trajectory[-1] for p in portfolios.values()]))
 
     rows, summary = [], []
     for value in args.values:
         if args.axis in SEEDED_AXES:
-            scores = [run(value, seed) for seed in args.seeds]
+            scores = [score(value, seed) for seed in args.seeds]
         else:
-            scores = [run(value, None)] * len(args.seeds)
+            scores = [score(value, None)] * len(args.seeds)
         for seed, (err, train_obj) in zip(args.seeds, scores):
             rows.append([args.axis, str(value), str(seed), _fmt(err), _fmt(train_obj)])
         errs = np.array([err for err, _ in scores])

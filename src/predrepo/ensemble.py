@@ -175,7 +175,9 @@ def ensemble_predict(weights: EnsembleWeights, task, split, repo: Repository) ->
     """
     t = repo.task_index(task)
     if isinstance(split, str):
-        split = {"val": VAL, "test": TEST}[split]
+        if split not in ("val", "test"):
+            raise ValueError(f"split must be 'val' or 'test', got {split!r}")
+        split = VAL if split == "val" else TEST
     if not weights.counts:
         raise ValueError("ensemble weights are empty")
     slab = repo.task_predictions(t, split)

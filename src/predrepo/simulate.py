@@ -5,6 +5,16 @@ is included iff the cumulative fit time after it still fits the budget, and
 the walk stops at the first exclusion. When nothing fits, a designated cheap
 fallback config stands in. Ensemble selection itself is charged no time; it
 is a lookup-table operation over stored predictions.
+
+One loop simulates, :func:`_simulate_methods`. For each task it builds the
+greedy candidate pool of every method asked for, each family's
+``tuned+ensemble`` pool and the ``Portfolio (ensemble)`` pool of every
+leave-one-out portfolio set, and runs them all in one pooled greedy call at
+one ``c_max``. ``simulate`` asks for every family and one set; ``ablate``
+asks, per ``c_max``, for the sets of all its runs at that ``c_max``.
+:func:`simulate_portfolio` and :func:`simulate_single_family` ask for one set
+or one family; the ``default`` and ``tuned`` family modes need no greedy run
+and skip the loop.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleWeights, _ensemble_losses, _select_pools, caruana_select
+from .ensemble import EnsembleWeights, _ensemble_losses, _select_pools
 from .portfolio import NORMALIZED_LOSS, Portfolio, learn_portfolio, loo_train_tasks
 from .store import Repository
 
@@ -124,10 +134,6 @@ def _ensemble_results(repo: Repository, t: int, pools: list[_Pool],
     return out
 
 
-def _ensemble_result(repo: Repository, t: int, pool: _Pool, c_max: int) -> SimResult:
-    return _ensemble_results(repo, t, [pool], [caruana_select(t, pool.candidates, c_max, repo)])[0]
-
-
 def _first_step(w: EnsembleWeights) -> EnsembleWeights:
     """The one-member ensemble of a greedy run's first pick: what a run with
     ``c_max`` 1 returns."""
@@ -159,27 +165,11 @@ def _loo_portfolios(repo: Repository, n_max: int, aggregation: str,
     return portfolios
 
 
-def _loo_pool(repo: Repository, t: int, portfolios: dict[str, Portfolio],
-              policy: BudgetPolicy) -> _Pool:
-    included, fb = anytime_filter(portfolios[repo.tasks[t].dataset_id], t, policy, repo)
-    return _Pool(included, included, fb)
-
-
-def _simulate_loo(repo: Repository, policy: BudgetPolicy, portfolios: dict[str, Portfolio],
-                  c_max: int) -> tuple[list[SimResult], dict[str, Portfolio]]:
-    """Each task run on its held-out dataset's portfolio from ``_loo_portfolios``.
-
-    Returns ``(results, portfolios)``; the benchmark's tracer counts the
-    results as the first item of that pair.
-    """
-    return [_ensemble_result(repo, t, _loo_pool(repo, t, portfolios, policy), c_max)
-            for t in range(repo.n_tasks)], portfolios
-
-
 def simulate_portfolio(repo: Repository, policy: BudgetPolicy, n_max: int,
                        c_max: int, aggregation: str = NORMALIZED_LOSS) -> list[SimResult]:
     """Anytime LOO simulation: one SimResult per task, in repository task order."""
-    results, _ = _simulate_loo(repo, policy, _loo_portfolios(repo, n_max, aggregation), c_max)
+    _, [results], _ = _simulate_methods(repo, policy, c_max, [],
+                                        [_loo_portfolios(repo, n_max, aggregation)])
     return results
 
 
@@ -233,54 +223,51 @@ def simulate_single_family(repo: Repository, family: str, mode: str,
     """
     if mode not in FAMILY_MODES:
         raise ValueError(f"mode must be one of {FAMILY_MODES}, got {mode!r}")
+    if mode == MODE_TUNED_ENSEMBLE:
+        by_family, _, _ = _simulate_methods(repo, policy, c_max, [family], [], order_seed)
+        return by_family[family, mode]
     default, order = _family_plan(repo, family, order_seed)
-
-    def run(t: int) -> SimResult:
-        plain, tuned, pool = _family_task(repo, t, default, order, policy)
-        if mode == MODE_TUNED_ENSEMBLE:
-            return _ensemble_result(repo, t, pool, c_max)
-        return plain if mode == MODE_DEFAULT else tuned
-
-    return [run(t) for t in range(repo.n_tasks)]
+    tasks = [_family_task(repo, t, default, order, policy) for t in range(repo.n_tasks)]
+    return [plain if mode == MODE_DEFAULT else tuned for plain, tuned, _ in tasks]
 
 
 def _simulate_methods(repo: Repository, policy: BudgetPolicy, c_max: int,
-                      order_seed: int | None = None,
-                      portfolios: dict[str, Portfolio] | None = None
-                      ) -> tuple[dict[tuple[str, str], list[SimResult]], list[SimResult],
-                                 list[SimResult]]:
-    """Every family method and, given leave-one-out ``portfolios``, both
-    portfolio methods, with one greedy run per task for all of its pools.
+                      families: list[str], portfolio_sets: list[dict[str, Portfolio]],
+                      order_seed: int | None = None
+                      ) -> tuple[dict[tuple[str, str], list[SimResult]], list[list[SimResult]],
+                                 list[list[SimResult]]]:
+    """The three methods of each of ``families`` and both portfolio methods
+    of each leave-one-out set in ``portfolio_sets``, with one greedy run per
+    task for all of their pools.
 
-    Returns ``(families, portfolio_ensemble, portfolio)``. ``families`` maps
-    each ``(family, mode)``, in repository family order and then
-    ``FAMILY_MODES`` order, to what :func:`simulate_single_family` returns.
-    ``portfolio_ensemble`` is what :func:`_simulate_loo` returns for
-    ``portfolios``, and ``portfolio`` is what it returns with ``c_max`` 1:
-    the first step of each ``portfolio_ensemble`` run. Both are empty without
-    ``portfolios``.
+    Returns ``(by_family, ensembles, singles)``. ``by_family`` maps each
+    ``(family, mode)``, in ``families`` order and then ``FAMILY_MODES``
+    order, to one SimResult per task. ``ensembles[i]`` is ``Portfolio
+    (ensemble)`` on ``portfolio_sets[i]``: each task runs on its held-out
+    dataset's portfolio, budget-filtered. ``singles[i]`` is ``Portfolio``,
+    the first step of each of those runs, which is what a run with ``c_max``
+    1 gives.
     """
-    plans = [_family_plan(repo, family, order_seed) for family in repo.families]
-    families = {(family, mode): [] for family in repo.families for mode in FAMILY_MODES}
-    portfolio_ensemble: list[SimResult] = []
-    portfolio: list[SimResult] = []
+    plans = [_family_plan(repo, family, order_seed) for family in families]
+    n = len(families)  # the family pools come first in each task's pool list
+    by_family = {(family, mode): [] for family in families for mode in FAMILY_MODES}
+    ensembles: list[list[SimResult]] = [[] for _ in portfolio_sets]
+    singles: list[list[SimResult]] = [[] for _ in portfolio_sets]
     for t in range(repo.n_tasks):
         pools = []
-        for family, (default, order) in zip(repo.families, plans):
+        for family, (default, order) in zip(families, plans):
             plain, tuned, pool = _family_task(repo, t, default, order, policy)
-            families[family, MODE_DEFAULT].append(plain)
-            families[family, MODE_TUNED].append(tuned)
+            by_family[family, MODE_DEFAULT].append(plain)
+            by_family[family, MODE_TUNED].append(tuned)
             pools.append(pool)
-        if portfolios is not None:
-            pools.append(_loo_pool(repo, t, portfolios, policy))
+        for portfolios in portfolio_sets:
+            included, fb = anytime_filter(portfolios[repo.tasks[t].dataset_id], t, policy, repo)
+            pools.append(_Pool(included, included, fb))
         weights = _select_pools(repo, t, [pool.candidates for pool in pools], c_max)
-        if portfolios is not None:
-            pools.append(pools[-1])
-            weights.append(_first_step(weights[-1]))
-        results = _ensemble_results(repo, t, pools, weights)
-        for family, result in zip(repo.families, results):
-            families[family, MODE_TUNED_ENSEMBLE].append(result)
-        if portfolios is not None:
-            portfolio_ensemble.append(results[-2])
-            portfolio.append(results[-1])
-    return families, portfolio_ensemble, portfolio
+        results = _ensemble_results(repo, t, pools + pools[n:],
+                                    weights + [_first_step(w) for w in weights[n:]])
+        for family, result in zip(families, results):
+            by_family[family, MODE_TUNED_ENSEMBLE].append(result)
+        for out, result in zip(ensembles + singles, results[n:]):
+            out.append(result)
+    return by_family, ensembles, singles

@@ -15,13 +15,15 @@ import pytest
 import predrepo
 from predrepo import (
     BudgetPolicy,
+    FamilySpec,
     mean_normalized_error,
     open_repo,
     simulate_portfolio,
     simulate_single_family,
 )
 from predrepo.cli import TASK_CSV_HEADER, main
-from predrepo.simulate import _loo_portfolios, _simulate_loo
+from predrepo.ensemble import _select_and_score
+from predrepo.simulate import SimResult, _loo_portfolios, _sum_in_order, anytime_filter
 
 from conftest import small_spec
 
@@ -60,10 +62,46 @@ def corrupt_evals(repo_path: Path) -> str:
     return f"(task={(task['dataset_id'], task['fold'])}, config={manifest['configs'][2]['config_id']})"
 
 
+def one_pool_runs(repo, policy, portfolios, c_max) -> list[SimResult]:
+    """``Portfolio (ensemble)`` on each task with one greedy run of one pool: the
+    task's budget-filtered held-out portfolio, its ``caruana_select`` weights and
+    the losses of that ensemble. The reference for the pooled simulations."""
+    out = []
+    for t, meta in enumerate(repo.tasks):
+        included, fb = anytime_filter(portfolios[meta.dataset_id], t, policy, repo)
+        w, val, test = _select_and_score(repo, t, included, c_max)
+        members = [j for j, c in w.counts.items() if c > 0]
+        out.append(SimResult(meta.dataset_id, meta.fold, included, fb, val, test,
+                             _sum_in_order(repo.eval_table[t, included, 2].tolist()),
+                             _sum_in_order(repo.eval_table[t, members, 3].tolist())))
+    return out
+
+
+FAMILY_LABELS = {"default": "default", "tuned": "tuned", "tuned+ensemble": "tuned + ensemble"}
+
+
+def family_runs(repo, policy, c_max, order_seed=None) -> dict[str, list[SimResult]]:
+    """Every family method by name, each from its own ``simulate_single_family`` call."""
+    return {f"{family} ({label})": simulate_single_family(repo, family, mode, policy, c_max,
+                                                          order_seed=order_seed)
+            for family in repo.families for mode, label in FAMILY_LABELS.items()}
+
+
 @pytest.fixture(scope="module")
 def repo_dir(tmp_path_factory):
     base = tmp_path_factory.mktemp("cli-repo")
     spec_path = write_spec(base)
+    assert main(["generate", "--spec", str(spec_path), "--out", str(base / "repo")]) == 0
+    return base / "repo"
+
+
+@pytest.fixture(scope="module")
+def wider_repo_dir(tmp_path_factory):
+    """Five datasets and 11 configs: enough that an ablation's normalized errors
+    tell an ensemble from its first pick."""
+    base = tmp_path_factory.mktemp("cli-wider-repo")
+    spec_path = write_spec(base, n_datasets=5, families=(
+        FamilySpec("gbm", 6, 0.85, 0.5, 0.3), FamilySpec("mlp", 5, 0.6, 0.8, 0.2)))
     assert main(["generate", "--spec", str(spec_path), "--out", str(base / "repo")]) == 0
     return base / "repo"
 
@@ -478,11 +516,10 @@ class TestAblateCommand:
         _, rows = parse_csv(out_csv.read_text())
         repo = open_repo(repo_dir)
         policy = BudgetPolicy(1e12, 0, repo)
-        from predrepo.cli import PORTFOLIO_ENSEMBLE, _family_method_table, _method_results
+        from predrepo.cli import PORTFOLIO_ENSEMBLE, _method_results
 
-        base = [_method_results(name, res) for name, res
-                in _family_method_table(repo, policy, 6, None).items()]
-        single, _ = _simulate_loo(repo, policy, _loo_portfolios(repo, 5, "normalized_loss"), 1)
+        base = [_method_results(name, res) for name, res in family_runs(repo, policy, 6).items()]
+        single = one_pool_runs(repo, policy, _loo_portfolios(repo, 5, "normalized_loss"), 1)
         tables = base + [_method_results(PORTFOLIO_ENSEMBLE, single)]
         want = mean_normalized_error(tables)[PORTFOLIO_ENSEMBLE]
         assert float(rows[0][3]) == pytest.approx(want, rel=1e-5)
@@ -677,9 +714,70 @@ class TestOneGreedyRunPerTask:
                          "--out", str(tmp_path / "a.csv"))
         assert code == 0
         repo = open_repo(repo_dir)
+        # every family pool and one Portfolio (ensemble) pool per value
+        assert calls == [(t, len(repo.families) + 2, 6) for t in range(repo.n_tasks)]
+
+    def test_ablate_makes_one_call_per_task_for_each_c_max(self, repo_dir, tmp_path, capsys,
+                                                           monkeypatch):
+        calls = count_greedy(monkeypatch)
+        code, _, _ = run(capsys, "ablate", "--repo", str(repo_dir), "--axis", "ensemble-members",
+                         "--values", "1,6", "--seeds", "0", *self.ARGS,
+                         "--out", str(tmp_path / "a.csv"))
+        assert code == 0
+        repo = open_repo(repo_dir)
         tasks = range(repo.n_tasks)
-        base = [(t, len(repo.families), 6) for t in tasks]
-        assert calls == base + [(t, 1, 6) for t in tasks] * 2  # then one run per value
+        # the family table shares --c-max 6 with value 6; value 1 runs alone
+        assert calls == ([(t, len(repo.families) + 1, 6) for t in tasks]
+                         + [(t, 1, 1) for t in tasks])
+
+    @pytest.mark.parametrize("budget", ["4", "20"])
+    @pytest.mark.parametrize("axis, values", [
+        ("configs-per-family", "1,3"), ("n-train-datasets", "1,3"),
+        ("portfolio-size", "1,4"), ("ensemble-members", "1,6")])
+    def test_ablate_rows_equal_one_pool_runs(self, wider_repo_dir, tmp_path, capsys, axis,
+                                             values, budget):
+        from predrepo.cli import (
+            PORTFOLIO_ENSEMBLE,
+            _ablation_candidates,
+            _ablation_train_datasets,
+            _default_fallback,
+            _fmt,
+            _method_results,
+        )
+
+        out_csv = tmp_path / "a.csv"
+        code, _, _ = run(capsys, "ablate", "--repo", str(wider_repo_dir), "--axis", axis,
+                         "--values", values, "--seeds", "0,1", "--budget-s", budget, "--n-max", "5",
+                         "--c-max", "6", "--out", str(out_csv))
+        assert code == 0
+        repo = open_repo(wider_repo_dir)
+        policy = BudgetPolicy(float(budget), _default_fallback(repo), repo)
+        base = [_method_results(name, res) for name, res in family_runs(repo, policy, 6).items()]
+        want, fell_back, ensembled = [], False, False
+        for value in map(int, values.split(",")):
+            for seed in (0, 1):
+                # each (value, seed) run learned and simulated on its own
+                n_max, c_max, restrict = 5, 6, {}
+                if axis == "configs-per-family":
+                    restrict = {"candidates": _ablation_candidates(repo, value, seed)}
+                elif axis == "n-train-datasets":
+                    restrict = {"train_datasets": _ablation_train_datasets(repo, value, seed)}
+                elif axis == "portfolio-size":
+                    n_max = value
+                else:
+                    c_max = value
+                portfolios = _loo_portfolios(repo, n_max, "normalized_loss", **restrict)
+                results = one_pool_runs(repo, policy, portfolios, c_max)
+                fell_back |= any(r.used_fallback for r in results)
+                firsts = one_pool_runs(repo, policy, portfolios, 1)
+                ensembled |= any(r.test_loss != f.test_loss for r, f in zip(results, firsts))
+                tables = base + [_method_results(PORTFOLIO_ENSEMBLE, results)]
+                err = mean_normalized_error(tables)[PORTFOLIO_ENSEMBLE]
+                train = np.mean([p.objective_trajectory[-1] for p in portfolios.values()])
+                want.append([axis, str(value), str(seed), _fmt(err), _fmt(train)])
+        assert parse_csv(out_csv.read_text())[1] == want
+        # at 4 s some tasks fall back; at 20 s some ensembles outgrow their first pick
+        assert fell_back if budget == "4" else ensembled
 
     @pytest.mark.parametrize("budget", ["5", "1e12"])
     def test_every_method_equals_its_own_simulation(self, repo_dir, tmp_path, capsys, budget):
@@ -693,15 +791,11 @@ class TestOneGreedyRunPerTask:
         repo = open_repo(repo_dir)
         policy = BudgetPolicy(float(budget), _default_fallback(repo), repo)
         portfolios = _loo_portfolios(repo, 5, "normalized_loss")
-        want = _sim_rows(repo, "Portfolio (ensemble)",
-                         _simulate_loo(repo, policy, portfolios, 5)[0])
+        want = _sim_rows(repo, "Portfolio (ensemble)", one_pool_runs(repo, policy, portfolios, 5))
         # Portfolio is the first step of each Portfolio (ensemble) run
-        want += _sim_rows(repo, "Portfolio", _simulate_loo(repo, policy, portfolios, 1)[0])
-        labels = {"default": "default", "tuned": "tuned", "tuned+ensemble": "tuned + ensemble"}
-        for family in repo.families:
-            for mode, label in labels.items():
-                want += _sim_rows(repo, f"{family} ({label})", simulate_single_family(
-                    repo, family, mode, policy, 5, order_seed=3))
+        want += _sim_rows(repo, "Portfolio", one_pool_runs(repo, policy, portfolios, 1))
+        for name, results in family_runs(repo, policy, 5, order_seed=3).items():
+            want += _sim_rows(repo, name, results)
         rows = parse_csv(all_csv.read_text())[1]
         assert rows == want
         # with a budget of 5 some tasks fall back; without one each portfolio pool has 5 configs

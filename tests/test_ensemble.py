@@ -520,6 +520,12 @@ class TestEnsemblePredict:
             assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-5)
             break
 
+    @pytest.mark.parametrize("split", ["train", "VAL"])
+    def test_unknown_split_name_is_a_value_error_naming_it(self, synth_repo, split):
+        w = EnsembleWeights(counts={3: 1}, steps=1, trajectory=[(3, 0.0)])
+        with pytest.raises(ValueError, match=f"split must be 'val' or 'test', got '{split}'"):
+            ensemble_predict(w, 0, split, synth_repo)
+
 
 class TestEvaluateEnsemble:
     def test_best_single_config_matches_stored_losses(self, synth_repo):
