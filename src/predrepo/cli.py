@@ -161,13 +161,9 @@ def _table2_rows(tables: list[MethodResults]) -> list[list[str]]:
     """Table 2 rows (TABLE2_HEADER), sorted by normalized error, then method."""
     errors = mean_normalized_error(tables)
     ranks = average_rank(tables)
-    rows = []
-    for m in tables:
-        rows.append((errors[m.method], m.method,
-                     [m.method, _fmt(errors[m.method]), _fmt(ranks[m.method]),
-                      _fmt(_mean_or_nan(m.time_fit)), _fmt(_mean_or_nan(m.time_infer))]))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return [r[2] for r in rows]
+    return [[m.method, _fmt(errors[m.method]), _fmt(ranks[m.method]),
+             _fmt(_mean_or_nan(m.time_fit)), _fmt(_mean_or_nan(m.time_infer))]
+            for m in sorted(tables, key=lambda m: (errors[m.method], m.method))]
 
 
 # -- subcommands ----------------------------------------------------------
@@ -210,20 +206,15 @@ def cmd_ensemble(args) -> int:
     folds = args.folds if args.folds is not None else list(range(repo.folds_per_dataset))
     configs = args.configs if args.configs is not None else list(range(repo.n_configs))
     tensor = evaluate_ensemble(datasets, folds, configs, args.ensemble_size, repo)
-    rows = []
-    for i, d in enumerate(datasets):
-        for k, f in enumerate(folds):
-            rows.append([d, str(f), _fmt(tensor[i, k, 0]), _fmt(tensor[i, k, 1])])
+    rows = [[d, str(f), _fmt(tensor[i, k, 0]), _fmt(tensor[i, k, 1])]
+            for i, d in enumerate(datasets) for k, f in enumerate(folds)]
     _write_csv(args.out, ["dataset", "fold", "val_loss", "test_loss"], rows)
     return 0
 
 
 def cmd_portfolio(args) -> int:
     repo = open_repo(args.repo)
-    if args.hold_out is not None:
-        train = loo_train_tasks(repo, args.hold_out)
-    else:
-        train = repo.tasks
+    train = repo.tasks if args.hold_out is None else loo_train_tasks(repo, args.hold_out)
     pf = learn_portfolio(train, list(range(repo.n_configs)), args.n_max,
                          AGG_FLAGS[args.aggregation], repo)
     rows = [
@@ -239,11 +230,12 @@ def cmd_simulate(args) -> int:
     policy = _policy(repo, args)
     agg = AGG_FLAGS[args.aggregation]
 
-    # both portfolio methods run on one learned set; Portfolio is the first
-    # step of each task's Portfolio (ensemble) run
+    # both portfolio methods run on one learned set; Portfolio is its run of
+    # one step, the first step of the same greedy run
     portfolios = _loo_portfolios(repo, args.n_max, agg)
-    by_family, [ensemble], [single] = _simulate_methods(repo, policy, args.c_max, repo.families,
-                                                        [portfolios], args.seed)
+    by_family, [ensemble, single] = _simulate_methods(
+        repo, policy, args.c_max, repo.families, [(portfolios, args.c_max), (portfolios, 1)],
+        args.seed)
     methods = {PORTFOLIO_ENSEMBLE: ensemble, PORTFOLIO_SINGLE: single,
                **_family_methods(by_family)}
 
@@ -296,55 +288,47 @@ def cmd_ablate(args) -> int:
 
     # each run's leave-one-out set and c_max, keyed by (value, seed); portfolio-size
     # and ensemble-members do not depend on the seed: one set is learned per command
-    # (a size-k portfolio is the first k picks of a larger one), and one run per value
+    # (a size-k portfolio is the first k picks of a larger one), and each value is
+    # one run on it
     seeds = args.seeds if args.axis in SEEDED_AXES else [None]
-    if args.axis == "portfolio-size":
-        largest = _loo_portfolios(repo, max(args.values), agg)
-    elif args.axis == "ensemble-members":
-        learned = _loo_portfolios(repo, args.n_max, agg)
+    if args.axis in ("portfolio-size", "ensemble-members"):
+        n_max = max(args.values) if args.axis == "portfolio-size" else args.n_max
+        learned = _loo_portfolios(repo, n_max, agg)
     runs = {}
     for value in args.values:
         for seed in seeds:
-            c_max = args.c_max
             if args.axis == "portfolio-size":
                 portfolios = {d: Portfolio(p.configs[:value], p.objective_trajectory[:value], agg)
-                              for d, p in largest.items()}
+                              for d, p in learned.items()}
             elif args.axis == "ensemble-members":
-                portfolios, c_max = learned, value
+                portfolios = learned
             elif args.axis == "configs-per-family":
                 candidates = _ablation_candidates(repo, value, seed)
                 portfolios = _loo_portfolios(repo, args.n_max, agg, candidates=candidates)
             else:
                 train_datasets = _ablation_train_datasets(repo, value, seed)
                 portfolios = _loo_portfolios(repo, args.n_max, agg, train_datasets=train_datasets)
+            c_max = value if args.axis == "ensemble-members" else args.c_max
             runs[value, seed] = portfolios, c_max
 
-    # one simulation per distinct c_max; the fixed single-family table, which anchors
-    # the normalization across all runs, shares the one at --c-max
-    base, results = [], {}
-    for c_max in dict.fromkeys([args.c_max, *(c for _, c in runs.values())]):
-        keys = [key for key, (_, c) in runs.items() if c == c_max]
-        by_family, ensembles, _ = _simulate_methods(
-            repo, policy, c_max, repo.families if c_max == args.c_max else [],
-            [runs[key][0] for key in keys])
-        base += [_method_results(name, res) for name, res in _family_methods(by_family).items()]
-        results.update(zip(keys, ensembles))
-
-    def score(value: int, seed: int | None) -> tuple[float, float]:
-        portfolios, _ = runs[value, seed]
-        tables = base + [_method_results(PORTFOLIO_ENSEMBLE, results[value, seed])]
-        err = mean_normalized_error(tables)[PORTFOLIO_ENSEMBLE]
-        return err, float(np.mean([p.objective_trajectory[-1] for p in portfolios.values()]))
+    # one simulation: the fixed single-family table at --c-max, which anchors the
+    # normalization across all runs, and every run at its own c_max
+    by_family, ensembles = _simulate_methods(repo, policy, args.c_max, repo.families,
+                                             list(runs.values()))
+    base = [_method_results(name, res) for name, res in _family_methods(by_family).items()]
+    scores = {}
+    for (key, (portfolios, _)), results in zip(runs.items(), ensembles):
+        tables = base + [_method_results(PORTFOLIO_ENSEMBLE, results)]
+        scores[key] = (mean_normalized_error(tables)[PORTFOLIO_ENSEMBLE],
+                       float(np.mean([p.objective_trajectory[-1] for p in portfolios.values()])))
 
     rows, summary = [], []
     for value in args.values:
-        if args.axis in SEEDED_AXES:
-            scores = [score(value, seed) for seed in args.seeds]
-        else:
-            scores = [score(value, None)] * len(args.seeds)
-        for seed, (err, train_obj) in zip(args.seeds, scores):
+        per_seed = [scores[value, seed if args.axis in SEEDED_AXES else None]
+                    for seed in args.seeds]
+        for seed, (err, train_obj) in zip(args.seeds, per_seed):
             rows.append([args.axis, str(value), str(seed), _fmt(err), _fmt(train_obj)])
-        errs = np.array([err for err, _ in scores])
+        errs = np.array([err for err, _ in per_seed])
         se = float(errs.std(ddof=1) / np.sqrt(errs.size)) if errs.size > 1 else 0.0
         summary.append([args.axis, str(value), _fmt(float(errs.mean())), _fmt(se),
                         str(errs.size)])
@@ -422,15 +406,13 @@ def cmd_report(args) -> int:
         rescaled = {tables[0].method: 0.0}
         ranks = {tables[0].method: 1.0}
     rows = []
-    for m in tables:
+    for m in sorted(tables, key=lambda m: (rescaled[m.method], m.method)):
         wr = winrate(m, by_name[reference], fold_count=None)
-        rows.append((rescaled[m.method], m.method,
-                     [m.method, f"{wr.winrate:.3f}", str(wr.n_better), str(wr.n_worse),
-                      str(wr.n_equal), _fmt(_mean_or_nan(m.time_fit)),
-                      _fmt(_mean_or_nan(m.time_infer)), _fmt(rescaled[m.method]),
-                      _fmt(ranks[m.method])]))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    _write_csv(args.out, WINRATE_HEADER, [r[2] for r in rows])
+        rows.append([m.method, f"{wr.winrate:.3f}", str(wr.n_better), str(wr.n_worse),
+                     str(wr.n_equal), _fmt(_mean_or_nan(m.time_fit)),
+                     _fmt(_mean_or_nan(m.time_infer)), _fmt(rescaled[m.method]),
+                     _fmt(ranks[m.method])])
+    _write_csv(args.out, WINRATE_HEADER, rows)
     return 0
 
 

@@ -8,13 +8,16 @@ is a lookup-table operation over stored predictions.
 
 One loop simulates, :func:`_simulate_methods`. For each task it builds the
 greedy candidate pool of every method asked for, each family's
-``tuned+ensemble`` pool and the ``Portfolio (ensemble)`` pool of every
-leave-one-out portfolio set, and runs them all in one pooled greedy call at
-one ``c_max``. ``simulate`` asks for every family and one set; ``ablate``
-asks, per ``c_max``, for the sets of all its runs at that ``c_max``.
-:func:`simulate_portfolio` and :func:`simulate_single_family` ask for one set
-or one family; the ``default`` and ``tuned`` family modes need no greedy run
-and skip the loop.
+``tuned+ensemble`` pool and one pool per run of a leave-one-out portfolio
+set, and makes one pooled greedy call for them all, each pool with its own
+step count. A run's result is the best prefix of its own count of the one
+greedy run on its pool, so runs on the same pool share that run.
+``simulate`` asks for every family at ``c_max`` and two runs on one set:
+``Portfolio (ensemble)`` at ``c_max`` and ``Portfolio`` at one step.
+``ablate`` asks for every family at ``--c-max`` and every (value, seed) run
+at its own ``c_max``. :func:`simulate_portfolio` and
+:func:`simulate_single_family` ask for one run or one family; the
+``default`` and ``tuned`` family modes need no greedy run and skip the loop.
 """
 
 from __future__ import annotations
@@ -127,18 +130,10 @@ def _ensemble_results(repo: Repository, t: int, pools: list[_Pool],
     out = []
     for pool, w, val, test in zip(pools, weights, *_ensemble_losses(repo, t, weights)):
         fit = _sum_in_order(repo.eval_table[t, pool.trained, 2].tolist())
-        members = [j for j, c in w.counts.items() if c > 0]
-        infer = _sum_in_order(repo.eval_table[t, members, 3].tolist())
+        infer = _sum_in_order(repo.eval_table[t, list(w.counts), 3].tolist())
         out.append(SimResult(meta.dataset_id, meta.fold, list(pool.trained), pool.used_fallback,
                              val, test, fit, infer))
     return out
-
-
-def _first_step(w: EnsembleWeights) -> EnsembleWeights:
-    """The one-member ensemble of a greedy run's first pick: what a run with
-    ``c_max`` 1 returns."""
-    first = w.trajectory[0]
-    return EnsembleWeights(counts={first[0]: 1}, steps=1, trajectory=[first])
 
 
 def _loo_portfolios(repo: Repository, n_max: int, aggregation: str,
@@ -168,8 +163,8 @@ def _loo_portfolios(repo: Repository, n_max: int, aggregation: str,
 def simulate_portfolio(repo: Repository, policy: BudgetPolicy, n_max: int,
                        c_max: int, aggregation: str = NORMALIZED_LOSS) -> list[SimResult]:
     """Anytime LOO simulation: one SimResult per task, in repository task order."""
-    _, [results], _ = _simulate_methods(repo, policy, c_max, [],
-                                        [_loo_portfolios(repo, n_max, aggregation)])
+    _, [results] = _simulate_methods(repo, policy, c_max, [],
+                                     [(_loo_portfolios(repo, n_max, aggregation), c_max)])
     return results
 
 
@@ -224,7 +219,7 @@ def simulate_single_family(repo: Repository, family: str, mode: str,
     if mode not in FAMILY_MODES:
         raise ValueError(f"mode must be one of {FAMILY_MODES}, got {mode!r}")
     if mode == MODE_TUNED_ENSEMBLE:
-        by_family, _, _ = _simulate_methods(repo, policy, c_max, [family], [], order_seed)
+        by_family, _ = _simulate_methods(repo, policy, c_max, [family], [], order_seed)
         return by_family[family, mode]
     default, order = _family_plan(repo, family, order_seed)
     tasks = [_family_task(repo, t, default, order, policy) for t in range(repo.n_tasks)]
@@ -232,27 +227,30 @@ def simulate_single_family(repo: Repository, family: str, mode: str,
 
 
 def _simulate_methods(repo: Repository, policy: BudgetPolicy, c_max: int,
-                      families: list[str], portfolio_sets: list[dict[str, Portfolio]],
+                      families: list[str], runs: list[tuple[dict[str, Portfolio], int]],
                       order_seed: int | None = None
-                      ) -> tuple[dict[tuple[str, str], list[SimResult]], list[list[SimResult]],
-                                 list[list[SimResult]]]:
-    """The three methods of each of ``families`` and both portfolio methods
-    of each leave-one-out set in ``portfolio_sets``, with one greedy run per
+                      ) -> tuple[dict[tuple[str, str], list[SimResult]], list[list[SimResult]]]:
+    """The three methods of each of ``families``, with ``c_max`` greedy steps,
+    and the portfolio method of each run in ``runs``, with one greedy call per
     task for all of their pools.
 
-    Returns ``(by_family, ensembles, singles)``. ``by_family`` maps each
-    ``(family, mode)``, in ``families`` order and then ``FAMILY_MODES``
-    order, to one SimResult per task. ``ensembles[i]`` is ``Portfolio
-    (ensemble)`` on ``portfolio_sets[i]``: each task runs on its held-out
-    dataset's portfolio, budget-filtered. ``singles[i]`` is ``Portfolio``,
-    the first step of each of those runs, which is what a run with ``c_max``
-    1 gives.
+    Each run is a (leave-one-out portfolio set, step count) pair: on each
+    task it runs greedy selection with that many steps over its held-out
+    dataset's portfolio of the set, budget-filtered. That is ``Portfolio
+    (ensemble)``, or ``Portfolio`` when the count is one. Runs whose pools
+    are equal on a task share one greedy run there, and each takes the best
+    prefix of its own count, as a run of that count alone would return.
+
+    Returns ``(by_family, ensembles)``. ``by_family`` maps each ``(family,
+    mode)``, in ``families`` order and then ``FAMILY_MODES`` order, to one
+    SimResult per task. ``ensembles[i]`` holds one SimResult per task for
+    ``runs[i]``.
     """
     plans = [_family_plan(repo, family, order_seed) for family in families]
-    n = len(families)  # the family pools come first in each task's pool list
     by_family = {(family, mode): [] for family in families for mode in FAMILY_MODES}
-    ensembles: list[list[SimResult]] = [[] for _ in portfolio_sets]
-    singles: list[list[SimResult]] = [[] for _ in portfolio_sets]
+    # the results of each pool in a task's pool list: the family pools, then the runs' pools
+    outs = [by_family[family, MODE_TUNED_ENSEMBLE] for family in families] + [[] for _ in runs]
+    counts = [c_max] * len(families) + [steps for _, steps in runs]
     for t in range(repo.n_tasks):
         pools = []
         for family, (default, order) in zip(families, plans):
@@ -260,14 +258,10 @@ def _simulate_methods(repo: Repository, policy: BudgetPolicy, c_max: int,
             by_family[family, MODE_DEFAULT].append(plain)
             by_family[family, MODE_TUNED].append(tuned)
             pools.append(pool)
-        for portfolios in portfolio_sets:
+        for portfolios, _ in runs:
             included, fb = anytime_filter(portfolios[repo.tasks[t].dataset_id], t, policy, repo)
             pools.append(_Pool(included, included, fb))
-        weights = _select_pools(repo, t, [pool.candidates for pool in pools], c_max)
-        results = _ensemble_results(repo, t, pools + pools[n:],
-                                    weights + [_first_step(w) for w in weights[n:]])
-        for family, result in zip(families, results):
-            by_family[family, MODE_TUNED_ENSEMBLE].append(result)
-        for out, result in zip(ensembles + singles, results[n:]):
+        weights = _select_pools(repo, t, [pool.candidates for pool in pools], counts)
+        for out, result in zip(outs, _ensemble_results(repo, t, pools, weights)):
             out.append(result)
-    return by_family, ensembles, singles
+    return by_family, outs[len(families):]

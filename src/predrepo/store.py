@@ -11,7 +11,8 @@ repository packs its cells into such a buffer; an opened one memory-maps
 preds.blob past its header. The labels sit likewise in one float64 buffer in
 labels.bin order. Reads return read-only views into these buffers and copy
 nothing, except that classification labels are converted to int64 class
-indices (exact for any realistic class count). :meth:`Repository.task_predictions`
+indices; :func:`write_repo` and :func:`open_repo` admit only labels that are
+class indices, so the conversion is exact. :meth:`Repository.task_predictions`
 views a task split's adjacent cells as one (configs, rows, o) slab, and
 :func:`write_repo` and :func:`validate_repo` check each task split as one slab.
 
@@ -210,8 +211,10 @@ class Repository:
             if t.fold >= self.folds_per_dataset:
                 raise StoreError(f"task {t.key} has fold >= folds_per_dataset ({self.folds_per_dataset})")
         ids = [c.config_id for c in self.configs]
-        if len(set(ids)) != len(ids):
-            raise StoreError("duplicate config_id in config list")
+        self._config_index = {c: i for i, c in enumerate(ids)}  # the last ordinal of an id
+        if len(self._config_index) != len(ids):
+            repeated = next(c for i, c in enumerate(ids) if self._config_index[c] != i)
+            raise StoreError(f"duplicate config_id {repeated!r} in config list")
         if evals.shape != (len(self.tasks), len(self.configs), _EVAL_FIELDS):
             raise StoreError(f"evals table has shape {evals.shape}, expected "
                              f"{(len(self.tasks), len(self.configs), _EVAL_FIELDS)}")
@@ -227,7 +230,6 @@ class Repository:
             raise StoreError("prediction or label buffer does not match the task shapes")
 
         self._task_index = {k: i for i, k in enumerate(keys)}
-        self._config_index = {c: i for i, c in enumerate(ids)}
         self._datasets = list(dict.fromkeys(t.dataset_id for t in self.tasks))
 
     # -- construction -----------------------------------------------------
@@ -446,6 +448,24 @@ def _cell_violations(repo: Repository, t: int) -> list[tuple[int, int, str]]:
     return sorted(found)
 
 
+def _label_violations(tasks: Sequence[TaskMeta], labels: np.ndarray) -> dict[int, str]:
+    """A message per task, by ordinal, with a non-finite label or, in a
+    classification task, a label that is not a class index: an integer in
+    ``[0, o)``, or 0 or 1 for a binary task. A non-finite label is named first.
+
+    ``labels`` is a buffer in the layout of labels.bin past its header; it is
+    checked in one pass.
+    """
+    sizes = [task.n_val + task.n_test for task in tasks]
+    classes = [max(task.o, 2) if task.problem.is_classification else 0 for task in tasks]
+    owner, bound = np.repeat(np.arange(len(tasks)), sizes), np.repeat(classes, sizes)
+    nonfinite = set(owner[~np.isfinite(labels)].tolist())
+    bad = (bound > 0) & ~((labels >= 0) & (labels < bound) & (np.floor(labels) == labels))
+    return {t: f"non-finite label for task {tasks[t].key}" if t in nonfinite else
+            f"labels of task {tasks[t].key} are not class indices in [0, {classes[t]})"
+            for t in sorted(nonfinite.union(owner[bad].tolist()))}
+
+
 def _invalid_evals(evals: np.ndarray) -> np.ndarray:
     """(tasks, configs) mask of the evaluation records with a negative or non-finite field."""
     return ~np.all(np.isfinite(evals) & (evals >= 0), axis=2)
@@ -497,8 +517,9 @@ def write_repo(repo: Repository, path: str | Path) -> None:
 
     The output is canonical: writing the same repository twice, or writing a
     freshly opened copy, produces byte-identical files. Every cell, evaluation
-    record and label is checked before anything is written; a violation
-    aborts with a diagnostic naming the offending cell. Each file is then
+    record and label is checked before anything is written (labels finite,
+    and class indices for classification tasks); a violation aborts with a
+    diagnostic naming the offending cell or task. Each file is then
     written under a temporary name and renamed into place, manifest.json
     last, so ``path`` may be the directory ``repo`` was opened from.
     """
@@ -511,12 +532,10 @@ def write_repo(repo: Repository, path: str | Path) -> None:
     _check_evals(repo)
     evals = np.ascontiguousarray(repo.eval_table, dtype="<f8")
 
-    checksums = []
-    for t, task in enumerate(tasks):
-        chunk = repo._labels[repo._label_start[t]:repo._label_start[t + 1]]
-        if not np.all(np.isfinite(chunk)):
-            raise StoreError(f"non-finite label for task {task.key}")
-        checksums.append(hashlib.sha256(chunk).hexdigest())
+    if bad_labels := _label_violations(tasks, repo._labels):
+        raise StoreError(next(iter(bad_labels.values())))
+    starts = repo._label_start
+    checksums = [hashlib.sha256(repo._labels[a:b]).hexdigest() for a, b in zip(starts, starts[1:])]
 
     manifest = {
         "format": "prediction-repository",
@@ -595,15 +614,20 @@ _CONFIG_TYPES = (("config_id", str), ("family", str), ("is_default", bool), ("hy
 def _manifest_configs(entries: list) -> list[ConfigMeta]:
     """Parse the manifest's configs; a mistyped value is a StoreError naming ordinal and field."""
     configs = []  # many more than tasks: checked once built, not through _field per value
-    for j, c in enumerate(entries):
-        if type(c) is not dict:
-            raise StoreError(f"manifest.json: config {j} is not a JSON object")
-        config = ConfigMeta(c["config_id"], c["family"], c["is_default"], c.get("hyperparams", ""))
-        for key, kind in _CONFIG_TYPES:
-            if type(getattr(config, key)) is not kind:
-                raise StoreError(f"manifest.json: config {j}: invalid {key!r} value "
-                                 f"{getattr(config, key)!r}")
-        configs.append(config)
+    try:
+        for j, c in enumerate(entries):
+            if type(c) is not dict:
+                raise StoreError(f"manifest.json: config {j} is not a JSON object")
+            config = ConfigMeta(c["config_id"], c["family"], c["is_default"],
+                                c.get("hyperparams", ""))
+            for key, kind in _CONFIG_TYPES:
+                if type(getattr(config, key)) is not kind:
+                    raise StoreError(f"manifest.json: config {j}: invalid {key!r} value "
+                                     f"{getattr(config, key)!r}")
+            configs.append(config)
+    except KeyError as e:
+        raise StoreError(f"manifest.json is missing required field {e.args[0]!r} "
+                         f"in config {j}") from None
     return configs
 
 
@@ -647,9 +671,10 @@ def open_repo(path: str | Path) -> Repository:
 
     Metadata is parsed fully, the index is checked against the records the
     task shapes imply, and each task's labels are checked against their
-    manifest checksum. The prediction blob is memory-mapped and never read in
-    full at open time. The returned handle is immutable and safe for
-    concurrent readers.
+    manifest checksum and checked to be finite and, for classification tasks,
+    class indices, in one pass over all labels. The prediction blob is
+    memory-mapped and never read in full at open time. The returned handle is
+    immutable and safe for concurrent readers.
     """
     path = Path(path)
     manifest_path = path / "manifest.json"
@@ -667,13 +692,10 @@ def open_repo(path: str | Path) -> Repository:
         raise StoreError(f"unsupported version {manifest.get('version')} in manifest.json")
 
     array = _typed(list)
-    try:
-        tasks = _manifest_tasks(_field(manifest, "tasks", array))
-        configs = _manifest_configs(_field(manifest, "configs", array))
-        folds = _field(manifest, "folds_per_dataset", _u4)
-        label_checksums = _field(manifest, "label_checksums", array)
-    except KeyError as e:
-        raise StoreError(f"manifest.json is missing required field {e.args[0]!r}") from None
+    tasks = _manifest_tasks(_field(manifest, "tasks", array))
+    configs = _manifest_configs(_field(manifest, "configs", array))
+    folds = _field(manifest, "folds_per_dataset", _u4)
+    label_checksums = _field(manifest, "label_checksums", array)
     T, M = len(tasks), len(configs)
 
     for name, magic in (("preds.blob", MAGIC_BLOB), ("preds.idx", MAGIC_INDEX),
@@ -710,6 +732,8 @@ def open_repo(path: str | Path) -> Repository:
         chunk = labels[label_start[t]:label_start[t + 1]]
         if hashlib.sha256(chunk).hexdigest() != label_checksums[t]:
             raise StoreError(f"label checksum mismatch in labels.bin for task {task.key}")
+    if bad_labels := _label_violations(tasks, labels):
+        raise StoreError(next(iter(bad_labels.values())))
 
     evals = _map(path / "evals.bin", "<f8", T * M * _EVAL_FIELDS).reshape(T, M, _EVAL_FIELDS)
     repo = Repository(tasks, configs, folds, labels,
@@ -721,9 +745,11 @@ def open_repo(path: str | Path) -> Repository:
 def validate_repo(repo: Repository) -> list[str]:
     """Check repository invariants; returns a list of violations (empty = valid).
 
-    Covers NaN freedom and row stochasticity of every cell, valid evaluation
-    records, and recomputation of the stored validation loss from the stored
-    predictions within ``LOSS_RECOMPUTE_TOL`` relative, in one
+    Covers labels that are not finite or, in classification tasks, not class
+    indices (reported first for their task, whose losses are then not
+    recomputed), NaN freedom and row stochasticity of every cell, valid
+    evaluation records, and recomputation of the stored validation loss from
+    the stored predictions within ``LOSS_RECOMPUTE_TOL`` relative, in one
     :class:`metrics.StackLoss` call per task. Violations come in (task,
     config) order. Density and cell shapes hold by construction.
     """
@@ -731,23 +757,27 @@ def validate_repo(repo: Repository) -> list[str]:
 
     report: list[str] = []
     bad_evals = _invalid_evals(repo.eval_table)
+    bad_labels = _label_violations(repo.tasks, repo._labels)
     for t, task in enumerate(repo.tasks):
         found = [(j, message) for j, _, message in _cell_violations(repo, t)]
         found += [(j, f"invalid evaluation record at {_cell(repo, t, j)}")
                   for j in np.flatnonzero(bad_evals[t]).tolist()]
         check = np.flatnonzero(~np.isin(np.arange(repo.n_configs), [j for j, _ in found]))
-        try:
-            loss_of = metrics.StackLoss(task, repo.labels(t, VAL))
-        except ValueError as e:
-            found += [(j, f"loss recomputation failed at {_cell(repo, t, j)}: {e}")
-                      for j in check.tolist()]
+        if t in bad_labels:  # first for the task; no loss is recomputed against such labels
+            found.append((-1, bad_labels[t]))
         else:
-            recomputed = loss_of(repo.task_predictions(t, VAL)[check])
-            stored = repo.eval_table[t, check, 0]
-            tol = LOSS_RECOMPUTE_TOL * np.maximum(1.0, np.abs(recomputed))
-            off = np.abs(stored - recomputed) > tol
-            found += [(j, f"loss_val mismatch at {_cell(repo, t, j)}: stored={float(a)!r}, "
-                          f"recomputed={float(b)!r}")
-                      for j, a, b in zip(check[off].tolist(), stored[off], recomputed[off])]
+            try:
+                loss_of = metrics.StackLoss(task, repo.labels(t, VAL))
+            except ValueError as e:
+                found += [(j, f"loss recomputation failed at {_cell(repo, t, j)}: {e}")
+                          for j in check.tolist()]
+            else:
+                recomputed = loss_of(repo.task_predictions(t, VAL)[check])
+                stored = repo.eval_table[t, check, 0]
+                tol = LOSS_RECOMPUTE_TOL * np.maximum(1.0, np.abs(recomputed))
+                off = np.abs(stored - recomputed) > tol
+                found += [(j, f"loss_val mismatch at {_cell(repo, t, j)}: "
+                              f"stored={float(a)!r}, recomputed={float(b)!r}")
+                          for j, a, b in zip(check[off].tolist(), stored[off], recomputed[off])]
         report.extend(message for _, message in sorted(found, key=lambda entry: entry[0]))
     return report

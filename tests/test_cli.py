@@ -678,14 +678,15 @@ class TestLearnedOncePerCommand:
         assert calls[0] == len(open_repo(repo_dir).datasets) * 2 * 3
         assert len(rows) == 6
 
-def count_greedy(monkeypatch) -> list[tuple[int, int, int]]:
+def count_greedy(monkeypatch) -> list[tuple[int, list[int]]]:
     """Patch the greedy loop at every name a simulation calls it by; returns a live
-    list of (task, number of pools, c_max), one per call."""
+    list of (task, each pool's step count), one per call."""
     calls = []
     select = predrepo.ensemble._select_pools
 
     def counted(repo, task, pools, c_max):
-        calls.append((repo.task_index(task), len(pools), c_max))
+        counts = list(c_max) if isinstance(c_max, list) else [c_max] * len(pools)
+        calls.append((repo.task_index(task), counts))
         return select(repo, task, pools, c_max)
 
     for module in (predrepo.ensemble, predrepo.simulate):
@@ -696,39 +697,50 @@ def count_greedy(monkeypatch) -> list[tuple[int, int, int]]:
 class TestOneGreedyRunPerTask:
     ARGS = ("--budget-s", "5", "--n-max", "5", "--c-max", "6")
 
-    def test_simulate_makes_one_pooled_call_per_task(self, repo_dir, tmp_path, capsys,
-                                                     monkeypatch):
+    def calls(self, capsys, monkeypatch, repo_dir, tmp_path, *command):
+        """The greedy calls of one command, and the repository's family count."""
         calls = count_greedy(monkeypatch)
-        code, _, _ = run(capsys, "simulate", "--repo", str(repo_dir), *self.ARGS,
-                         "--out", str(tmp_path / "s.csv"))
+        code, _, _ = run(capsys, *command[:1], "--repo", str(repo_dir), *self.ARGS,
+                         *command[1:], "--out", str(tmp_path / "out.csv"))
         assert code == 0
         repo = open_repo(repo_dir)
-        # the Portfolio (ensemble) pool and one tuned+ensemble pool per family; no c_max=1 run
-        assert calls == [(t, 1 + len(repo.families), 6) for t in range(repo.n_tasks)]
+        assert [t for t, _ in calls] == list(range(repo.n_tasks))  # one call per task
+        return [counts for _, counts in calls], len(repo.families)
+
+    def test_simulate_makes_one_pooled_call_per_task(self, repo_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        counts, f = self.calls(capsys, monkeypatch, repo_dir, tmp_path, "simulate")
+        # one tuned+ensemble pool per family, then Portfolio (ensemble) and Portfolio
+        assert counts == [[6] * f + [6, 1]] * len(counts)
 
     def test_ablate_base_table_makes_one_call_per_task(self, repo_dir, tmp_path, capsys,
                                                        monkeypatch):
-        calls = count_greedy(monkeypatch)
-        code, _, _ = run(capsys, "ablate", "--repo", str(repo_dir), "--axis", "portfolio-size",
-                         "--values", "1,3", "--seeds", "0", *self.ARGS,
-                         "--out", str(tmp_path / "a.csv"))
-        assert code == 0
-        repo = open_repo(repo_dir)
+        counts, f = self.calls(capsys, monkeypatch, repo_dir, tmp_path, "ablate", "--axis",
+                               "portfolio-size", "--values", "1,3", "--seeds", "0,1")
         # every family pool and one Portfolio (ensemble) pool per value
-        assert calls == [(t, len(repo.families) + 2, 6) for t in range(repo.n_tasks)]
+        assert counts == [[6] * (f + 2)] * len(counts)
 
     def test_ablate_makes_one_call_per_task_for_each_c_max(self, repo_dir, tmp_path, capsys,
                                                            monkeypatch):
-        calls = count_greedy(monkeypatch)
-        code, _, _ = run(capsys, "ablate", "--repo", str(repo_dir), "--axis", "ensemble-members",
-                         "--values", "1,6", "--seeds", "0", *self.ARGS,
-                         "--out", str(tmp_path / "a.csv"))
-        assert code == 0
-        repo = open_repo(repo_dir)
-        tasks = range(repo.n_tasks)
-        # the family table shares --c-max 6 with value 6; value 1 runs alone
-        assert calls == ([(t, len(repo.families) + 1, 6) for t in tasks]
-                         + [(t, 1, 1) for t in tasks])
+        counts, f = self.calls(capsys, monkeypatch, repo_dir, tmp_path, "ablate", "--axis",
+                               "ensemble-members", "--values", "1,6", "--seeds", "0")
+        # the family table at --c-max 6, then each value's run at its own count
+        assert counts == [[6] * f + [1, 6]] * len(counts)
+
+    def test_ensemble_members_below_c_max_make_one_call_per_task(self, repo_dir, tmp_path,
+                                                                capsys, monkeypatch):
+        counts, f = self.calls(capsys, monkeypatch, repo_dir, tmp_path, "ablate", "--axis",
+                               "ensemble-members", "--values", "1,3", "--seeds", "0")
+        # no value equals --c-max 6: still one call, each run at its own count
+        assert counts == [[6] * f + [1, 3]] * len(counts)
+
+    @pytest.mark.parametrize("axis", ["configs-per-family", "n-train-datasets"])
+    def test_seeded_axes_make_one_call_per_task(self, repo_dir, tmp_path, capsys, monkeypatch,
+                                                axis):
+        counts, f = self.calls(capsys, monkeypatch, repo_dir, tmp_path, "ablate", "--axis",
+                               axis, "--values", "1,2", "--seeds", "0,1")
+        # every family pool and one pool per (value, seed) run, all at --c-max 6
+        assert counts == [[6] * (f + 4)] * len(counts)
 
     @pytest.mark.parametrize("budget", ["4", "20"])
     @pytest.mark.parametrize("axis, values", [

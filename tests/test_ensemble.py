@@ -479,6 +479,91 @@ class TestPooledRuns:
                 assert [x.hex() for x in losses] == [x.hex() for x in want]
 
 
+def assert_counted_equals_own_runs(repo, t, pools, counts):
+    """The call with one step count per pool gives each pool its own run of its
+    count, bit for bit; it raises when some own run raises, with one of their
+    messages."""
+    own = [outcome(lambda: weights_bits(caruana_select(t, pool, c, repo)))
+           for pool, c in zip(pools, counts)]
+    got = outcome(lambda: [weights_bits(w) for w in _select_pools(repo, t, pools, counts)])
+    if all(isinstance(o, tuple) for o in own):
+        assert got == own
+    else:
+        assert isinstance(got, str) and got in own
+    return got
+
+
+def requested(pools, requests):
+    """The pool of each (pool index, count) request; every other request lists
+    its pool reversed, which is the same pool after config_ordinals."""
+    asked = [pools[i % len(pools)] for i, _ in requests]
+    return [pool[::-1] if k % 2 else pool for k, pool in enumerate(asked)]
+
+
+REQUESTS = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 12)), min_size=1, max_size=8)
+
+
+class TestBestPrefixRuns:
+    """Each distinct pool runs once, to the most steps any request asks of it;
+    every request gets the best prefix of its own count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.integers(0, 7), requests=REQUESTS,
+           pools=st.lists(st.lists(st.integers(0, 21), min_size=1, max_size=20),
+                          min_size=1, max_size=4))
+    def test_per_pool_counts_equal_own_runs(self, t, pools, requests):
+        asked = requested(pools, requests)
+        got = assert_counted_equals_own_runs(wide_repo(), t, asked, [c for _, c in requests])
+        assert isinstance(got, list)
+
+    @settings(max_examples=80, deadline=None)
+    @given(totals=st.lists(st.sampled_from([
+               1.0, HIGHEST_SUM - 2**-28, LOWEST_SUM + 2**-28,
+               HIGHEST_SUM - 2**-33, LOWEST_SUM + 2**-33, HIGHEST_SUM, LOWEST_SUM]),
+               min_size=1, max_size=3),
+           big=st.sampled_from([0.0, 2.0**25]), seed=st.integers(0, 2**16),
+           pools=st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=8),
+                          min_size=1, max_size=4),
+           requests=REQUESTS)
+    def test_row_sum_raises_follow_own_runs(self, totals, big, seed, pools, requests):
+        repo = mixed_row_sum_repo(totals, seed, big)
+        asked = [[j % repo.n_configs for j in pool] for pool in requested(pools, requests)]
+        assert_counted_equals_own_runs(repo, 0, asked, [c for _, c in requests])
+
+    def test_a_raise_past_every_count_of_its_pool_is_not_raised(self):
+        # pool [0, 5, 6, 7, 8] goes over the tolerance at step 3 (see
+        # test_one_pool_over_the_tolerance_at_step_3)
+        repo = mixed_row_sum_repo([1.0, HIGHEST_SUM], 0)
+        over, clean = [0, 5, 6, 7, 8], [1, 2, 3, 4]
+        message = "probs rows are not row-stochastic within 1e-5"
+        assert outcome(lambda: caruana_select(0, over, 3, repo)) == message
+        got = assert_counted_equals_own_runs(repo, 0, [over, clean], [2, 5])
+        assert got[0] == weights_bits(caruana_select(0, over, 2, repo))
+        assert assert_counted_equals_own_runs(repo, 0, [over, clean, over], [2, 5, 5]) == message
+
+    def test_equal_pools_score_as_many_rows_as_one(self, monkeypatch):
+        scored = []
+        score = metrics.StackLoss.score
+
+        def counted(self, column):
+            scored.append(column.shape[0])
+            return score(self, column)
+
+        monkeypatch.setattr(metrics.StackLoss, "score", counted)
+        repo = wide_repo()
+        _select_pools(repo, 0, [[3, 5, 9]], 6)
+        one, scored[:] = list(scored), []
+        assert_counted_equals_own_runs(repo, 0, [[3, 5, 9], [9, 5, 3], [5, 3, 9, 9]], [6, 2, 4])
+        assert one == [3] * 6
+        assert scored[:6] == one  # the pooled call's steps, before the own runs'
+
+    def test_counts_are_checked(self, synth_repo):
+        with pytest.raises(ValueError, match="c_max must be >= 1, got 0"):
+            _select_pools(synth_repo, 0, [[1], [2]], [3, 0])
+        with pytest.raises(ValueError, match="shorter"):
+            _select_pools(synth_repo, 0, [[1], [2]], [3])
+
+
 class TestEnsemblePredict:
     def test_identity_weights(self, synth_repo):
         w = EnsembleWeights(counts={3: 1}, steps=1, trajectory=[(3, 0.0)])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -390,6 +391,111 @@ class TestOpen:
         assert proc.returncode == 0, proc.stderr
         assert read_all(tmp_path / "r") == before
         assert sorted(p.name for p in (tmp_path / "r").iterdir()) == sorted(FILES)
+
+
+class TestManifestConfigs:
+    @pytest.mark.parametrize("field", ["is_default", "family", "config_id"])
+    def test_missing_config_field_names_the_config(self, tmp_path, handmade_repo, field):
+        write_repo(handmade_repo, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        del manifest["configs"][2][field]
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError) as err:
+            open_repo(tmp_path / "r")
+        assert str(err.value) == f"manifest.json is missing required field '{field}' in config 2"
+
+    def test_duplicate_config_id_is_named(self, tmp_path, handmade_repo):
+        write_repo(handmade_repo, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        manifest["configs"][2]["config_id"] = "alpha-001"
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError) as err:
+            open_repo(tmp_path / "r")
+        assert str(err.value) == "duplicate config_id 'alpha-001' in config list"
+        configs = [*handmade_repo.configs, ConfigMeta("alpha-default", "gamma")]
+        with pytest.raises(StoreError, match="^duplicate config_id 'alpha-default' in config"):
+            Repository(handmade_repo.tasks, configs, 2, handmade_repo._labels,
+                       handmade_repo._preds, np.zeros((6, 4, 4)))
+
+
+def with_val_labels(repo, t, values):
+    """``repo`` with the first val labels of task ``t`` replaced by ``values``, as float64."""
+    labels, preds, evals = repo_arrays(repo)
+    y_val = labels[t][0].astype(np.float64)
+    y_val[:len(values)] = values
+    labels[t] = (y_val, labels[t][1])
+    return rebuild_repo(repo, labels, preds, evals)
+
+
+def write_unchecked(repo, path):
+    """Write ``repo`` as a store whose labels.bin holds its labels unchecked, with
+    label checksums that hold."""
+    write_repo(make_handmade_repo(), path)
+    header = (path / "labels.bin").read_bytes()[:8]
+    (path / "labels.bin").write_bytes(header + repo._labels.astype("<f8").tobytes())
+    manifest = json.loads((path / "manifest.json").read_text())
+    ends = np.cumsum([task.n_val + task.n_test for task in repo.tasks]).tolist()
+    manifest["label_checksums"] = [hashlib.sha256(repo._labels[a:b]).hexdigest()
+                                   for a, b in zip([0, *ends], ends)]
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+# (task, first val labels, message): regression task ('reg', 0), binary task ('bin', 0)
+# and multiclass task ('mc', 0), o=3
+BAD_LABELS = [
+    (0, [0.5, np.nan], "non-finite label for task ('reg', 0)"),
+    (2, [0, 1, np.inf, 0.6], "non-finite label for task ('bin', 0)"),
+    (2, [0, 1, 0.6, 1], "labels of task ('bin', 0) are not class indices in [0, 2)"),
+    (2, [0, 2, 1, 0], "labels of task ('bin', 0) are not class indices in [0, 2)"),
+    (2, [0, 1, -1, 1], "labels of task ('bin', 0) are not class indices in [0, 2)"),
+    (4, [0, 2.9, -0.5], "labels of task ('mc', 0) are not class indices in [0, 3)"),
+    (4, [0, 3, 1], "labels of task ('mc', 0) are not class indices in [0, 3)"),
+]
+
+
+class TestClassLabels:
+    """A classification label must be a class index; the int64 read would truncate it."""
+
+    @pytest.mark.parametrize("t, values, message", BAD_LABELS)
+    def test_write_rejects_and_writes_nothing(self, tmp_path, t, values, message):
+        bad = with_val_labels(make_handmade_repo(), t, values)
+        with pytest.raises(StoreError) as err:
+            write_repo(bad, tmp_path / "r")
+        assert str(err.value) == message
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("t, values, message", BAD_LABELS)
+    def test_open_rejects(self, tmp_path, t, values, message):
+        write_unchecked(with_val_labels(make_handmade_repo(), t, values), tmp_path / "r")
+        with pytest.raises(StoreError) as err:
+            open_repo(tmp_path / "r")
+        assert str(err.value) == message
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        from predrepo.cli import main
+
+        write_unchecked(with_val_labels(make_handmade_repo(), *BAD_LABELS[0][:2]), tmp_path / "r")
+        assert main(["validate", "--repo", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {BAD_LABELS[0][2]}\n"
+
+    @pytest.mark.parametrize("t, values, message", BAD_LABELS)
+    def test_validate_reports_first(self, t, values, message):
+        repo = make_handmade_repo()
+        labels, preds, evals = repo_arrays(repo)
+        preds[t][VAL][0][0, 0] = np.nan
+        report = validate_repo(with_val_labels(rebuild_repo(repo, labels, preds, evals), t,
+                                               values))
+        assert report[0] == message  # before every message about the task's configs
+        assert f"non-finite prediction at (task={repo.tasks[t].key}, config=alpha-default, " \
+               f"split=0)" in report
+        assert all(str(repo.tasks[t].key) in r for r in report)
+
+    def test_integral_floats_and_regression_targets_pass(self, tmp_path):
+        repo = with_val_labels(make_handmade_repo(), 4, [0.0, 2.0, 1.0])
+        repo = with_val_labels(repo, 0, [-0.5, 2.9, 1e9])  # regression: any finite target
+        assert not any("class indices" in r for r in validate_repo(repo))
+        write_repo(repo, tmp_path / "r")
+        assert open_repo(tmp_path / "r").labels(4, VAL)[:3].tolist() == [0, 2, 1]
 
 
 @functools.lru_cache(maxsize=1)
