@@ -126,9 +126,10 @@ def _policy(repo: Repository, args) -> BudgetPolicy:
 
 
 def _sim_rows(repo: Repository, method: str, results: list[SimResult]) -> list[list[str]]:
+    config_ids = repo.config_ids
     rows = []
     for r in results:
-        ids = "|".join(repo.configs[j].config_id for j in r.included_configs)
+        ids = "|".join([config_ids[j] for j in r.included_configs])
         rows.append([
             method, r.dataset_id, str(r.fold), _fmt(r.val_loss), _fmt(r.test_loss),
             _fmt(r.sim_fit_time_s), _fmt(r.sim_infer_time_s),

@@ -13,9 +13,14 @@ once and then scores the averaged columns of every step; the column of an
 average is the average of the columns, so the scores are those of the full
 average.
 
-The AUC losses and the Table 2 ranks of :mod:`predrepo.aggregate` share one
-tie-averaging rank kernel, :func:`average_ranks`. Ranks are half-integers, so
-every sum of them is exact in float64.
+There is one tie-averaging rank kernel. :func:`auc_loss` and the Table 2
+ranks of :mod:`predrepo.aggregate` take their ranks from
+:func:`average_ranks`. :class:`StackLoss` gets the AUC from one value sort
+of each row with its positive scores appended, with no argsort: a row
+without ties has an exact integer rank sum read off that sort, and only the
+rows with a tie go through the rank kernel. Ranks are half-integers, so
+every sum of them is exact in float64 and both paths give the AUC of
+:func:`auc_loss` bit for bit.
 """
 
 from __future__ import annotations
@@ -164,9 +169,21 @@ class StackLoss:
     for bit. Greedy ensemble selection relies on this: it checks its
     candidates once and then scores averaged columns.
 
-    The AUC sums the positive rows' average ranks, as :func:`average_ranks`
-    gives them. Those are half-integers, so rank sums are exact in float64 and
-    the AUC loss is bit-equal to :func:`auc_loss`.
+    The AUC comes from the rank sum of the positive examples. :meth:`score`
+    sorts each candidate's scores with its positive examples' scores
+    appended, so every positive value is in the sorted row twice, and counts
+    equal neighbours. A tie group of ``g`` values of which ``q`` are positive
+    makes ``g + q - 1`` equal neighbours, which is ``q`` exactly when ``g`` is
+    one. So a row is free of ties exactly when it has ``n_pos`` equal
+    neighbours; ``-0.0`` and ``+0.0`` compare equal and so count as a tie. In
+    a tie-free row, the two copies of the positive with 0-based rank ``r``
+    that ``k`` positives precede stand at sorted positions ``r + k`` and
+    ``r + k + 1``. So the 1-based rank sum is the sum of the positions ``i``
+    whose value equals that at ``i + 1``, less ``n_pos * (n_pos - 1) / 2``,
+    plus ``n_pos``: an exact integer. Only rows with a tie take their average
+    ranks from the rank kernel of :func:`average_ranks`. Every rank sum is an
+    integer or a half-integer, exact in float64, so the AUC loss is bit-equal
+    to :func:`auc_loss`.
     """
 
     def __init__(self, task: TaskMeta, target):
@@ -183,6 +200,10 @@ class StackLoss:
             self._n_neg = y.size - self._n_pos
             if self._n_pos == 0 or self._n_neg == 0:
                 raise ValueError("AUC undefined: labels contain a single class")
+            # one product with the neighbour-equality matrix gives each row's
+            # count of equal neighbours and the sum of their positions
+            at = np.arange(y.size + self._n_pos - 1, dtype=np.float64)
+            self._count_and_sum = np.stack([np.ones_like(at), at], axis=1)
         elif task.problem is ProblemType.MULTICLASS:
             if np.any(y < 0) or np.any(y >= task.o):
                 raise ValueError("label out of range")
@@ -224,9 +245,16 @@ class StackLoss:
         return -(np.add.reduce(np.log(picked), axis=1) / n)
 
     def _auc_loss(self, scores: np.ndarray) -> np.ndarray:
-        # gather the ranks in sorted order; scattering them back costs a third more
-        order, twice = _sorted_ranks(scores)
-        rank_sum = np.where(self._pos[order], twice, 0).sum(axis=1) / 2.0 + self._n_pos
         n_pos, n_neg = self._n_pos, self._n_neg
+        both = np.concatenate([scores, scores[:, self._pos]], axis=1)
+        both.sort(axis=1)
+        # sums of small integers: exact in float64, in any order
+        equal, at_sum = ((both[:, 1:] == both[:, :-1]) @ self._count_and_sum).T
+        rank_sum = at_sum - (n_pos * (n_pos - 1) // 2 - n_pos)
+        tied = equal != n_pos
+        if tied.any():
+            # gather the ranks in sorted order; scattering them back costs a third more
+            order, twice = _sorted_ranks(scores[tied])
+            rank_sum[tied] = np.where(self._pos[order], twice, 0).sum(axis=1) / 2.0 + n_pos
         auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         return 1.0 - auc

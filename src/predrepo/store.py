@@ -210,7 +210,7 @@ class Repository:
         for t in self.tasks:
             if t.fold >= self.folds_per_dataset:
                 raise StoreError(f"task {t.key} has fold >= folds_per_dataset ({self.folds_per_dataset})")
-        ids = [c.config_id for c in self.configs]
+        self.config_ids = ids = tuple(c.config_id for c in self.configs)  # by ordinal
         self._config_index = {c: i for i, c in enumerate(ids)}  # the last ordinal of an id
         if len(self._config_index) != len(ids):
             repeated = next(c for i, c in enumerate(ids) if self._config_index[c] != i)
@@ -337,6 +337,12 @@ class Repository:
         """Sorted distinct ordinals of ``configs``; no list or an empty one is a ValueError."""
         if configs is None:
             raise ValueError("candidate list must not be None")
+        configs = list(configs)
+        # callers mostly pass in-range plain ints: skip the walk through config_index
+        if all(type(c) is int for c in configs):
+            ordinals = sorted(set(configs))
+            if ordinals and 0 <= ordinals[0] and ordinals[-1] < self.n_configs:
+                return ordinals
         ordinals = sorted({self.config_index(c) for c in configs})
         if not ordinals:
             raise ValueError("candidate list is empty")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predrepo import ProblemType, TaskMeta, auc_loss, log_loss, rmse, task_loss
+from predrepo import metrics
 from predrepo.metrics import StackLoss, average_ranks
 from predrepo.synth import oracle_auc_pairwise
 
@@ -221,6 +222,30 @@ def stochastic(rng, shape):
     return raw / raw.sum(axis=-1, keepdims=True)
 
 
+# score rows: distinct values (no tie), a few levels (ties in most rows), or
+# signed zeros among a few values (-0.0 == +0.0, so they form one tie group)
+AUC_ROW_VALUES = {
+    "distinct": st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    "levels": st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    "signed zeros": st.sampled_from([-0.0, 0.0, -1.0, 1.0]),
+}
+
+
+@st.composite
+def auc_stacks(draw):
+    """Labels with both classes (often a single positive or negative) and a
+    stack of 1-6 rows, each drawn from its own kind of values."""
+    n = draw(st.integers(2, 40))
+    n_pos = draw(st.sampled_from([1, n - 1]) | st.integers(1, n - 1))
+    y = np.array(draw(st.permutations([1] * n_pos + [0] * (n - n_pos))))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(sorted(AUC_ROW_VALUES)))
+        rows.append(draw(st.lists(AUC_ROW_VALUES[kind], min_size=n, max_size=n,
+                                  unique=kind == "distinct")))
+    return y, np.array(rows, dtype=np.float64)[:, :, None]
+
+
 class TestStackLoss:
     """The batched kernel against the scalar metrics, row by row."""
 
@@ -256,6 +281,42 @@ class TestStackLoss:
         task = TaskMeta("d", 0, ProblemType.BINARY, n_val=4, n_test=4, o=1)
         got = StackLoss(task, [0, 1, 1, 0])(np.full((3, 4, 1), 0.3))
         assert np.array_equal(got, np.full(3, 0.5))
+
+    @given(auc_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_auc_bit_equal_to_scalar(self, case):
+        y, stack = case
+        task = TaskMeta("d", 0, ProblemType.BINARY, n_val=y.size, n_test=y.size, o=1)
+        got = StackLoss(task, y)(stack)
+        assert [float(v).hex() for v in got] == [auc_loss(row[:, 0], y).hex() for row in stack]
+
+    def test_auc_ranks_only_tied_rows(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        n = 30
+        task = TaskMeta("d", 0, ProblemType.BINARY, n_val=n, n_test=n, o=1)
+        y = rng.integers(0, 2, n)
+        y[:2] = (0, 1)
+        stack = rng.permuted(np.tile(np.arange(n) - n // 2, (7, 1)), axis=1).astype(np.float64)
+        stack[2, 5] = stack[2, 9]  # a plain tie
+        stack[4][stack[4] == 0] = -0.0  # one signed zero: still no tie
+        stack[6, [3, 8]] = (-0.0, 0.0)  # -0.0 == +0.0: a tie
+        stack = stack[:, :, None]
+        want = [auc_loss(row[:, 0], y).hex() for row in stack]
+
+        ranked = []
+        sorted_ranks = metrics._sorted_ranks
+
+        def recording(x):
+            ranked.append(x.copy())
+            return sorted_ranks(x)
+
+        monkeypatch.setattr(metrics, "_sorted_ranks", recording)
+        got = StackLoss(task, y)(stack)
+        assert [float(v).hex() for v in got] == want
+        assert len(ranked) == 1 and np.array_equal(ranked[0], stack[[2, 6], :, 0])
+        ranked.clear()
+        StackLoss(task, y)(stack[[0, 1, 3, 4, 5]])
+        assert ranked == []
 
     @pytest.mark.parametrize("o", [2, 3, 7])
     def test_log_loss_matches_scalar(self, o):

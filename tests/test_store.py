@@ -565,6 +565,25 @@ class TestAccess:
         with pytest.raises(ValueError, match="split must be"):
             handmade_repo.task_predictions(0, 2)
 
+    @pytest.mark.parametrize("configs", [
+        [2, 0, 2], range(3), (1,), [0, "beta-default", 1], [np.int64(2), 0], [True, 2],
+        [False, True], [np.int64(1), np.int32(1)], [-1, 0], [0, 3], [3], [0, np.int64(3)],
+        ["nope", 1], [2, 1, -4],
+    ])
+    def test_config_ordinals_all_int_path_matches_the_walk(self, handmade_repo, configs):
+        # in-range plain ints take a shortcut; it must agree with resolving each entry
+        repo = handmade_repo
+        assert repo.n_configs == 3
+        try:
+            want = sorted({repo.config_index(c) for c in configs})
+        except KeyError as e:
+            with pytest.raises(KeyError) as got:
+                repo.config_ordinals(configs)
+            assert str(got.value) == str(e)
+        else:
+            got = repo.config_ordinals(configs)
+            assert got == want and all(type(j) is int for j in got)
+
     def test_regression_single_column(self, handmade_repo):
         assert handmade_repo.predict_val("reg", 1, "beta-default").shape[1] == 1
 
