@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -437,6 +438,7 @@ def _add_budget(p: argparse.ArgumentParser):
                    help="fallback config id (default: config with smallest worst-case fit time)")
 
 
+@functools.cache  # built once per process: parsing does not change the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="predrepo",

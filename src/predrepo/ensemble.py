@@ -224,11 +224,20 @@ def ensemble_predict(weights: EnsembleWeights, task, split, repo: Repository) ->
 
 def _ensemble_losses(repo: Repository, t: int, weights: list[EnsembleWeights]
                      ) -> tuple[list[float], list[float]]:
-    """Validation and test losses of each ensemble of task ``t``: one StackLoss call per split."""
+    """Validation and test losses of each ensemble of task ``t``: one StackLoss call per split.
+
+    Ensembles with equal counts, in equal order, and equal steps have equal
+    predictions, so each distinct one is built and scored once and its
+    losses are shared.
+    """
     meta = repo.tasks[t]
+    keys = [(tuple(w.counts.items()), w.steps) for w in weights]
+    distinct = dict(zip(keys, weights))
+    row = {key: i for i, key in enumerate(distinct)}
+    rows = [row[key] for key in keys]
     return tuple(
         metrics.StackLoss(meta, repo.labels(t, split))(
-            np.stack([ensemble_predict(w, t, split, repo) for w in weights])).tolist()
+            np.stack([ensemble_predict(w, t, split, repo) for w in distinct.values()]))[rows].tolist()
         for split in (VAL, TEST))
 
 

@@ -11,20 +11,28 @@ families gain more than ensembles within one.
 Randomness comes from numpy's Philox counter-based generator. Every quantity
 is drawn from its own stream keyed by ``(seed, purpose << 48 | a << 24 | b)``
 so that, for example, regenerating one task's labels never shifts another
-task's draws. Draw order within a stream is fixed: labels draw val rows then
-test rows; per-config prediction streams draw, for each bag fold in order,
-the fold's validation-segment noise and then its test noise. Identical specs
-therefore produce byte-identical repositories. The streams stay one per
-(task, config), but everything after the draws runs once per task slab of
-shape (configs, rows, o): each bag fold's noise for every config lands in one
-slab, and the blend, the link and the bag mean are applied to the whole slab,
-elementwise and in the per-config order of operations, so the values are the
-per-config ones bit for bit. Each task's slabs are written straight into the
-task's region of the repository's packed prediction buffer, and their stored
-losses come from one :class:`metrics.StackLoss` call, which equals
-:func:`metrics.task_loss` bit for bit. Structural metadata (task
-shapes, problem assignment, class counts) is keyed on a constant instead of
-the seed, so changing only the seed redraws values but never shapes.
+task's draws; :func:`rng_stream` is that stream. Draw order within a stream
+is fixed: labels draw val rows then test rows; per-config prediction streams
+draw, for each bag fold in order, the fold's validation-segment noise and
+then its test noise. Identical specs therefore produce byte-identical
+repositories. A Philox stream is its key and a counter, so
+:func:`generate_repo` builds one bit generator and re-keys it for each
+stream (:func:`_rekey`: the stream's key, a zero counter and an empty
+buffer), which draws exactly what ``rng_stream`` of that key draws without
+building a generator per stream. Each stream is drawn to its end before the
+next is keyed: a config draws all its bag folds' noise in one call, in the
+documented order, and the folds are slices of it, since a stream's draws do
+not depend on how they are split into calls. Everything after the draws runs
+once per block of up to ``CONFIG_BLOCK`` configs of a task slab of shape
+(configs, rows, o): the blend, the link and the bag mean are applied to the
+whole block, elementwise and in the per-config order of operations, so the
+values are the per-config ones bit for bit. Each task's slabs are written
+straight into the task's region of the repository's packed prediction
+buffer, and their stored losses come from one :class:`metrics.StackLoss`
+call, which equals :func:`metrics.task_loss` bit for bit. Structural
+metadata (task shapes, problem assignment, class counts) is keyed on a
+constant instead of the seed, so changing only the seed redraws values but
+never shapes.
 
 Model per task with truth logits ``z`` (regression: z is the label itself)::
 
@@ -61,6 +69,9 @@ FIT_TIME_SPREAD = 0.5  # log-sd of per-(task, config) fit times
 FALLBACK_FIT_RANGE = (0.5, 3.0)
 LABEL_RETRIES = 1000
 ORACLE_MAX_CANDIDATES = 8
+# configs whose streams are drawn and blended together; bounds the noise
+# buffer of a block, every bag fold of each of its configs, to a few MB
+CONFIG_BLOCK = 256
 
 # stream purposes
 _P_META = 0
@@ -73,15 +84,34 @@ _P_CONFIG_PROPS = 6
 _P_SUBSAMPLE = 7  # reserved for CLI ablation draws
 
 
-def rng_stream(seed: int, purpose: int, a: int = 0, b: int = 0) -> np.random.Generator:
-    """Independent Philox stream for one (purpose, a, b) slot under ``seed``."""
+def _stream_key(seed: int, purpose: int, a: int, b: int) -> tuple[int, int]:
+    """The Philox key of one (purpose, a, b) slot under ``seed``, as two uint64 words."""
     if not (0 <= a < 2**24 and 0 <= b < 2**24 and 0 <= purpose < 2**16):
         raise ValueError(f"stream id out of range: purpose={purpose}, a={a}, b={b}")
-    tag = (purpose << 48) | (a << 24) | b
+    return seed & (2**64 - 1), (purpose << 48) | (a << 24) | b
+
+
+def rng_stream(seed: int, purpose: int, a: int = 0, b: int = 0) -> np.random.Generator:
+    """Independent Philox stream for one (purpose, a, b) slot under ``seed``."""
     # a uint64 array: numpy casts a Python list with a key at or above 2**63
     # through float64, which rounds it or wraps it to 0
-    key = np.array([seed & (2**64 - 1), tag], dtype=np.uint64)
+    key = np.array(_stream_key(seed, purpose, a, b), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+_ZEROS = (0, 0, 0, 0)
+
+
+def _rekey(rng: np.random.Generator, seed: int, purpose: int, a: int = 0,
+           b: int = 0) -> np.random.Generator:
+    """``rng``, a Philox generator, re-keyed to draw what ``rng_stream(seed,
+    purpose, a, b)`` draws: the stream's key, a zero counter and an empty
+    buffer, as a new ``Philox(key=...)`` starts."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": _stream_key(seed, purpose, a, b)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def subsample_rng(seed: int, a: int = 0, b: int = 0) -> np.random.Generator:
@@ -323,9 +353,12 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
     seed = spec.seed
     D, S, B = spec.n_datasets, spec.folds, spec.bag_folds
 
+    # one generator, re-keyed for every stream
+    rng = np.random.Generator(np.random.Philox(0))
+
     # metadata is keyed on a constant so that changing only the seed never
     # changes task shapes, problem assignment, or any other structure
-    meta_rng = rng_stream(0, _P_META)
+    meta_rng = _rekey(rng, 0, _P_META)
     assignment = _apportion_problems(spec.problem_mix, D)
     perm = meta_rng.permutation(D)
     problems = [ProblemType(assignment[perm[d]]) for d in range(D)]
@@ -348,7 +381,7 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
     sigma: list[float] = []
     infer_factor: list[float] = []
     for fi, fam in enumerate(spec.families):
-        props = rng_stream(seed, _P_CONFIG_PROPS, a=fi)
+        props = _rekey(rng, seed, _P_CONFIG_PROPS, a=fi)
         noise_mult = np.exp(CONFIG_NOISE_SPREAD * props.standard_normal(fam.count))
         noise_mult[0] = 1.0  # the default config sits at the family's nominal level
         factors = props.uniform(0.5, 1.5, fam.count)
@@ -366,12 +399,12 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
     fam_time_base = []
     fam_infer_const = []
     for fi in range(len(spec.families)):
-        const_rng = rng_stream(seed, _P_FAMILY_CONST, a=fi)
+        const_rng = _rekey(rng, seed, _P_FAMILY_CONST, a=fi)
         fam_time_base.append(float(np.exp(const_rng.uniform(np.log(2.0), np.log(300.0)))))
         fam_infer_const.append(float(np.exp(const_rng.uniform(np.log(1e-5), np.log(1e-2)))))
 
     # per-config blend weights as (M, 1, 1) columns, so that every expression
-    # below is the per-config one applied elementwise to a whole task slab
+    # below is the per-config one applied elementwise to a block of a task slab
     M, F = len(configs), len(spec.families)
     family = np.array(config_family)
     rho = np.array([f.rho for f in spec.families])[family]
@@ -389,8 +422,8 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
     evals[:, :, 3] = np.array(fam_infer_const)[family] * np.array(infer_factor)
 
     for t, task in enumerate(tasks):
-        label_rng = rng_stream(seed, _P_LABELS, a=t)
-        y_val, y_test = _draw_labels(label_rng, task.problem, task.n_val, task.n_test, task.o)
+        y_val, y_test = _draw_labels(_rekey(rng, seed, _P_LABELS, a=t), task.problem,
+                                     task.n_val, task.n_test, task.o)
         labels[label_start[t]:label_start[t + 1]] = np.concatenate([y_val, y_test])
         z_val = _truth_logits(task.problem, y_val, task.o)
         z_test = _truth_logits(task.problem, y_test, task.o)
@@ -398,45 +431,46 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
         fam_val = np.empty((F,) + z_val.shape)
         fam_test = np.empty((F,) + z_test.shape)
         for fi in range(F):
-            fam_rng = rng_stream(seed, _P_FAMILY_NOISE, a=t, b=fi)
+            fam_rng = _rekey(rng, seed, _P_FAMILY_NOISE, a=t, b=fi)
             fam_rng.standard_normal(out=fam_val[fi])
             fam_rng.standard_normal(out=fam_test[fi])
 
-        # one stream per config; each bag fold draws its validation segment's
-        # noise, then its test noise, in one call: a stream's draws do not
-        # depend on how they are split into calls
-        draws = [rng_stream(seed, _P_CONFIG_PREDS, a=t, b=j).standard_normal for j in range(M)]
-        sizes = _segment_sizes(task.n_val, B)
-        own_val = np.empty((M,) + z_val.shape)
-        fold_noise = np.empty((M, sizes[0] + task.n_test, task.o))
-        base_test = skill * z_test
-        shared_test = w_shared * fam_test[family]
-        start = 0
-        for b, size in enumerate(sizes):
-            for j, draw in enumerate(draws):
-                draw(out=fold_noise[j, :size + task.n_test])
-            own_val[:, start:start + size] = fold_noise[:, :size]
-            own_test = fold_noise[:, size:size + task.n_test]
-            start += size
-            linked = _link(task.problem, base_test + sig * (shared_test + w_own * own_test))
-            # np.mean over stacked folds copies the first, adds the others in
-            # order, then divides
-            if b == 0:
-                test = linked
-            else:
-                test += linked
-        test /= B
-        val = _link(task.problem,
-                    skill * z_val + sig * (w_shared * fam_val[family] + w_own * own_val))
-
+        # one stream per config, drawn in one call: every bag fold's
+        # validation-segment noise, then its test noise, fold after fold. The
+        # configs go in blocks of CONFIG_BLOCK, which bounds that buffer.
         region = _task_region(preds, pred_start[t], M, task)
-        region[:, :task.n_val] = val
-        region[:, task.n_val:] = test
+        for lo in range(0, M, CONFIG_BLOCK):
+            k = slice(lo, lo + CONFIG_BLOCK)
+            noise = np.empty((len(family[k]), task.n_val + B * task.n_test, task.o))
+            for j, out in enumerate(noise, lo):
+                _rekey(rng, seed, _P_CONFIG_PREDS, a=t, b=j).standard_normal(out=out)
+            own_val = np.empty((len(noise),) + z_val.shape)
+            base_test = skill[k] * z_test
+            shared_test = w_shared[k] * fam_test[family[k]]
+            start = 0
+            for b, size in enumerate(_segment_sizes(task.n_val, B)):
+                at = start + b * task.n_test  # fold b's draws begin after b earlier folds
+                own_val[:, start:start + size] = noise[:, at:at + size]
+                own_test = noise[:, at + size:at + size + task.n_test]
+                start += size
+                linked = _link(task.problem,
+                               base_test + sig[k] * (shared_test + w_own[k] * own_test))
+                # np.mean over stacked folds copies the first, adds the others
+                # in order, then divides
+                if b == 0:
+                    test = linked
+                else:
+                    test += linked
+            test /= B
+            region[k, :task.n_val] = _link(task.problem, skill[k] * z_val + sig[k] * (
+                w_shared[k] * fam_val[family[k]] + w_own[k] * own_val))
+            region[k, task.n_val:] = test
+
         evals[t, :, 0] = metrics.StackLoss(task, y_val)(region[:, :task.n_val])
         evals[t, :, 1] = metrics.StackLoss(task, y_test)(region[:, task.n_val:])
 
-        evals[t, 0, 2] = rng_stream(seed, _P_TIMES, a=t, b=0).uniform(*FALLBACK_FIT_RANGE)
-        fit_draws = [rng_stream(seed, _P_TIMES, a=t, b=j).standard_normal() for j in range(1, M)]
+        evals[t, 0, 2] = _rekey(rng, seed, _P_TIMES, a=t, b=0).uniform(*FALLBACK_FIT_RANGE)
+        fit_draws = [_rekey(rng, seed, _P_TIMES, a=t, b=j).standard_normal() for j in range(1, M)]
         evals[t, 1:, 2] = time_base[1:] * np.exp(FIT_TIME_SPREAD * np.array(fit_draws))
 
     preds.flags.writeable = False

@@ -24,6 +24,7 @@ from predrepo import (
     metrics,
     task_loss,
 )
+from predrepo import ensemble as ensemble_module
 from predrepo.ensemble import _ensemble_losses, _select_pools
 from predrepo.store import ROW_SUM_TOL, TEST, VAL
 from predrepo.synth import oracle_greedy_extension
@@ -477,6 +478,30 @@ class TestPooledRuns:
                 want = [task_loss(meta, ensemble_predict(w, t, split, repo), repo.labels(t, split))
                         for w in weights]
                 assert [x.hex() for x in losses] == [x.hex() for x in want]
+
+
+    def test_equal_ensembles_are_scored_once(self, monkeypatch):
+        repo = wide_repo()
+        built = []
+
+        def counted(w, t, split, repo):
+            built.append((tuple(w.counts.items()), w.steps))
+            return ensemble_predict(w, t, split, repo)
+
+        monkeypatch.setattr(ensemble_module, "ensemble_predict", counted)
+        for t, meta in enumerate(repo.tasks):
+            # the first three pools are one pool: the first two requests are one
+            # ensemble, and the one-step request may be one with them too
+            weights = _select_pools(repo, t, [range(20), [19, *range(19)], range(20), [3, 7]],
+                                    [8, 8, 1, 8])
+            built.clear()
+            for split, losses in zip((VAL, TEST), _ensemble_losses(repo, t, weights)):
+                want = [task_loss(meta, ensemble_predict(w, t, split, repo), repo.labels(t, split))
+                        for w in weights]
+                assert [x.hex() for x in losses] == [x.hex() for x in want]
+            distinct = {(tuple(w.counts.items()), w.steps) for w in weights}
+            assert len(distinct) < len(weights)
+            assert len(built) == 2 * len(distinct) and set(built) == distinct
 
 
 def assert_counted_equals_own_runs(repo, t, pools, counts):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from predrepo import ProblemType, TaskMeta, auc_loss, log_loss, rmse, task_loss
@@ -283,7 +283,10 @@ class TestStackLoss:
         assert np.array_equal(got, np.full(3, 0.5))
 
     @given(auc_stacks())
-    @settings(max_examples=150, deadline=None)
+    # no shrink phase: a failure reports its first failing example at once,
+    # instead of after minutes of shrinking the strategy's float lists
+    @settings(max_examples=150, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
     def test_auc_bit_equal_to_scalar(self, case):
         y, stack = case
         task = TaskMeta("d", 0, ProblemType.BINARY, n_val=y.size, n_test=y.size, o=1)

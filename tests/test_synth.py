@@ -261,6 +261,76 @@ class TestSeedStreams:
         assert np.array_equal(rng_stream(seed, 3, 1, 2).integers(0, 2**62, 4), want)
 
 
+# every stream purpose, and keys at the edges of each word: seeds at and above
+# 2**63, the largest task and config ids
+PURPOSES = [value for name, value in vars(synth).items() if name.startswith("_P_")]
+EDGE_KEYS = [(0, 0, 0), (2**63, 2**24 - 1, 2**24 - 1), (2**64 - 1, 2**24 - 1, 0),
+             (2**63 + 7, 0, 2**24 - 1)]
+
+
+def stream_draws(rng: np.random.Generator) -> list:
+    """An array of normals drawn into ``out``, a scalar normal, uniforms and
+    float32 values, which draw 32 bits at a time; exact, as bytes or hex."""
+    out = np.empty((5, 3))
+    rng.standard_normal(out=out)
+    return [out.tobytes(), float(rng.standard_normal()).hex(),
+            rng.uniform(0.5, 1.5, 7).tobytes(), rng.random(3, dtype=np.float32).tobytes()]
+
+
+class TestRekeyedStreams:
+    def test_purposes_are_the_generator_streams(self):
+        assert sorted(PURPOSES) == list(range(8))
+
+    @pytest.mark.parametrize("purpose", PURPOSES)
+    @pytest.mark.parametrize("seed,a,b", EDGE_KEYS)
+    def test_draws_equal_rng_stream(self, purpose, seed, a, b):
+        rng = np.random.Generator(np.random.Philox(0))
+        assert stream_draws(synth._rekey(rng, seed, purpose, a, b)) == \
+            stream_draws(rng_stream(seed, purpose, a, b))
+
+    @pytest.mark.parametrize("seed,a,b", EDGE_KEYS)
+    def test_stream_left_mid_buffer_is_reset(self, seed, a, b):
+        rng = synth._rekey(np.random.Generator(np.random.Philox(0)), 5, synth._P_LABELS, 1, 2)
+        rng.random(dtype=np.float32)  # one 32-bit draw keeps half a word and three words
+        state = rng.bit_generator.state
+        assert state["buffer_pos"] == 1 and state["has_uint32"] == 1
+        want = stream_draws(rng_stream(seed, synth._P_CONFIG_PREDS, a, b))
+        assert stream_draws(synth._rekey(rng, seed, synth._P_CONFIG_PREDS, a, b)) == want
+
+    @pytest.mark.parametrize("purpose,a,b", [(2**16, 0, 0), (-1, 0, 0), (0, 2**24, 0),
+                                             (0, 0, 2**24), (0, -1, 0), (0, 0, -1)])
+    def test_out_of_range_id_raises(self, purpose, a, b):
+        rng = np.random.Generator(np.random.Philox(0))
+        for stream in (lambda: rng_stream(0, purpose, a, b),
+                       lambda: synth._rekey(rng, 0, purpose, a, b)):
+            with pytest.raises(ValueError, match="^stream id out of range: "):
+                stream()
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_config_blocks_do_not_change_values(self, block, monkeypatch):
+        spec = uneven_bag_spec()
+        want = generate_repo(spec)
+        monkeypatch.setattr(synth, "CONFIG_BLOCK", block)
+        got = generate_repo(spec)
+        assert got._preds.tobytes() == want._preds.tobytes()
+        assert got.eval_table.tobytes() == want.eval_table.tobytes()
+
+    def test_one_bit_generator_per_generate_call(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        for count in (1, 3, 30):
+            built.clear()
+            generate_repo(small_spec(families=(FamilySpec("gbm", count, 0.85, 0.5, 0.3),
+                                               FamilySpec("mlp", 3, 0.6, 0.8, 0.2))))
+            assert len(built) == 1
+
+
 def per_config_reference(spec: GeneratorSpec, repo, t: int):
     """Task ``t``'s val and test slabs and fit times, drawn config by config.
 
