@@ -291,11 +291,20 @@ def cmd_ablate(args) -> int:
     # each run's leave-one-out set and c_max, keyed by (value, seed); portfolio-size
     # and ensemble-members do not depend on the seed: one set is learned per command
     # (a size-k portfolio is the first k picks of a larger one), and each value is
-    # one run on it
+    # one run on it. The seeded axes learn one set per distinct learner input: at
+    # the full family size, or with every other dataset training, all seeds draw
+    # the same input.
     seeds = args.seeds if args.axis in SEEDED_AXES else [None]
     if args.axis in ("portfolio-size", "ensemble-members"):
         n_max = max(args.values) if args.axis == "portfolio-size" else args.n_max
         learned = _loo_portfolios(repo, n_max, agg)
+    sets: dict[tuple, dict[str, Portfolio]] = {}
+
+    def learned_on(key: tuple, **inputs) -> dict[str, Portfolio]:
+        if key not in sets:
+            sets[key] = _loo_portfolios(repo, args.n_max, agg, **inputs)
+        return sets[key]
+
     runs = {}
     for value in args.values:
         for seed in seeds:
@@ -306,10 +315,12 @@ def cmd_ablate(args) -> int:
                 portfolios = learned
             elif args.axis == "configs-per-family":
                 candidates = _ablation_candidates(repo, value, seed)
-                portfolios = _loo_portfolios(repo, args.n_max, agg, candidates=candidates)
+                portfolios = learned_on(tuple(candidates), candidates=candidates)
             else:
+                # keyed by the lists alone: the held-out datasets come in repository order
                 train_datasets = _ablation_train_datasets(repo, value, seed)
-                portfolios = _loo_portfolios(repo, args.n_max, agg, train_datasets=train_datasets)
+                portfolios = learned_on(tuple(map(tuple, train_datasets.values())),
+                                        train_datasets=train_datasets)
             c_max = value if args.axis == "ensemble-members" else args.c_max
             runs[value, seed] = portfolios, c_max
 

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .store import ROW_SUM_TOL, ProblemType, TaskMeta
+from .store import ROW_SUM_TOL, ProblemType, TaskMeta, _rows_off_one
 
 LOG_LOSS_EPS = 1e-15
 
@@ -161,7 +161,11 @@ class StackLoss:
       shape, finite values and, for multiclass tasks, rows that sum to one
       within 1e-5. Any failed check raises ``ValueError``. It returns the
       ``(M, n)`` column the metric reads: column 0, or for multiclass tasks
-      each row's true-class probability.
+      each row's true-class probability. The row sums are screened by the
+      store's kernel (:func:`store._rows_off_one`): a left-to-right sum
+      with a proven rounding bound decides every row outside a narrow band
+      around the tolerance, and numpy sums the rows inside it, so ``check``
+      raises exactly when ``np.abs(p.sum(axis=2) - 1.0) > 1e-5`` somewhere.
     - :meth:`score` computes the loss from such a column and checks nothing.
 
     Every metric is elementwise in the stack before it reduces a row, so the
@@ -225,7 +229,7 @@ class StackLoss:
             raise ValueError("predictions contain NaN or infinity")
         if self.task.problem is not ProblemType.MULTICLASS:
             return p[:, :, 0]
-        if np.any(np.abs(p.sum(axis=2) - 1.0) > ROW_SUM_TOL):
+        if _rows_off_one(p).any():
             raise ValueError("probs rows are not row-stochastic within 1e-5")
         # take_along_axis gives C-contiguous rows, so the mean sums each row in
         # the same order as log_loss does

@@ -13,8 +13,11 @@ labels.bin order. Reads return read-only views into these buffers and copy
 nothing, except that classification labels are converted to int64 class
 indices; :func:`write_repo` and :func:`open_repo` admit only labels that are
 class indices, so the conversion is exact. :meth:`Repository.task_predictions`
-views a task split's adjacent cells as one (configs, rows, o) slab, and
-:func:`write_repo` and :func:`validate_repo` check each task split as one slab.
+views a task split's adjacent cells as one (configs, rows, o) slab.
+:func:`write_repo` and :func:`validate_repo` check the cells in one pass per
+block of whole tasks over the packed buffer, with no float64 copy, and test
+multiclass row sums with a screened sum that decides every row as numpy's
+row sum does (:func:`_rows_off_one`, which :class:`metrics.StackLoss` shares).
 
 Directory layout::
 
@@ -46,7 +49,7 @@ import enum
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -429,29 +432,118 @@ def _cell(repo: Repository, t: int, j: int, split: int | None = None) -> str:
     return f"({where})" if split is None else f"({where}, split={split})"
 
 
-def _cell_violations(repo: Repository, t: int) -> list[tuple[int, int, str]]:
-    """(config, split, message) for every invalid cell of task ``t``, in (config, split) order.
+def _rows_off_one(p: np.ndarray) -> np.ndarray:
+    """``np.abs(p.sum(axis=-1) - 1.0) > ROW_SUM_TOL`` of a float32 or float64
+    array, with the sums taken in float64 as ``p.astype(np.float64)`` takes them.
 
-    Each split is checked as one slab. A non-finite value outranks the
-    classification checks: every value in [0, 1] and, for multiclass tasks,
-    every row summing to one within ``ROW_SUM_TOL``.
+    numpy reduces a short last axis one row at a time, so the rows are
+    screened by a sum whose error is bounded instead (a floating-point
+    filter, as in Shewchuk's robust predicates), and numpy sums only the
+    rows near the tolerance. The screen takes each row's left-to-right sum
+    ``s`` and mass ``m``, the sum of its absolute values, in ``o - 1``
+    vector adds each; with no negative entry in ``p``, ``m`` is ``s``, the
+    same adds of the same values. It decides as numpy's sum ``r`` does:
+
+    - For a float64 ``x``, ``abs(x - 1.0) > ROW_SUM_TOL`` is the exact test
+      ``|x - 1| > ROW_SUM_TOL``: the subtraction is exact for ``x`` in
+      ``[0.5, 2]`` (Sterbenz), and outside that range both sides exceed 0.5.
+    - ``s`` and ``r`` add the same ``o`` terms, each in some order. Every
+      order is within ``g * A`` of the exact sum, where ``A`` is the exact
+      mass, ``g = (o - 1) u / (1 - (o - 1) u)`` and ``u = eps / 2`` (Higham,
+      *Accuracy and Stability of Numerical Algorithms*, section 4.2). The
+      computed mass is at least ``(1 - g) A``, so ``|s - r| <= 2 g A / (1 -
+      g) < o * eps * m`` for any ``o`` below 10**7.
+    - ``|x - 1| - ROW_SUM_TOL`` moves by at most ``|s - r|`` between ``x =
+      s`` and ``x = r``. A row whose computed ``| |s - 1| - ROW_SUM_TOL |``
+      exceeds the band ``2 * o * eps * m`` is therefore decided alike by
+      ``s`` and by ``r``; the factor 2 covers the few relative roundings of
+      the band's own arithmetic.
+
+    Rows inside the band take their test from ``p[near].sum(axis=-1)``:
+    numpy sums each row of that gather in the order it sums the row in
+    ``p``. That order is left to right only for short rows (up to 7 values
+    under numpy 2.4), which is why the screen needs its band. A row with an
+    infinity has an infinite mass, so numpy sums it too.
     """
-    task = repo.tasks[t]
-    found = []
-    for s in (VAL, TEST):
-        p = np.asarray(repo.task_predictions(t, s), dtype=np.float64)
-        nonfinite = ~np.isfinite(p).all(axis=(1, 2))
-        off = np.zeros_like(nonfinite)
-        if task.problem.is_classification:
-            with np.errstate(invalid="ignore"):  # inf - inf in the row sums of non-finite cells
-                off = ((p < 0.0) | (p > 1.0)).any(axis=(1, 2))
-                if task.problem is ProblemType.MULTICLASS:
-                    off |= (np.abs(p.sum(axis=2) - 1.0) > ROW_SUM_TOL).any(axis=1)
-        found += [(j, s, f"non-finite prediction at {_cell(repo, t, j, s)}")
-                  for j in np.flatnonzero(nonfinite).tolist()]
-        found += [(j, s, f"row-stochastic violation at {_cell(repo, t, j, s)}")
-                  for j in np.flatnonzero(off & ~nonfinite).tolist()]
-    return sorted(found)
+    o = p.shape[-1]
+    total = p[..., 0].astype(np.float64)
+    for k in range(1, o):
+        total += p[..., k]
+    mass = total
+    if not p.min(initial=0.0) >= 0.0:  # a negative entry, or a NaN
+        mass = np.abs(p[..., 0], dtype=np.float64)
+        for k in range(1, o):
+            mass += np.abs(p[..., k])
+    distance = np.abs(total - 1.0)
+    off = distance > ROW_SUM_TOL
+    near = np.abs(distance - ROW_SUM_TOL) <= (2 * o * np.finfo(np.float64).eps) * mass
+    if near.any():
+        full = np.asarray(p[near], dtype=np.float64).sum(axis=-1)
+        off[near] = np.abs(full - 1.0) > ROW_SUM_TOL
+    return off
+
+
+_CHECK_BLOCK = 1 << 20  # values of whole tasks checked in one pass; a larger task is its own block
+
+
+def _cell_violations(repo: Repository) -> list[tuple[int, int, int, str]]:
+    """(task, config, split, message) for every invalid cell, in (task, config, split) order.
+
+    A non-finite value outranks the classification checks: every value in
+    [0, 1] and, for multiclass tasks, every row summing to one within
+    ``ROW_SUM_TOL``. The packed buffer is checked in one pass per block of
+    whole tasks of at most ``_CHECK_BLOCK`` values, which bounds the pass's
+    temporaries.
+    """
+    starts, found, first = repo._pred_start, [], 0
+    while first < repo.n_tasks:
+        end = first + 1
+        while end < repo.n_tasks and starts[end + 1] - starts[first] <= _CHECK_BLOCK:
+            end += 1
+        found += _block_violations(repo, first, end)
+        first = end
+    return found
+
+
+def _block_violations(repo: Repository, first: int, end: int) -> list[tuple[int, int, int, str]]:
+    """:func:`_cell_violations` of tasks ``first`` to ``end - 1``, in one pass over their values.
+
+    Their cells sit back to back in (task, config, split) order, so one
+    ``isfinite`` and one ``[0, 1]`` comparison over the block, each reduced
+    at the cell starts, flag every cell. No float64 copy is made: float32
+    widens to float64 exactly, so the comparisons decide as on such a copy.
+    """
+    tasks, offset = repo.tasks[first:end], repo._pred_start[first]
+    values = repo._preds[offset:repo._pred_start[end]]
+    if not values.size:
+        return []
+    repo._bytes_read += values.nbytes
+    shape = (len(tasks), repo.n_configs, 2)
+    sizes = np.array([[t.n_val * t.o, t.n_test * t.o] for t in tasks])
+    sizes = np.broadcast_to(sizes[:, None], shape).reshape(-1)
+    cell_starts = np.cumsum(sizes) - sizes
+
+    def cells_with(flags: np.ndarray) -> np.ndarray:
+        """The (tasks, configs, 2) mask of the cells holding a set flag of a value."""
+        if not flags.any():  # a valid block skips the reduction
+            return np.zeros(shape, dtype=bool)
+        return np.logical_or.reduceat(flags, cell_starts).reshape(shape)
+
+    nonfinite = cells_with(~np.isfinite(values))
+    outside = values < 0.0
+    outside |= values > 1.0
+    off = cells_with(outside)
+    off &= np.array([t.problem.is_classification for t in tasks])[:, None, None]
+    with np.errstate(invalid="ignore"):  # inf - inf in the row sums of non-finite cells
+        for i, task in enumerate(tasks):
+            if task.problem is ProblemType.MULTICLASS:
+                region = _task_region(values, repo._pred_start[first + i] - offset,
+                                      repo.n_configs, task)
+                off[i] |= np.logical_or.reduceat(_rows_off_one(region), [0, task.n_val], axis=1)
+    return [(first + i, j, s,
+             f"{'non-finite prediction' if nonfinite[i, j, s] else 'row-stochastic violation'}"
+             f" at {_cell(repo, first + i, j, s)}")
+            for i, j, s in np.argwhere(nonfinite | off).tolist()]
 
 
 def _label_violations(tasks: Sequence[TaskMeta], labels: np.ndarray) -> dict[int, str]:
@@ -518,6 +610,16 @@ def _replace_file(path: Path, name: str, *parts) -> None:
         raise
 
 
+_TASK_FIELDS = tuple(f.name for f in fields(TaskMeta))
+
+
+def _task_record(task: TaskMeta) -> dict:
+    """A task's manifest entry: its fields in declaration order, the problem by value."""
+    record = {key: getattr(task, key) for key in _TASK_FIELDS}
+    record["problem"] = task.problem.value
+    return record
+
+
 def write_repo(repo: Repository, path: str | Path) -> None:
     """Write a repository to ``path``, creating the directory if needed.
 
@@ -531,10 +633,8 @@ def write_repo(repo: Repository, path: str | Path) -> None:
     """
     path = Path(path)
     tasks, configs = repo.tasks, repo.configs
-    for t in range(repo.n_tasks):
-        bad = _cell_violations(repo, t)
-        if bad:
-            raise StoreError(bad[0][2])
+    if bad := _cell_violations(repo):
+        raise StoreError(bad[0][3])
     _check_evals(repo)
     evals = np.ascontiguousarray(repo.eval_table, dtype="<f8")
 
@@ -547,8 +647,8 @@ def write_repo(repo: Repository, path: str | Path) -> None:
         "format": "prediction-repository",
         "version": FORMAT_VERSION,
         "folds_per_dataset": repo.folds_per_dataset,
-        "tasks": [{**asdict(t), "problem": t.problem.value} for t in tasks],
-        "configs": [asdict(c) for c in configs],
+        "tasks": [_task_record(t) for t in tasks],
+        "configs": [{key: getattr(c, key) for key, _ in _CONFIG_TYPES} for c in configs],
         "label_checksums": checksums,
     }
 
@@ -764,8 +864,11 @@ def validate_repo(repo: Repository) -> list[str]:
     report: list[str] = []
     bad_evals = _invalid_evals(repo.eval_table)
     bad_labels = _label_violations(repo.tasks, repo._labels)
+    bad_cells: dict[int, list[tuple[int, str]]] = {}
+    for t, j, _, message in _cell_violations(repo):
+        bad_cells.setdefault(t, []).append((j, message))
     for t, task in enumerate(repo.tasks):
-        found = [(j, message) for j, _, message in _cell_violations(repo, t)]
+        found = bad_cells.get(t, [])
         found += [(j, f"invalid evaluation record at {_cell(repo, t, j)}")
                   for j in np.flatnonzero(bad_evals[t]).tolist()]
         check = np.flatnonzero(~np.isin(np.arange(repo.n_configs), [j for j, _ in found]))

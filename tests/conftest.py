@@ -13,7 +13,7 @@ from predrepo import (
     generate_repo,
     task_loss,
 )
-from predrepo.store import TEST, VAL
+from predrepo.store import ROW_SUM_TOL, TEST, VAL
 
 
 def make_handmade_repo(seed: int = 0) -> Repository:
@@ -106,6 +106,40 @@ def small_spec(seed: int = 11, **overrides) -> GeneratorSpec:
     )
     kwargs.update(overrides)
     return GeneratorSpec(**kwargs)
+
+
+def full_sum_off(p):
+    """The row-sum test as numpy's own sums decide it: the reference for the screen."""
+    return np.abs(np.asarray(p, dtype=np.float64).sum(axis=-1) - 1.0) > ROW_SUM_TOL
+
+
+def ulps_around(x: float, k: int, dtype=np.float64) -> list[float]:
+    """The ``dtype`` value nearest ``x`` and the ``k`` values on either side of it."""
+    lo = hi = dtype(x)
+    out = [float(lo)]
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, dtype(-np.inf)), np.nextafter(hi, dtype(np.inf))
+        out += [float(lo), float(hi)]
+    return out
+
+
+# row sums 0-4 ulp on either side of both tolerance edges, in float64 and in float32
+EDGE_SUMS = ulps_around(1.0 + ROW_SUM_TOL, 4) + ulps_around(1.0 - ROW_SUM_TOL, 4)
+EDGE_SUMS_F32 = [x for edge in (1.0 + ROW_SUM_TOL, 1.0 - ROW_SUM_TOL)
+                 for x in ulps_around(edge, 4, np.float32)]
+
+
+def at_sum(row: np.ndarray, target: float) -> np.ndarray:
+    """``row`` with its last entry moved until numpy's float64 sum of the row is
+    ``target``, or as near as that entry's spacing allows."""
+    row = row.copy()
+    row[-1] += row.dtype.type(target - row.astype(np.float64).sum())
+    for _ in range(64):
+        total = row.astype(np.float64).sum()
+        if total == target:
+            break
+        row[-1] = np.nextafter(row[-1], row.dtype.type(np.inf if total < target else -np.inf))
+    return row
 
 
 @pytest.fixture()

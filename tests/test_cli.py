@@ -678,6 +678,29 @@ class TestLearnedOncePerCommand:
         assert calls[0] == len(open_repo(repo_dir).datasets) * 2 * 3
         assert len(rows) == 6
 
+    @pytest.mark.parametrize("axis", ["configs-per-family", "n-train-datasets"])
+    def test_seeds_drawing_one_input_learn_one_set(self, tmp_path, capsys, monkeypatch, axis):
+        # with equal families at their full size, or every other dataset training,
+        # each seed draws the same learner input
+        base = tmp_path / "equal"
+        base.mkdir()
+        spec_path = write_spec(base, families=(FamilySpec("gbm", 3, 0.85, 0.5, 0.3),
+                                               FamilySpec("mlp", 3, 0.6, 0.8, 0.2)))
+        code, _, _ = run(capsys, "generate", "--spec", str(spec_path), "--out", str(base / "repo"))
+        assert code == 0
+        n_datasets = len(open_repo(base / "repo").datasets)
+        value = "3" if axis == "configs-per-family" else str(n_datasets - 1)
+        calls = count_learned(monkeypatch)
+        rows, summary = self.ablate(capsys, base / "repo", tmp_path / "all.csv", axis, value,
+                                    "0,1,2")
+        assert calls[0] == n_datasets
+        single = []
+        for seed in ("0", "1", "2"):
+            single += self.ablate(capsys, base / "repo", tmp_path / "one.csv", axis, value,
+                                  seed)[0]
+        assert rows == single
+        assert summary[0][4] == "3"
+
 def count_greedy(monkeypatch) -> list[tuple[int, list[int]]]:
     """Patch the greedy loop at every name a simulation calls it by; returns a live
     list of (task, each pool's step count), one per call."""

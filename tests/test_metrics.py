@@ -12,6 +12,8 @@ from predrepo import metrics
 from predrepo.metrics import StackLoss, average_ranks
 from predrepo.synth import oracle_auc_pairwise
 
+from conftest import EDGE_SUMS, at_sum, full_sum_off
+
 
 def two_pass_rmse(pred, target):
     # independent reference: explicit loop, no numpy reductions
@@ -351,6 +353,23 @@ class TestStackLoss:
                 task_loss(task, stack[2], y)
             with pytest.raises(ValueError, match="row-stochastic"):
                 StackLoss(task, y)(stack)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 20), st.data())
+    def test_row_sum_check_raises_exactly_when_the_full_sum_fails(self, o, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        m, n = data.draw(st.integers(1, 4), label="m"), data.draw(st.integers(1, 6), label="n")
+        stack = stochastic(rng, (m, n, o))
+        for i in data.draw(st.lists(st.integers(0, m * n - 1), max_size=3), label="edge rows"):
+            row = stack.reshape(-1, o)[i]
+            row[:] = at_sum(row, data.draw(st.sampled_from(EDGE_SUMS), label="sum"))
+        task = TaskMeta("d", 0, ProblemType.MULTICLASS, n_val=n, n_test=n, o=o)
+        loss_of = StackLoss(task, rng.integers(0, o, n))
+        if full_sum_off(stack).any():
+            with pytest.raises(ValueError, match="^probs rows are not row-stochastic within 1e-5$"):
+                loss_of.check(stack)
+        else:
+            loss_of.check(stack)
 
     @pytest.mark.parametrize(
         "problem,o", [(ProblemType.REGRESSION, 1), (ProblemType.BINARY, 1),

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +30,20 @@ from predrepo import (
     validate_repo,
     write_repo,
 )
+from predrepo import store
 from predrepo.store import _INDEX_DTYPE, TEST, VAL
 
-from conftest import make_handmade_repo, rebuild_repo, repo_arrays, small_spec
+from conftest import (
+    EDGE_SUMS,
+    EDGE_SUMS_F32,
+    at_sum,
+    full_sum_off,
+    make_handmade_repo,
+    rebuild_repo,
+    repo_arrays,
+    small_spec,
+    ulps_around,
+)
 
 FILES = ("manifest.json", "labels.bin", "evals.bin", "preds.idx", "preds.blob")
 
@@ -690,3 +702,188 @@ class TestCharacterization:
             "non-finite prediction at (task=('bin', 0), config=alpha-001, split=1)",
             f"loss recomputation failed at (task=('bin', 0), config=beta-default): {single}",
         ]
+
+
+class _MaskRecorder(np.ndarray):
+    """An array that records every boolean mask it is indexed with."""
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray) and key.dtype == bool and hasattr(self, "masks"):
+            self.masks.append(np.array(key))
+        return super().__getitem__(key)
+
+
+class TestRowSums:
+    """``_rows_off_one`` decides every row as ``np.abs(p.sum(axis=-1) - 1.0) >
+    ROW_SUM_TOL`` does."""
+
+    @pytest.mark.parametrize("o", range(2, 21))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_rows_at_the_tolerance_match_the_full_sum(self, o, dtype):
+        rng = np.random.default_rng(o)
+        p = np.array([at_sum(rng.dirichlet(np.ones(o)).astype(dtype), target)
+                      for target in EDGE_SUMS for _ in range(6)])
+        want = full_sum_off(p)
+        assert want.any() and not want.all()  # the rows straddle the tolerance
+        np.testing.assert_array_equal(store._rows_off_one(p), want)
+        np.testing.assert_array_equal(store._rows_off_one(p.reshape(6, -1, o)),
+                                      want.reshape(6, -1))
+
+    @pytest.mark.parametrize("o", range(2, 21))
+    def test_large_negative_and_zero_rows(self, o):
+        rng = np.random.default_rng(100 + o)
+        big = rng.uniform(-2.0**25, 2.0**25, (40, o))
+        p = np.concatenate([
+            np.array([at_sum(row, target) for row in big for target in EDGE_SUMS[::3]]),
+            np.zeros((3, o)), -rng.dirichlet(np.ones(o), 5), big,
+            np.array([at_sum(rng.uniform(-1.0, 1.0, o), t) for t in EDGE_SUMS]),
+        ])
+        np.testing.assert_array_equal(store._rows_off_one(p), full_sum_off(p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 20), st.data())
+    def test_matches_the_full_sum(self, o, data):
+        scale = data.draw(st.sampled_from([1.0, 2.0**-20, 2.0**10, 2.0**25]), label="scale")
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
+        entries = st.lists(st.floats(-1.0, 1.0), min_size=o, max_size=o)
+        rows = []
+        for _ in range(data.draw(st.integers(1, 8), label="rows")):
+            row = (np.array(data.draw(entries)) * scale).astype(dtype)
+            kind = data.draw(st.sampled_from(["edge", "free", "zero"]), label="kind")
+            if kind == "edge":
+                row = at_sum(row, data.draw(st.sampled_from(EDGE_SUMS), label="sum"))
+            elif kind == "zero":
+                row[:] = 0.0
+            rows.append(row)
+        p = np.array(rows)
+        np.testing.assert_array_equal(store._rows_off_one(p), full_sum_off(p))
+        np.testing.assert_array_equal(store._rows_off_one(p[None]), full_sum_off(p[None]))
+
+    @pytest.mark.parametrize("o", [2, 5, 9, 20])
+    def test_rows_within_the_band_are_summed_by_numpy(self, o):
+        # a row whose one nonzero entry is x has the same sum in every order; it is in
+        # the band when its distance from the tolerance is below 2 * o * eps * x
+        eps, tol = Fraction(np.finfo(np.float64).eps), Fraction(store.ROW_SUM_TOL)
+        rows, ratios = [], []
+        for edge in (1.0 + store.ROW_SUM_TOL, 1.0 - store.ROW_SUM_TOL):
+            for x in ulps_around(edge, 6 * o):
+                ratio = abs(abs(Fraction(x) - 1) - tol) / (o * eps * Fraction(x))
+                if abs(ratio - 1) > 0.1 and abs(ratio - 2) > 0.1:  # clear of both widths
+                    rows.append(np.zeros(o))
+                    rows[-1][len(rows) % o] = x
+                    ratios.append(ratio)
+        inside = np.array([ratio < 2 for ratio in ratios])
+        assert any(1 < ratio < 2 for ratio in ratios) and not inside.all()
+        p = np.array(rows)
+        recorder = p.view(_MaskRecorder)
+        recorder.masks = []
+        np.testing.assert_array_equal(np.asarray(store._rows_off_one(recorder)), full_sum_off(p))
+        assert len(recorder.masks) == 1
+        np.testing.assert_array_equal(recorder.masks[0], inside)
+
+    def test_infinite_and_nan_rows(self):
+        p = np.array([[np.inf, 0.0], [np.inf, -np.inf], [np.nan, 1.0], [1e308, 1e308],
+                      [0.25, 0.75]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.testing.assert_array_equal(store._rows_off_one(p), full_sum_off(p))
+
+
+def reference_cell_violations(repo, t):
+    """The per-split check that the one-pass check replaced: (config, split, message)
+    for every invalid cell of task ``t``, from a float64 copy of each split."""
+    task = repo.tasks[t]
+    found = []
+    for s in (VAL, TEST):
+        p = np.asarray(repo.task_predictions(t, s), dtype=np.float64)
+        nonfinite = ~np.isfinite(p).all(axis=(1, 2))
+        off = np.zeros_like(nonfinite)
+        if task.problem.is_classification:
+            with np.errstate(invalid="ignore"):
+                off = ((p < 0.0) | (p > 1.0)).any(axis=(1, 2))
+                if task.problem is ProblemType.MULTICLASS:
+                    off |= (np.abs(p.sum(axis=2) - 1.0) > store.ROW_SUM_TOL).any(axis=1)
+        found += [(j, s, f"non-finite prediction at {store._cell(repo, t, j, s)}")
+                  for j in np.flatnonzero(nonfinite).tolist()]
+        found += [(j, s, f"row-stochastic violation at {store._cell(repo, t, j, s)}")
+                  for j in np.flatnonzero(off & ~nonfinite).tolist()]
+    return sorted(found)
+
+
+def reference_outputs(repo, path, monkeypatch):
+    """``validate_repo``'s report and ``write_repo``'s error, with the cells checked
+    by the reference."""
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "_cell_violations", lambda repo: [
+            (t, *found) for t in range(repo.n_tasks)
+            for found in reference_cell_violations(repo, t)])
+        return store_outputs(repo, path)
+
+
+def store_outputs(repo, path):
+    try:
+        write_repo(repo, path)
+    except StoreError as e:
+        return validate_repo(repo), str(e)
+    return validate_repo(repo), None
+
+
+def corrupt(repo, rng, n_defects: int):
+    """``repo`` with ``n_defects`` random cell defects: NaN, infinities, -0.5, 1.5, a
+    row scaled off one by 2e-5, a cell of NaN, or a row 0-4 float32 ulp off a tolerance
+    edge."""
+    labels, preds, evals = repo_arrays(repo)
+    for _ in range(n_defects):
+        t = int(rng.integers(repo.n_tasks))
+        cell = preds[t][int(rng.integers(2))][int(rng.integers(repo.n_configs))]
+        i, k = int(rng.integers(cell.shape[0])), int(rng.integers(cell.shape[1]))
+        kind = rng.integers(7)
+        if kind < 4:
+            cell[i, k] = (np.nan, rng.choice([np.inf, -np.inf]), -0.5, 1.5)[kind]
+        elif kind == 4:
+            cell[i] *= np.float32(1 + 2e-5 * rng.choice([-1, 1]))
+        elif kind == 5:
+            cell[:] = np.nan
+        elif cell.shape[1] > 1:
+            cell[i] = at_sum(cell[i], float(rng.choice(EDGE_SUMS_F32)))
+    return rebuild_repo(repo, labels, preds, evals)
+
+
+class TestOnePassCellChecks:
+    """The one-pass cell check reports what the per-split check reported, at any block size."""
+
+    @pytest.mark.parametrize("block", [1, 70, 150, 300, 5000, store._CHECK_BLOCK])
+    def test_reports_and_errors_equal_the_reference(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(store, "_CHECK_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for case, source in enumerate([make_handmade_repo(), make_handmade_repo(1),
+                                       generate_repo(small_spec(seed=5))] * 4):
+            bad = corrupt(source, rng, int(rng.integers(0, 9)))
+            want = reference_outputs(bad, tmp_path / f"want{case}", monkeypatch)
+            assert store_outputs(bad, tmp_path / f"got{case}") == want
+
+    def test_every_defect_kind_in_val_and_test(self, tmp_path, monkeypatch):
+        repo = make_handmade_repo()
+        labels, preds, evals = repo_arrays(repo)
+        for s in (VAL, TEST):
+            preds[1][s][0][2, 0] = np.nan
+            preds[2][s][1][0, 0] = -np.inf
+            preds[3][s][2][4, 0] = -0.5
+            preds[3][s][0][1, 0] = 1.5
+            preds[4][s][0][3] *= np.float32(1 + 2e-5)
+            preds[5][s][2][0] *= np.float32(1 - 2e-5)
+            preds[5][s][1][1] = [np.nan, 1.5, -0.5]  # several defects in one cell
+        bad = rebuild_repo(repo, labels, preds, evals)
+        want = reference_outputs(bad, tmp_path / "want", monkeypatch)
+        assert len([r for r in want[0] if "prediction" in r or "row-stochastic" in r]) == 14
+        for block in (1, 100, 400, store._CHECK_BLOCK):
+            monkeypatch.setattr(store, "_CHECK_BLOCK", block)
+            assert store_outputs(bad, tmp_path / f"got{block}") == want
+
+    def test_cells_in_repository_order(self, monkeypatch):
+        bad = corrupt(generate_repo(small_spec(seed=7)), np.random.default_rng(3), 30)
+        want = [(t, *found) for t in range(bad.n_tasks)
+                for found in reference_cell_violations(bad, t)]
+        assert len(want) > 5
+        for block in (1, 500, store._CHECK_BLOCK):
+            monkeypatch.setattr(store, "_CHECK_BLOCK", block)
+            assert store._cell_violations(bad) == want
