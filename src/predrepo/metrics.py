@@ -33,12 +33,6 @@ from .store import ROW_SUM_TOL, ProblemType, TaskMeta, _rows_off_one
 
 LOG_LOSS_EPS = 1e-15
 
-METRIC_BY_PROBLEM = {
-    ProblemType.BINARY: "auc_loss",
-    ProblemType.MULTICLASS: "log_loss",
-    ProblemType.REGRESSION: "rmse",
-}
-
 
 def _as_1d(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -166,6 +160,8 @@ class StackLoss:
       with a proven rounding bound decides every row outside a narrow band
       around the tolerance, and numpy sums the rows inside it, so ``check``
       raises exactly when ``np.abs(p.sum(axis=2) - 1.0) > 1e-5`` somewhere.
+      Its last step is :meth:`column`, which reads that column and checks
+      nothing; a caller whose cells are already checked reads it directly.
     - :meth:`score` computes the loss from such a column and checks nothing.
 
     Every metric is elementwise in the stack before it reduces a row, so the
@@ -227,13 +223,22 @@ class StackLoss:
                              f"needs (M, {expected[0]}, {expected[1]})")
         if not np.all(np.isfinite(p)):
             raise ValueError("predictions contain NaN or infinity")
-        if self.task.problem is not ProblemType.MULTICLASS:
-            return p[:, :, 0]
-        if _rows_off_one(p).any():
+        if self.task.problem is ProblemType.MULTICLASS and _rows_off_one(p).any():
             raise ValueError("probs rows are not row-stochastic within 1e-5")
+        return self.column(p)
+
+    def column(self, stack: np.ndarray) -> np.ndarray:
+        """The float64 ``(M, n)`` column of an ``(M, n, o)`` stack, as :meth:`check`
+        returns it, without checking anything: for a stack already checked.
+
+        Only the column is widened to float64; float32 widens exactly, so a
+        float32 stack gives the bits of its float64 copy."""
+        if self.task.problem is not ProblemType.MULTICLASS:
+            return np.asarray(stack[:, :, 0], dtype=np.float64)
         # take_along_axis gives C-contiguous rows, so the mean sums each row in
         # the same order as log_loss does
-        return np.take_along_axis(p, self._y[None, :, None], axis=2)[:, :, 0]
+        column = np.take_along_axis(stack, self._y[None, :, None], axis=2)[:, :, 0]
+        return np.asarray(column, dtype=np.float64)
 
     def score(self, column: np.ndarray) -> np.ndarray:
         """``(M,)`` losses of an ``(M, n)`` column from :meth:`check`, or of an

@@ -337,16 +337,17 @@ class Repository:
             raise KeyError(f"unknown config: {config!r}") from None
 
     def config_ordinals(self, configs) -> list[int]:
-        """Sorted distinct ordinals of ``configs``; no list or an empty one is a ValueError."""
+        """Sorted distinct ordinals of ``configs``; no list or an empty one is a ValueError.
+
+        An in-range plain ``int`` is its own ordinal. Any other entry, a ``bool``
+        or an ``np.integer`` too, is resolved by :meth:`config_index`, in the
+        order given, so the first bad entry raises its ``KeyError``.
+        """
         if configs is None:
             raise ValueError("candidate list must not be None")
-        configs = list(configs)
-        # callers mostly pass in-range plain ints: skip the walk through config_index
-        if all(type(c) is int for c in configs):
-            ordinals = sorted(set(configs))
-            if ordinals and 0 <= ordinals[0] and ordinals[-1] < self.n_configs:
-                return ordinals
-        ordinals = sorted({self.config_index(c) for c in configs})
+        n = self.n_configs
+        ordinals = sorted({c if type(c) is int and 0 <= c < n else self.config_index(c)
+                           for c in configs})
         if not ordinals:
             raise ValueError("candidate list is empty")
         return ordinals
@@ -794,7 +795,7 @@ def open_repo(path: str | Path) -> Repository:
 
     if type(manifest) is not dict or manifest.get("format") != "prediction-repository":
         raise StoreError("bad magic in manifest.json: not a prediction repository")
-    if manifest.get("version") != FORMAT_VERSION:
+    if type(manifest.get("version")) is not int or manifest["version"] != FORMAT_VERSION:
         raise StoreError(f"unsupported version {manifest.get('version')} in manifest.json")
 
     array = _typed(list)
@@ -856,8 +857,10 @@ def validate_repo(repo: Repository) -> list[str]:
     recomputed), NaN freedom and row stochasticity of every cell, valid
     evaluation records, and recomputation of the stored validation loss from
     the stored predictions within ``LOSS_RECOMPUTE_TOL`` relative, in one
-    :class:`metrics.StackLoss` call per task. Violations come in (task,
-    config) order. Density and cell shapes hold by construction.
+    :meth:`metrics.StackLoss.score` call per task. The losses are recomputed
+    only for cells that passed the cell checks, so their columns are read
+    with :meth:`metrics.StackLoss.column` and not checked twice. Violations
+    come in (task, config) order. Density and cell shapes hold by construction.
     """
     from . import metrics  # local import to avoid a cycle
 
@@ -881,7 +884,8 @@ def validate_repo(repo: Repository) -> list[str]:
                 found += [(j, f"loss recomputation failed at {_cell(repo, t, j)}: {e}")
                           for j in check.tolist()]
             else:
-                recomputed = loss_of(repo.task_predictions(t, VAL)[check])
+                # these cells passed _cell_violations: score them without a second check
+                recomputed = loss_of.score(loss_of.column(repo.task_predictions(t, VAL)[check]))
                 stored = repo.eval_table[t, check, 0]
                 tol = LOSS_RECOMPUTE_TOL * np.maximum(1.0, np.abs(recomputed))
                 off = np.abs(stored - recomputed) > tol

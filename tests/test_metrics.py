@@ -428,6 +428,27 @@ class TestStackLoss:
                 running += stack[k]
                 running_column += columns[k]
 
+    @pytest.mark.parametrize("problem,o", [
+        (ProblemType.BINARY, 1), (ProblemType.MULTICLASS, 2), (ProblemType.MULTICLASS, 5),
+        (ProblemType.REGRESSION, 1),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_column_is_the_checked_column(self, problem, o, dtype):
+        rng = np.random.default_rng(17)
+        m, n = 7, 40
+        task = TaskMeta("d", 0, problem, n_val=n, n_test=n, o=o)
+        if problem is ProblemType.MULTICLASS:
+            stack, y = stochastic(rng, (m, n, o)), rng.integers(0, o, n)
+        else:
+            stack, y = rng.random((m, n, o)), rng.integers(0, 2, n)
+            y[:2] = (0, 1)
+        stack = stack.astype(dtype)
+        loss = StackLoss(task, y)
+        got, want = loss.column(stack), loss.check(stack)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape == (m, n)
+        assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+        assert loss.score(got).tobytes() == loss.score(want).tobytes()
+
     def test_labels_checked_on_construction(self):
         binary = TaskMeta("d", 0, ProblemType.BINARY, n_val=4, n_test=4, o=1)
         with pytest.raises(ValueError, match="single class"):

@@ -30,7 +30,7 @@ from predrepo import (
     validate_repo,
     write_repo,
 )
-from predrepo import store
+from predrepo import metrics, store
 from predrepo.store import _INDEX_DTYPE, TEST, VAL
 
 from conftest import (
@@ -203,6 +203,17 @@ class TestOpen:
         (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(StoreError, match="unsupported version"):
             open_repo(tmp_path / "r")
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_version_must_be_a_json_integer(self, tmp_path, handmade_repo, version):
+        # true and 1.0 compare equal to 1 in Python, but are not the integer 1
+        write_repo(handmade_repo, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        manifest["version"] = version
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError) as err:
+            open_repo(tmp_path / "r")
+        assert str(err.value) == f"unsupported version {version} in manifest.json"
 
     def test_unsupported_binary_version(self, tmp_path, handmade_repo):
         write_repo(handmade_repo, tmp_path / "r")
@@ -583,7 +594,7 @@ class TestAccess:
         ["nope", 1], [2, 1, -4],
     ])
     def test_config_ordinals_all_int_path_matches_the_walk(self, handmade_repo, configs):
-        # in-range plain ints take a shortcut; it must agree with resolving each entry
+        # in-range plain ints are their own ordinals; they must agree with resolving each entry
         repo = handmade_repo
         assert repo.n_configs == 3
         try:
@@ -661,6 +672,18 @@ class TestValidate:
         repo = make_handmade_repo()
         repo.eval_table[0, 0, 0] += 1e-8
         assert validate_repo(repo) == []
+
+    def test_checked_cells_are_not_checked_again(self, monkeypatch, handmade_repo, synth_repo):
+        # the cell pass has checked every cell whose loss is recomputed
+        calls = []
+        check = metrics.StackLoss.check
+        monkeypatch.setattr(metrics.StackLoss, "check",
+                            lambda self, stack: calls.append(stack.shape) or check(self, stack))
+        problems = {task.problem for task in (*handmade_repo.tasks, *synth_repo.tasks)}
+        assert problems == set(ProblemType)
+        assert validate_repo(handmade_repo) == []
+        assert validate_repo(synth_repo) == []
+        assert calls == []
 
 
 class TestCharacterization:
