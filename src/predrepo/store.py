@@ -7,9 +7,10 @@ loss, fit time, inference time per row).
 Memory and disk share one layout. All prediction matrices sit back to back
 in one float32 buffer, row-major, in (task, config, split) order, so a cell's
 position and shape follow from the task shapes alone. An in-memory
-repository packs its cells into such a buffer; an opened one memory-maps
-preds.blob past its header. The labels sit likewise in one float64 buffer in
-labels.bin order. Reads return read-only views into these buffers and copy
+repository packs its cells into such a buffer; an opened one is a view past
+the header of preds.blob, mapped once, whole and read-only, as is each other
+binary file. The labels sit likewise in one float64 buffer in labels.bin
+order. Reads return read-only views into these buffers and copy
 nothing, except that classification labels are converted to int64 class
 indices; :func:`write_repo` and :func:`open_repo` admit only labels that are
 class indices, so the conversion is exact. :meth:`Repository.task_predictions`
@@ -36,7 +37,10 @@ Directory layout::
 Index offsets are absolute byte positions in preds.blob. Splits are numbered
 val=0, test=1. The index is redundant with the manifest: :func:`open_repo`
 rejects any record that differs from the one the task shapes imply, and any
-evaluation record with a negative or non-finite field. Repository handles
+evaluation record with a negative or non-finite field. A canonical index is
+accepted by one byte compare; only a mismatch is diagnosed record by record.
+manifest.json is ``json.dumps(manifest, indent=2)`` plus a newline, produced
+from the C JSON encoder (:func:`_manifest_text`). Repository handles
 are immutable after open and safe for concurrent readers. All writes go
 through :func:`write_repo`, which checks every cell first and then replaces
 each file whole, so rewriting a repository onto the directory it was opened
@@ -48,6 +52,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import mmap
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -580,17 +585,24 @@ def _header(magic: bytes) -> bytes:
     return magic + np.uint32(FORMAT_VERSION).tobytes()
 
 
-def _check_header(path: Path, magic: bytes) -> None:
+def _map_file(path: Path, magic: bytes) -> mmap.mmap | bytes:
+    """A read-only map of the whole binary file ``path``, its 8-byte header checked."""
     try:
-        with open(path, "rb") as f:
-            head = f.read(8)
+        fd = os.open(path, os.O_RDONLY)
     except FileNotFoundError:
         raise StoreError(f"missing file: {path.name}") from None
-    if len(head) < 8 or head[:4] != magic:
+    try:
+        data = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)  # holds its own descriptor
+    except ValueError:  # an empty file cannot be mapped
+        data = b""
+    finally:
+        os.close(fd)
+    if len(data) < 8 or data[:4] != magic:
         raise StoreError(f"bad magic in {path.name}: expected {magic!r}")
-    version = int(np.frombuffer(head[4:8], dtype="<u4")[0])
+    version = int.from_bytes(data[4:8], "little")
     if version != FORMAT_VERSION:
         raise StoreError(f"unsupported version {version} in {path.name}")
+    return data
 
 
 def _replace_file(path: Path, name: str, *parts) -> None:
@@ -619,6 +631,34 @@ def _task_record(task: TaskMeta) -> dict:
     record = {key: getattr(task, key) for key in _TASK_FIELDS}
     record["problem"] = task.problem.value
     return record
+
+
+# every item on its own line: strings are encoded with their newlines
+# escaped, so each "\n" of the text ends an item
+_encode_items = json.JSONEncoder(separators=("\n", ": ")).encode
+
+
+def _manifest_text(manifest: dict) -> str:
+    r"""``json.dumps(manifest, indent=2)``, with the encoding done by the C encoder.
+
+    CPython encodes in C only without ``indent``. Every manifest value is a
+    scalar, a list of scalars or a list of objects whose values are scalars,
+    so the "\n" ending an item of such a list is preceded by "}" exactly when
+    it ends an object; the indent-2 layout follows from string replaces.
+    """
+    items = []
+    for key, value in manifest.items():
+        text = _encode_items(value)
+        if type(value) is list and value:
+            if type(value[0]) is dict:
+                text = ("[\n    {\n      "
+                        + text[2:-2].replace("\n", ",\n      ")
+                        .replace("},\n      {", "\n    },\n    {\n      ")
+                        + "\n    }\n  ]")
+            else:
+                text = "[\n    " + text[1:-1].replace("\n", ",\n    ") + "\n  ]"
+        items.append(f"  {_encode_items(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}"
 
 
 def write_repo(repo: Repository, path: str | Path) -> None:
@@ -658,8 +698,7 @@ def write_repo(repo: Repository, path: str | Path) -> None:
     _replace_file(path, "preds.idx", _header(MAGIC_INDEX), _canonical_index(tasks, len(configs)))
     _replace_file(path, "evals.bin", _header(MAGIC_EVALS), evals)
     _replace_file(path, "labels.bin", _header(MAGIC_LABELS), repo._labels)
-    _replace_file(path, "manifest.json",
-                  (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+    _replace_file(path, "manifest.json", (_manifest_text(manifest) + "\n").encode("utf-8"))
 
 
 def _typed(kind: type):
@@ -720,37 +759,36 @@ _CONFIG_TYPES = (("config_id", str), ("family", str), ("is_default", bool), ("hy
 
 def _manifest_configs(entries: list) -> list[ConfigMeta]:
     """Parse the manifest's configs; a mistyped value is a StoreError naming ordinal and field."""
-    configs = []  # many more than tasks: checked once built, not through _field per value
+    configs = []  # many more than tasks: their values are checked without _field
     try:
         for j, c in enumerate(entries):
             if type(c) is not dict:
                 raise StoreError(f"manifest.json: config {j} is not a JSON object")
-            config = ConfigMeta(c["config_id"], c["family"], c["is_default"],
-                                c.get("hyperparams", ""))
-            for key, kind in _CONFIG_TYPES:
-                if type(getattr(config, key)) is not kind:
-                    raise StoreError(f"manifest.json: config {j}: invalid {key!r} value "
-                                     f"{getattr(config, key)!r}")
-            configs.append(config)
+            values = (c["config_id"], c["family"], c["is_default"], c.get("hyperparams", ""))
+            for (key, kind), value in zip(_CONFIG_TYPES, values):
+                if type(value) is not kind:
+                    raise StoreError(f"manifest.json: config {j}: invalid {key!r} value {value!r}")
+            configs.append(ConfigMeta(*values))
     except KeyError as e:
         raise StoreError(f"manifest.json is missing required field {e.args[0]!r} "
                          f"in config {j}") from None
     return configs
 
 
-def _map(path: Path, dtype: str, count: int) -> np.ndarray:
-    """Read-only map of ``count`` items of ``path`` past its 8-byte header."""
-    if count == 0:
-        return np.empty(0, dtype=dtype)
-    return np.asarray(np.memmap(path, dtype=dtype, mode="r", offset=8, shape=(count,)))
+def _check_index(index, tasks: Sequence[TaskMeta], configs: Sequence[ConfigMeta]) -> None:
+    """Compare the records of preds.idx, mapped as ``index``, with the canonical ones.
 
-
-def _check_index(path: Path, tasks: Sequence[TaskMeta], configs: Sequence[ConfigMeta]) -> None:
-    """Compare the records of preds.idx with the canonical ones, pad bytes excepted."""
+    A file equal to the canonical one passes by one compare of all record
+    bytes, taken as ``<u4`` words (a record is 7 of them) so that no copy or
+    per-byte mask is made; any other is compared record by record, pad
+    bytes excepted.
+    """
     want = _canonical_index(tasks, len(configs)).reshape(-1)
-    raw = np.fromfile(path, dtype=np.uint8, offset=8)
-    if raw.nbytes != want.nbytes:
-        raise StoreError(f"preds.idx holds {raw.nbytes} record bytes, expected {want.nbytes}")
+    if len(index) - 8 != want.nbytes:
+        raise StoreError(f"preds.idx holds {len(index) - 8} record bytes, expected {want.nbytes}")
+    if np.array_equal(np.frombuffer(index, dtype="<u4", offset=8), want.view("<u4")):
+        return
+    raw = np.frombuffer(index, dtype=np.uint8, offset=8)
     width = _INDEX_DTYPE.itemsize
     differs = raw.reshape(-1, width) != want.view(np.uint8).reshape(-1, width)
     differs[:, _PAD_BYTES] = False
@@ -780,8 +818,10 @@ def open_repo(path: str | Path) -> Repository:
     task shapes imply, and each task's labels are checked against their
     manifest checksum and checked to be finite and, for classification tasks,
     class indices, in one pass over all labels. The prediction blob is
-    memory-mapped and never read in full at open time. The returned handle is
-    immutable and safe for concurrent readers.
+    never read in full at open time. Each binary file is opened once and
+    mapped whole and read-only; its header is checked in the map and the
+    arrays are views of it. A canonical index passes by one byte compare.
+    The returned handle is immutable and safe for concurrent readers.
     """
     path = Path(path)
     manifest_path = path / "manifest.json"
@@ -805,30 +845,31 @@ def open_repo(path: str | Path) -> Repository:
     label_checksums = _field(manifest, "label_checksums", array)
     T, M = len(tasks), len(configs)
 
-    for name, magic in (("preds.blob", MAGIC_BLOB), ("preds.idx", MAGIC_INDEX),
-                        ("evals.bin", MAGIC_EVALS), ("labels.bin", MAGIC_LABELS)):
-        _check_header(path / name, magic)
+    blob, index, evals_map, labels_map = (
+        _map_file(path / name, magic)
+        for name, magic in (("preds.blob", MAGIC_BLOB), ("preds.idx", MAGIC_INDEX),
+                            ("evals.bin", MAGIC_EVALS), ("labels.bin", MAGIC_LABELS)))
 
-    _check_index(path / "preds.idx", tasks, configs)
+    _check_index(index, tasks, configs)
     end = 8 + 4 * _pred_starts(tasks, M)[-1]
-    blob_size = os.path.getsize(path / "preds.blob")
+    blob_size = len(blob)
     if blob_size != end:
         side = "shorter" if blob_size < end else "longer"
         raise StoreError(
             f"blob {side} than index extent: need {end} bytes, preds.blob has {blob_size}"
         )
 
-    evals_size = os.path.getsize(path / "evals.bin")
+    evals_size = len(evals_map)
     if evals_size != 8 + T * M * _EVAL_FIELDS * 8:
         raise StoreError(
             f"evals.bin has {evals_size} bytes, expected {8 + T * M * _EVAL_FIELDS * 8}"
         )
 
     label_start = _label_starts(tasks)
-    labels_size = os.path.getsize(path / "labels.bin")
+    labels_size = len(labels_map)
     if labels_size != 8 + label_start[-1] * 8:
         raise StoreError(f"labels.bin has {labels_size} bytes, expected {8 + label_start[-1] * 8}")
-    labels = _map(path / "labels.bin", "<f8", label_start[-1])
+    labels = np.frombuffer(labels_map, dtype="<f8", offset=8)
     if len(label_checksums) != T:
         raise StoreError(
             f"manifest.json has {len(label_checksums)} label checksums for {T} tasks")
@@ -842,9 +883,9 @@ def open_repo(path: str | Path) -> Repository:
     if bad_labels := _label_violations(tasks, labels):
         raise StoreError(next(iter(bad_labels.values())))
 
-    evals = _map(path / "evals.bin", "<f8", T * M * _EVAL_FIELDS).reshape(T, M, _EVAL_FIELDS)
+    evals = np.frombuffer(evals_map, dtype="<f8", offset=8).reshape(T, M, _EVAL_FIELDS)
     repo = Repository(tasks, configs, folds, labels,
-                      _map(path / "preds.blob", "<f4", (end - 8) // 4), evals)
+                      np.frombuffer(blob, dtype="<f4", offset=8), evals)
     _check_evals(repo)
     return repo
 

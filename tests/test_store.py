@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import predrepo
@@ -415,6 +416,37 @@ class TestOpen:
         assert read_all(tmp_path / "r") == before
         assert sorted(p.name for p in (tmp_path / "r").iterdir()) == sorted(FILES)
 
+    def test_views_keep_their_values_when_every_file_is_replaced(self, tmp_path):
+        # the new store has the old one's shapes: a rewrite in place would
+        # show the new values in the old views, not fault on a shorter file
+        old, new = make_handmade_repo(seed=0), make_handmade_repo(seed=1)
+        write_repo(old, tmp_path / "r")
+        opened = open_repo(tmp_path / "r")
+        views = [opened.predictions(5, 2, TEST), opened.task_predictions(1, VAL),
+                 opened.labels(0, VAL), opened.eval_table]  # task 0 is regression: a view
+        before = [v.tobytes() for v in views]
+        write_repo(new, tmp_path / "r")
+        assert [v.tobytes() for v in views] == before
+        reopened = open_repo(tmp_path / "r")
+        assert reopened.predictions(5, 2, TEST).tobytes() == new.predictions(5, 2, TEST).tobytes()
+        assert reopened.eval_table.tobytes() == new.eval_table.tobytes() != before[3]
+
+    def test_open_leaks_no_descriptor(self, tmp_path, handmade_repo):
+        fds = Path("/proc/self/fd")
+        if not fds.is_dir():
+            pytest.skip("no /proc/self/fd on this system")
+        write_repo(handmade_repo, tmp_path / "r")
+        write_repo(handmade_repo, tmp_path / "bad")
+        (tmp_path / "bad" / "labels.bin").write_bytes(b"TRLB")  # fails after three maps
+        before = len(os.listdir(fds))
+        for _ in range(50):
+            repo = open_repo(tmp_path / "r")
+            repo.predictions(5, 2, TEST)
+            del repo
+            with pytest.raises(StoreError, match="bad magic in labels.bin"):
+                open_repo(tmp_path / "bad")
+        assert len(os.listdir(fds)) == before
+
 
 class TestManifestConfigs:
     @pytest.mark.parametrize("field", ["is_default", "family", "config_id"])
@@ -439,6 +471,64 @@ class TestManifestConfigs:
         with pytest.raises(StoreError, match="^duplicate config_id 'alpha-default' in config"):
             Repository(handmade_repo.tasks, configs, 2, handmade_repo._labels,
                        handmade_repo._preds, np.zeros((6, 4, 4)))
+
+
+_text = st.text(st.sampled_from('"\\{},:[]\n\u2028\x00 aé€😀') | st.characters(), max_size=8)
+_u4 = st.integers(0, 2**32 - 1)
+_manifests = st.fixed_dictionaries({
+    "format": _text,
+    "version": _u4,
+    "folds_per_dataset": _u4,
+    "tasks": st.lists(st.fixed_dictionaries({
+        "dataset_id": _text, "fold": _u4, "problem": _text, "n_val": _u4, "n_test": _u4,
+        "o": _u4, "n_features": _u4}), max_size=3),
+    "configs": st.lists(st.fixed_dictionaries({
+        "config_id": _text, "family": _text, "is_default": st.booleans(),
+        "hyperparams": _text}), max_size=3),
+    "label_checksums": st.lists(_text, max_size=3),
+})
+
+
+def bench_workloads():
+    """bench/workloads.py of this checkout, or None where it is absent."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    if not path.exists():
+        return None
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass resolves annotations through it
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+class TestManifestText:
+    """manifest.json is ``json.dumps(manifest, indent=2)`` built from the C encoder."""
+
+    # not shrunk: a failure is reported on the example found, not after
+    # minutes of shrinking its strings
+    @settings(max_examples=300, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+    @given(_manifests)
+    @example({"format": "prediction-repository", "version": 1, "folds_per_dataset": 0,
+              "tasks": [], "configs": [], "label_checksums": []})
+    def test_equals_the_indent_2_dump(self, manifest):
+        assert store._manifest_text(manifest) == json.dumps(manifest, indent=2)
+
+    @pytest.mark.parametrize("store_name", ["fig2-800", "sim-fig2", "ablate-wide"])
+    def test_written_manifest_is_the_indent_2_dump(self, tmp_path, store_name):
+        if store_name == "fig2-800":
+            from test_acceptance import fig2_spec
+            spec = fig2_spec(800)
+        else:
+            workloads = bench_workloads()
+            if workloads is None:
+                pytest.skip("no bench/ in this checkout")
+            spec = workloads[store_name].spec(predrepo, 1)
+        write_repo(generate_repo(spec), tmp_path)
+        written = (tmp_path / "manifest.json").read_bytes()
+        manifest = json.loads(written)
+        assert written == (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
+        assert len(manifest["configs"]) > 1 and len(manifest["tasks"]) > 1
 
 
 def with_val_labels(repo, t, values):
@@ -551,6 +641,13 @@ class TestFuzz:
         else:
             with pytest.raises(StoreError):
                 open_altered("preds.idx", bytes(idx))
+
+    @pytest.mark.parametrize("length", range(8))
+    @pytest.mark.parametrize("name", ["preds.blob", "preds.idx", "evals.bin", "labels.bin"])
+    def test_file_shorter_than_its_header_is_bad_magic(self, name, length):
+        with pytest.raises(StoreError) as err:
+            open_altered(name, pristine_files()[name][:length])
+        assert str(err.value) == f"bad magic in {name}: expected {pristine_files()[name][:4]!r}"
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(FILES), st.data())
