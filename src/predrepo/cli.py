@@ -3,7 +3,7 @@ ablate, report.
 
 All tabular output is CSV with floats at 6 significant digits. Data goes to
 stdout or the file named by --out; each failure is one ``error: ...`` line on
-stderr. All work runs serially; --threads is accepted and ignored.
+stderr. All work runs serially; --threads must be >= 1 and is otherwise ignored.
 
 Exit codes: 0 success; 2 an input that cannot be read or parsed: bad
 arguments, any ``StoreError`` of a repository, a bad generator spec, or a
@@ -435,7 +435,7 @@ def cmd_report(args) -> int:
 def _add_common(p: argparse.ArgumentParser, out_required: bool = False):
     p.add_argument("--repo", required=True, help="repository directory")
     p.add_argument("--out", required=out_required, default=None, help="output CSV path")
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=POSITIVE, default=1,
                    help="ignored: all work runs serially (kept so existing scripts still parse)")
 
 

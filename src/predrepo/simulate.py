@@ -97,12 +97,21 @@ def _sum_in_order(values: list[float]) -> float:
     return total
 
 
-def _filter_order(order: list[int], t: int, policy: BudgetPolicy,
-                  repo: Repository) -> tuple[list[int], bool]:
-    k = prefix_len(repo.eval_table[t, order, 2].tolist(), policy.budget_s)
+def _walk(repo: Repository, t: int, order: list[int],
+          policy: BudgetPolicy) -> tuple[list[int], bool, float]:
+    """Train ``order`` on task ``t`` under the budget: (trained, used_fallback, fit_s).
+
+    Adds left to right and stops at the first running total over the budget, as
+    :func:`prefix_len` does, NaN and negative fit times included. ``+ 0.0`` turns
+    a ``-0.0`` total into the ``0.0`` that a sum started from zero gives.
+    """
+    total = np.add.accumulate(repo.eval_table[t, order, 2])
+    over = np.flatnonzero(total > policy.budget_s)
+    k = int(over[0]) if over.size else len(order)
     if k == 0:
-        return [policy.fallback_config], True
-    return order[:k], False
+        j = policy.fallback_config
+        return [j], True, float(repo.eval_table[t, j, 2]) + 0.0
+    return order[:k], False, float(total[k - 1]) + 0.0
 
 
 def anytime_filter(portfolio: Portfolio, task, policy: BudgetPolicy,
@@ -110,29 +119,19 @@ def anytime_filter(portfolio: Portfolio, task, policy: BudgetPolicy,
     """Budget-filter a portfolio for one task; returns (included, used_fallback)."""
     if not portfolio.configs:
         raise ValueError("portfolio is empty")
-    t = repo.task_index(task)
-    return _filter_order(list(portfolio.configs), t, policy, repo)
+    trained, used_fallback, _ = _walk(repo, repo.task_index(task), list(portfolio.configs), policy)
+    return trained, used_fallback
 
 
-@dataclass
-class _Pool:
-    """A task's greedy candidate pool, and what the budget paid to train for it."""
-
-    candidates: list[int]
-    trained: list[int]
-    used_fallback: bool
-
-
-def _ensemble_results(repo: Repository, t: int, pools: list[_Pool],
+def _ensemble_results(repo: Repository, t: int, walks: list[tuple[list[int], bool, float]],
                       weights: list[EnsembleWeights]) -> list[SimResult]:
-    """One SimResult per pool and its ensemble weights on task ``t``."""
+    """One SimResult per budget walk and its pool's ensemble weights on task ``t``."""
     meta = repo.tasks[t]
     out = []
-    for pool, w, val, test in zip(pools, weights, *_ensemble_losses(repo, t, weights)):
-        fit = _sum_in_order(repo.eval_table[t, pool.trained, 2].tolist())
+    for (trained, fb, fit), w, val, test in zip(walks, weights,
+                                                *_ensemble_losses(repo, t, weights)):
         infer = _sum_in_order(repo.eval_table[t, list(w.counts), 3].tolist())
-        out.append(SimResult(meta.dataset_id, meta.fold, list(pool.trained), pool.used_fallback,
-                             val, test, fit, infer))
+        out.append(SimResult(meta.dataset_id, meta.fold, list(trained), fb, val, test, fit, infer))
     return out
 
 
@@ -188,22 +187,20 @@ def _family_plan(repo: Repository, family: str, order_seed: int | None) -> tuple
 
 
 def _family_task(repo: Repository, t: int, default: int, order: list[int],
-                 policy: BudgetPolicy) -> tuple[SimResult, SimResult, _Pool]:
+                 policy: BudgetPolicy) -> tuple[SimResult, SimResult, list[int], tuple]:
     """A family's ``default`` and ``tuned`` results on task ``t``, and its
-    ``tuned+ensemble`` pool."""
+    ``tuned+ensemble`` pool and budget walk."""
     meta = repo.tasks[t]
     rec = repo.eval_table[t, default]
     plain = SimResult(meta.dataset_id, meta.fold, [default], False,
                       float(rec[0]), float(rec[1]), float(rec[2]), float(rec[3]))
-    included, fb = _filter_order(order, t, policy, repo)
+    walk = trained, fb, fit = _walk(repo, t, order, policy)
     # (validation loss, ordinal) pairs: the lowest loss first, the lowest ordinal on ties
-    ranked = sorted(zip(repo.eval_table[t, included, 0].tolist(), included))
+    ranked = sorted(zip(repo.eval_table[t, trained, 0].tolist(), trained))
     rec = repo.eval_table[t, ranked[0][1]]
-    fit = _sum_in_order(repo.eval_table[t, included, 2].tolist())
-    tuned = SimResult(meta.dataset_id, meta.fold, list(included), fb,
+    tuned = SimResult(meta.dataset_id, meta.fold, list(trained), fb,
                       float(rec[0]), float(rec[1]), fit, float(rec[3]))
-    pool = _Pool([j for _, j in ranked[:TUNED_ENSEMBLE_POOL]], included, fb)
-    return plain, tuned, pool
+    return plain, tuned, [j for _, j in ranked[:TUNED_ENSEMBLE_POOL]], walk
 
 
 def simulate_single_family(repo: Repository, family: str, mode: str,
@@ -223,7 +220,7 @@ def simulate_single_family(repo: Repository, family: str, mode: str,
         return by_family[family, mode]
     default, order = _family_plan(repo, family, order_seed)
     tasks = [_family_task(repo, t, default, order, policy) for t in range(repo.n_tasks)]
-    return [plain if mode == MODE_DEFAULT else tuned for plain, tuned, _ in tasks]
+    return [plain if mode == MODE_DEFAULT else tuned for plain, tuned, _, _ in tasks]
 
 
 def _simulate_methods(repo: Repository, policy: BudgetPolicy, c_max: int,
@@ -252,16 +249,17 @@ def _simulate_methods(repo: Repository, policy: BudgetPolicy, c_max: int,
     outs = [by_family[family, MODE_TUNED_ENSEMBLE] for family in families] + [[] for _ in runs]
     counts = [c_max] * len(families) + [steps for _, steps in runs]
     for t in range(repo.n_tasks):
-        pools = []
+        pools, walks = [], []
         for family, (default, order) in zip(families, plans):
-            plain, tuned, pool = _family_task(repo, t, default, order, policy)
+            plain, tuned, pool, walk = _family_task(repo, t, default, order, policy)
             by_family[family, MODE_DEFAULT].append(plain)
             by_family[family, MODE_TUNED].append(tuned)
             pools.append(pool)
+            walks.append(walk)
         for portfolios, _ in runs:
-            included, fb = anytime_filter(portfolios[repo.tasks[t].dataset_id], t, policy, repo)
-            pools.append(_Pool(included, included, fb))
-        weights = _select_pools(repo, t, [pool.candidates for pool in pools], counts)
-        for out, result in zip(outs, _ensemble_results(repo, t, pools, weights)):
+            walks.append(_walk(repo, t, list(portfolios[repo.tasks[t].dataset_id].configs), policy))
+            pools.append(walks[-1][0])
+        weights = _select_pools(repo, t, pools, counts)
+        for out, result in zip(outs, _ensemble_results(repo, t, walks, weights)):
             out.append(result)
     return by_family, outs[len(families):]

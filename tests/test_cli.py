@@ -16,16 +16,18 @@ import predrepo
 from predrepo import (
     BudgetPolicy,
     FamilySpec,
+    generate_repo,
     mean_normalized_error,
     open_repo,
     simulate_portfolio,
     simulate_single_family,
+    write_repo,
 )
 from predrepo.cli import TASK_CSV_HEADER, main
 from predrepo.ensemble import _select_and_score
 from predrepo.simulate import SimResult, _loo_portfolios, _sum_in_order, anytime_filter
 
-from conftest import small_spec
+from conftest import rebuild_repo, repo_arrays, small_spec
 
 FILES = ("manifest.json", "labels.bin", "evals.bin", "preds.idx", "preds.blob")
 
@@ -479,6 +481,25 @@ class TestSimulateCommand:
         assert got == tuned_rows(5)
         assert got != tuned_rows(None)  # the seed reaches the search
 
+    def test_negative_zero_fit_times_print_as_zero(self, tmp_path, capsys):
+        # -0.0 is a valid fit time; a sum of trained fit times starts from 0.0, so a
+        # walk that trains only -0.0 configs prints 0, not -0
+        repo = generate_repo(small_spec(seed=21))  # two first picks, neither gbm's first
+        labels, predictions, evals = repo_arrays(repo)
+        zero = [repo.family_configs("gbm")[0]]
+        zero += [pf.configs[0] for pf in _loo_portfolios(repo, 5, "normalized_loss").values()]
+        evals[:, :, 2] = 1000.0  # above the budget: a walk trains no other config
+        evals[:, zero, 2] = -0.0
+        write_repo(rebuild_repo(repo, labels, predictions, evals), tmp_path / "r")
+        all_csv = tmp_path / "all.csv"
+        code, _, _ = run(capsys, "simulate", "--repo", str(tmp_path / "r"), "--budget-s", "600",
+                         "--n-max", "5", "--c-max", "5", "--out", str(tmp_path / "s.csv"),
+                         "--methods-out", str(all_csv))
+        assert code == 0
+        rows = parse_csv(all_csv.read_text())[1]
+        for method in ("gbm (tuned)", "Portfolio"):
+            assert [r[5] for r in rows if r[0] == method] == ["0"] * repo.n_tasks
+
 
 class TestAblateCommand:
     def test_row_count_and_train_objective_monotone(self, repo_dir, tmp_path, capsys):
@@ -574,7 +595,10 @@ class TestFlags:
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("command, flag", [
         (["portfolio"], "--n-max"), (["simulate"], "--n-max"), (["simulate"], "--c-max"),
-        (ABLATE, "--n-max"), (ABLATE, "--c-max"), (["ensemble"], "--ensemble-size")])
+        (ABLATE, "--n-max"), (ABLATE, "--c-max"), (["ensemble"], "--ensemble-size"),
+        # --threads used to take any integer, 0 and negatives too
+        (["ensemble"], "--threads"), (["portfolio"], "--threads"), (["simulate"], "--threads"),
+        (ABLATE, "--threads")])
     def test_size_below_one_exits_2(self, tmp_path, capsys, command, flag, value):
         # rejected while parsing: the repository is never opened, so it need not exist
         argv = [command[0], "--repo", str(tmp_path / "missing"), "--out",

@@ -4,13 +4,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from predrepo import (
     NORMALIZED_LOSS,
     RAW_LOSS,
     BudgetPolicy,
+    ConfigMeta,
     FamilySpec,
     Portfolio,
+    ProblemType,
+    Repository,
+    TaskMeta,
     anytime_filter,
     evaluate_ensemble,
     generate_repo,
@@ -22,7 +28,13 @@ from predrepo import (
     task_loss,
 )
 from predrepo.ensemble import _select_and_score
-from predrepo.simulate import TUNED_ENSEMBLE_POOL, _family_order, _filter_order, _loo_portfolios
+from predrepo.simulate import (
+    TUNED_ENSEMBLE_POOL,
+    _family_order,
+    _loo_portfolios,
+    _sum_in_order,
+    _walk,
+)
 from predrepo.store import TEST, VAL
 
 from conftest import small_spec
@@ -313,12 +325,13 @@ class TestArrayBudgetWalk:
             for t in range(repo.n_tasks):
                 for _ in range(5):
                     order = rng.permutation(repo.n_configs)[:rng.integers(1, 12)].tolist()
-                    got = _filter_order(order, t, policy, repo)
-                    assert got == scalar_filter_order(order, t, policy, repo)
+                    trained, fb, fit = _walk(repo, t, order, policy)
+                    assert (trained, fb) == scalar_filter_order(order, t, policy, repo)
                     total = 0.0
-                    for j in got[0]:
+                    for j in trained:
                         total += float(repo.eval_table[t, j, 2])
-                    exact += not got[1] and total == budget
+                    assert fit.hex() == total.hex()
+                    exact += not fb and total == budget
         assert exact > 0  # some walk ends exactly on its budget
 
     @pytest.mark.parametrize("mode", ["tuned", "tuned+ensemble"])
@@ -352,6 +365,49 @@ class TestArrayBudgetWalk:
                 assert result_bits(r) == expected_bits(*want)
                 fallbacks += r.used_fallback
         assert fallbacks > 0
+
+
+# fit times an in-memory repository may hold: _walk must walk NaN and negative
+# times as prefix_len does, and sum -0.0 to the 0.0 a sum from zero gives
+FIT_LEVELS = (-0.0, 0.0, 0.1, 0.2, 0.3, -0.1, float("nan"))
+
+
+def fit_time_repo(fit_times) -> Repository:
+    """One-task repository whose config ``j`` has fit time ``fit_times[j]``."""
+    task = TaskMeta("d", 0, ProblemType.REGRESSION, n_val=1, n_test=1, o=1)
+    configs = [ConfigMeta(f"c{j}", "fam", is_default=j == 0) for j in range(len(fit_times))]
+    slab = np.zeros((len(configs), 1, 1), dtype=np.float32)
+    evals = np.zeros((1, len(configs), 4))
+    evals[0, :, 2] = fit_times
+    return Repository.in_memory([task], configs, 1, [(np.zeros(1), np.zeros(1))],
+                                [(slab, slab)], evals)
+
+
+@st.composite
+def walk_cases(draw):
+    """(fit times, order, budget): the budget is a positive running total of the order."""
+    fits = draw(st.lists(st.sampled_from(FIT_LEVELS), min_size=1, max_size=8))
+    order = draw(st.permutations(range(len(fits))))[:draw(st.integers(1, len(fits)))]
+    totals = np.add.accumulate([fits[j] for j in order]).tolist()
+    budget = draw(st.sampled_from(sorted({x for x in totals if x > 0} | {0.05})))
+    return fits, order, budget
+
+
+@given(walk_cases())
+@example(([-0.0, -0.0], [0, 1], 0.05))  # an all -0.0 walk: its running total is -0.0
+@example(([-0.0, 0.3], [1, 0], 0.05))  # the -0.0 fallback stands in
+# no shrink phase: a failure reports its first failing example at once
+@settings(max_examples=300, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+def test_walk_equals_prefix_len_and_sum(case):
+    fits, order, budget = case
+    repo = fit_time_repo(fits)
+    trained, fb, fit = _walk(repo, 0, order, BudgetPolicy(budget, 0, repo))
+    times = [fits[j] for j in order]
+    k = prefix_len(times, budget)
+    want_trained = order[:k] if k else [0]
+    want_fit = _sum_in_order(times[:k] if k else [fits[0]])
+    assert (trained, fb, fit.hex()) == (want_trained, k == 0, want_fit.hex())
 
 
 # -- straight-line reference implementations (independent of the library paths)
