@@ -10,8 +10,11 @@ arguments, any ``StoreError`` of a repository, a bad generator spec, or a
 ``report`` CSV with a missing column, a repeated row, an unparsable ``fold``
 or ``test_loss``, a non-finite ``test_loss`` or a non-finite or negative
 ``time_fit_s`` / ``time_infer_s`` (named by file, method, dataset, fold and
-column); 3 a semantic error: ``validate`` violations, methods in ``report``
-covering different tasks, an unknown name, or an out-of-range value.
+column), and, named by file, input its reader cannot decode (undecodable
+text, nesting that is too deep, an integer that is too long, an oversized
+CSV field) or a store file that is a directory; 3 a semantic error:
+``validate`` violations, methods in ``report`` covering different tasks, an
+unknown name, or an out-of-range value.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import json
 import math
 import os
 import sys
@@ -172,15 +174,7 @@ def _table2_rows(tables: list[MethodResults]) -> list[list[str]]:
 
 
 def cmd_generate(args) -> int:
-    try:
-        spec = GeneratorSpec.from_file(args.spec)
-    except FileNotFoundError:
-        print(f"error: spec file not found: {args.spec}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as e:
-        print(f"error: spec parse failure at line {e.lineno}, column {e.colno}: {e.msg}",
-              file=sys.stderr)
-        return 2
+    spec = GeneratorSpec.from_file(args.spec)
     # write_repo's mkdir, made first so that a bad --out costs no generation
     Path(args.out).mkdir(parents=True, exist_ok=True)
     repo = generate_repo(spec)
@@ -372,11 +366,15 @@ def _read_method_tables(paths: list[str]) -> list[MethodResults]:
         per_method: dict[str, MethodResults] = {}
         with open(path, "r", encoding="utf-8", newline="") as f:
             reader = csv.DictReader(f)
+            try:
+                rows = list(reader)  # reads the header too
+            except (UnicodeDecodeError, csv.Error) as e:
+                raise StoreError(f"{path}: cannot read results CSV: {e}") from None
             required = {"method", "dataset", "fold", "test_loss"}
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise StoreError(
                     f"{path}: results CSV must have columns {sorted(required)}")
-            for row in reader:
+            for row in rows:
                 name = row["method"]
                 if name not in per_method:
                     final = name

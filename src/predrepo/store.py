@@ -7,7 +7,8 @@ loss, fit time, inference time per row).
 Memory and disk share one layout. All prediction matrices sit back to back
 in one float32 buffer, row-major, in (task, config, split) order, so a cell's
 position and shape follow from the task shapes alone. An in-memory
-repository packs its cells into such a buffer; an opened one is a view past
+repository, built or generated, fills such a buffer that
+:func:`_packed_buffers` allocates; an opened one is a view past
 the header of preds.blob, mapped once, whole and read-only, as is each other
 binary file. The labels sit likewise in one float64 buffer in labels.bin
 order. Reads return read-only views into these buffers and copy
@@ -187,15 +188,39 @@ def _task_region(buf: np.ndarray, start: int, n_configs: int, task: TaskMeta) ->
     return buf[start:start + n_configs * rows * task.o].reshape(n_configs, rows, task.o)
 
 
+def _packed_buffers(tasks: Sequence[TaskMeta], n_configs: int) -> tuple[
+        np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Fresh packed label and prediction buffers for ``tasks`` and ``n_configs`` configs.
+
+    Returns the float64 label buffer, the float32 prediction buffer and, per
+    task, writable views for filling them: its run of labels (val rows
+    first) and its val and test cells as (n_configs, rows, o) views, split
+    as :meth:`Repository.task_predictions` splits a task's region.
+    :meth:`Repository.in_memory` and :func:`synth.generate_repo` fill
+    through these views; the :class:`Repository` made from the buffers
+    freezes them.
+    """
+    label_start = _label_starts(tasks)
+    pred_start = _pred_starts(tasks, n_configs)
+    labels = np.empty(label_start[-1], dtype="<f8")
+    preds = np.empty(pred_start[-1], dtype="<f4")
+    views = []
+    for t, task in enumerate(tasks):
+        region = _task_region(preds, pred_start[t], n_configs, task)
+        views.append((labels[label_start[t]:label_start[t + 1]],
+                      region[:, :task.n_val], region[:, task.n_val:]))
+    return labels, preds, views
+
+
 class Repository:
     """Dense store of predictions and evaluations for tasks x configs.
 
     ``predictions`` is the float32 buffer of every cell in the layout of
     preds.blob past its header, and ``labels`` the float64 buffer of every
     label in the layout of labels.bin past its header (see the module
-    docstring). Reads return read-only views into these buffers. Immutable
-    after construction, except that an in-memory repository's ``eval_table``
-    is the caller's array.
+    docstring). The constructor makes both buffers read-only, so reads
+    return read-only views into them. Immutable after construction, except
+    that an in-memory repository's ``eval_table`` is the caller's array.
     """
 
     def __init__(
@@ -232,6 +257,7 @@ class Repository:
         self._label_start = _label_starts(self.tasks)
         self._preds = np.asarray(predictions)
         self._labels = np.asarray(labels)
+        self._preds.flags.writeable = self._labels.flags.writeable = False
         self._bytes_read = 0
         if (self._preds.shape != (self._pred_start[-1],)
                 or self._labels.shape != (self._label_start[-1],)):
@@ -257,8 +283,8 @@ class Repository:
         ``predictions`` holds one (val, test) pair of (n_configs, rows, o)
         slabs per task, the shape :meth:`task_predictions` returns, and
         ``labels`` one (val, test) array pair per task. Each task's labels
-        and slabs are copied into its regions of the packed buffers (the
-        generator skips this copy and fills such buffers itself). A wrong
+        and slabs are copied into its views of fresh packed buffers
+        (:func:`_packed_buffers`, which the generator fills too). A wrong
         number of pairs, a slab of the wrong shape or labels of the wrong
         length is a :class:`StoreError`; values are not checked here, so
         that :func:`validate_repo` can report them.
@@ -267,24 +293,18 @@ class Repository:
         if not len(labels) == len(predictions) == len(tasks):
             raise StoreError(f"{len(labels)} label pairs and {len(predictions)} prediction "
                              f"slab pairs for {len(tasks)} tasks")
-        label_start = _label_starts(tasks)
-        pred_start = _pred_starts(tasks, len(configs))
-        labs = np.empty(label_start[-1], dtype="<f8")
-        buf = np.empty(pred_start[-1], dtype="<f4")
-        for t, (task, (yv, yt), (val, test)) in enumerate(zip(tasks, labels, predictions)):
+        labs, buf, views = _packed_buffers(tasks, len(configs))
+        for task, (yv, yt), (val, test), (run, val_cells, test_cells) in zip(
+                tasks, labels, predictions, views):
             if len(yv) != task.n_val or len(yt) != task.n_test:
                 raise StoreError(f"label lengths for task {task.key} do not match task meta")
-            labs[label_start[t]:label_start[t + 1]] = np.concatenate([yv, yt])
-            region = _task_region(buf, pred_start[t], len(configs), task)
-            for s, part, slab in ((VAL, region[:, :task.n_val], val),
-                                  (TEST, region[:, task.n_val:], test)):
+            run[...] = np.concatenate([yv, yt])
+            for s, part, slab in ((VAL, val_cells, val), (TEST, test_cells, test)):
                 slab = np.asarray(slab)
                 if slab.shape != part.shape:
                     raise StoreError(f"prediction slab shape {slab.shape} != {part.shape} "
                                      f"at (task={task.key}, split={s})")
                 part[...] = slab
-        buf.flags.writeable = False
-        labs.flags.writeable = False
         return cls(tasks, configs, folds_per_dataset, labs, buf,
                    np.asarray(evals, dtype=np.float64))
 
@@ -588,15 +608,14 @@ def _header(magic: bytes) -> bytes:
 def _map_file(path: Path, magic: bytes) -> mmap.mmap | bytes:
     """A read-only map of the whole binary file ``path``, its 8-byte header checked."""
     try:
-        fd = os.open(path, os.O_RDONLY)
+        with open(path, "rb", buffering=0) as f:
+            data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)  # holds its own descriptor
     except FileNotFoundError:
         raise StoreError(f"missing file: {path.name}") from None
-    try:
-        data = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)  # holds its own descriptor
+    except IsADirectoryError:
+        raise StoreError(f"{path.name} is a directory") from None
     except ValueError:  # an empty file cannot be mapped
         data = b""
-    finally:
-        os.close(fd)
     if len(data) < 8 or data[:4] != magic:
         raise StoreError(f"bad magic in {path.name}: expected {magic!r}")
     version = int.from_bytes(data[4:8], "little")
@@ -824,14 +843,14 @@ def open_repo(path: str | Path) -> Repository:
     The returned handle is immutable and safe for concurrent readers.
     """
     path = Path(path)
-    manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise StoreError(f"missing file: manifest.json in {path}")
-    with open(manifest_path, "r", encoding="utf-8") as f:
-        try:
-            manifest = json.load(f)
-        except json.JSONDecodeError as e:
-            raise StoreError(f"manifest.json is not valid JSON: {e}") from None
+    try:
+        manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    except (FileNotFoundError, NotADirectoryError):
+        raise StoreError(f"missing file: manifest.json in {path}") from None
+    except IsADirectoryError:
+        raise StoreError("manifest.json is a directory") from None
+    except (ValueError, RecursionError) as e:  # undecodable text, deep nesting, long integers
+        raise StoreError(f"manifest.json is not valid JSON: {e}") from None
 
     if type(manifest) is not dict or manifest.get("format") != "prediction-repository":
         raise StoreError("bad magic in manifest.json: not a prediction repository")

@@ -26,10 +26,13 @@ not depend on how they are split into calls. Everything after the draws runs
 once per block of up to ``CONFIG_BLOCK`` configs of a task slab of shape
 (configs, rows, o): the blend, the link and the bag mean are applied to the
 whole block, elementwise and in the per-config order of operations, so the
-values are the per-config ones bit for bit. Each task's slabs are written
-straight into the task's region of the repository's packed prediction
-buffer, and their stored losses come from one :class:`metrics.StackLoss`
-call, which equals :func:`metrics.task_loss` bit for bit. Structural
+values are the per-config ones bit for bit. The store allocates the
+repository's packed label and prediction buffers
+(:func:`store._packed_buffers`, which :meth:`store.Repository.in_memory`
+fills too) and hands out each task's label run and val and test cell
+views; each task's slabs are written straight into those views, and their
+stored losses come from one :class:`metrics.StackLoss` call per split,
+which equals :func:`metrics.task_loss` bit for bit. Structural
 metadata (task shapes, problem assignment, class counts) is keyed on a
 constant instead of the seed, so changing only the seed redraws values but
 never shapes.
@@ -57,8 +60,7 @@ import numpy as np
 
 from . import metrics
 from .portfolio import AGGREGATIONS, RAW_LOSS, NORMALIZED_LOSS
-from .store import (VAL, ConfigMeta, ProblemType, Repository, TaskMeta, _label_starts,
-                    _pred_starts, _task_region, _typed)
+from .store import VAL, ConfigMeta, ProblemType, Repository, TaskMeta, _packed_buffers, _typed
 
 BINARY_LOGIT_SCALE = 2.0
 MULTICLASS_LOGIT_SCALE = 3.0
@@ -268,8 +270,18 @@ class GeneratorSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "GeneratorSpec":
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)  # JSONDecodeError carries line/column info
+        """Read a spec from the JSON file ``path``; a missing file, or one that
+        does not decode (bad JSON, undecodable text, nesting that is too deep,
+        an integer that is too long), is a SpecError."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise SpecError(f"spec file not found: {path}") from None
+        except json.JSONDecodeError as e:
+            raise SpecError(f"spec parse failure at line {e.lineno}, column {e.colno}: "
+                            f"{e.msg}") from None
+        except (ValueError, RecursionError) as e:
+            raise SpecError(f"spec parse failure in {path}: {e}") from None
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
@@ -414,17 +426,14 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
     w_own = np.sqrt(1.0 - rho)[:, None, None]
     time_base = np.array(fam_time_base)[family]
 
-    label_start = _label_starts(tasks)
-    pred_start = _pred_starts(tasks, M)
-    labels = np.empty(label_start[-1], dtype="<f8")
-    preds = np.empty(pred_start[-1], dtype="<f4")
+    labels, preds, views = _packed_buffers(tasks, M)
     evals = np.zeros((len(tasks), M, 4), dtype=np.float64)
     evals[:, :, 3] = np.array(fam_infer_const)[family] * np.array(infer_factor)
 
-    for t, task in enumerate(tasks):
+    for t, (task, (label_run, val_cells, test_cells)) in enumerate(zip(tasks, views)):
         y_val, y_test = _draw_labels(_rekey(rng, seed, _P_LABELS, a=t), task.problem,
                                      task.n_val, task.n_test, task.o)
-        labels[label_start[t]:label_start[t + 1]] = np.concatenate([y_val, y_test])
+        label_run[...] = np.concatenate([y_val, y_test])
         z_val = _truth_logits(task.problem, y_val, task.o)
         z_test = _truth_logits(task.problem, y_test, task.o)
 
@@ -438,7 +447,6 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
         # one stream per config, drawn in one call: every bag fold's
         # validation-segment noise, then its test noise, fold after fold. The
         # configs go in blocks of CONFIG_BLOCK, which bounds that buffer.
-        region = _task_region(preds, pred_start[t], M, task)
         for lo in range(0, M, CONFIG_BLOCK):
             k = slice(lo, lo + CONFIG_BLOCK)
             noise = np.empty((len(family[k]), task.n_val + B * task.n_test, task.o))
@@ -462,19 +470,17 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
                 else:
                     test += linked
             test /= B
-            region[k, :task.n_val] = _link(task.problem, skill[k] * z_val + sig[k] * (
+            val_cells[k] = _link(task.problem, skill[k] * z_val + sig[k] * (
                 w_shared[k] * fam_val[family[k]] + w_own[k] * own_val))
-            region[k, task.n_val:] = test
+            test_cells[k] = test
 
-        evals[t, :, 0] = metrics.StackLoss(task, y_val)(region[:, :task.n_val])
-        evals[t, :, 1] = metrics.StackLoss(task, y_test)(region[:, task.n_val:])
+        evals[t, :, 0] = metrics.StackLoss(task, y_val)(val_cells)
+        evals[t, :, 1] = metrics.StackLoss(task, y_test)(test_cells)
 
         evals[t, 0, 2] = _rekey(rng, seed, _P_TIMES, a=t, b=0).uniform(*FALLBACK_FIT_RANGE)
         fit_draws = [_rekey(rng, seed, _P_TIMES, a=t, b=j).standard_normal() for j in range(1, M)]
         evals[t, 1:, 2] = time_base[1:] * np.exp(FIT_TIME_SPREAD * np.array(fit_draws))
 
-    preds.flags.writeable = False
-    labels.flags.writeable = False
     return Repository(tasks, configs, S, labels, preds, evals)
 
 

@@ -972,6 +972,74 @@ class TestReportCommand:
         assert out.splitlines()[1:] == ["B,0,1,nan,nan", "A,1,2,nan,nan"]
 
 
+def undecodable_json(kind: str, text: bytes) -> bytes:
+    """``text``, a JSON object, made undecodable in the way ``kind`` names."""
+    if kind == "invalid-utf8":
+        return text.replace(b"{", b'{"\xff": 0,', 1)
+    if kind == "long-integer":
+        return text.replace(b"{", b'{"n": 1' + b"0" * 4300 + b",", 1)
+    return b"[" * 1100 + b"]" * 1100  # deep-nesting
+
+
+DECODE_FAILURES = ("invalid-utf8", "long-integer", "deep-nesting")
+
+
+class TestUndecodableInput:
+    """Input a reader cannot decode is exit 2 with one error line naming the file."""
+
+    @pytest.mark.parametrize("kind", DECODE_FAILURES)
+    def test_spec_exits_2(self, tmp_path, capsys, kind):
+        spec = write_spec(tmp_path)
+        spec.write_bytes(undecodable_json(kind, spec.read_bytes()))
+        code, out, err = run(capsys, "generate", "--spec", str(spec),
+                             "--out", str(tmp_path / "repo"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: spec parse failure in {spec}: ") and err.count("\n") == 1
+        assert not (tmp_path / "repo").exists()
+
+    @pytest.mark.parametrize("kind", DECODE_FAILURES)
+    def test_manifest_exits_2(self, repo_dir, tmp_path, capsys, kind):
+        manifest = tmp_path / "r" / "manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_bytes(undecodable_json(kind, (repo_dir / "manifest.json").read_bytes()))
+        code, out, err = run(capsys, "validate", "--repo", str(manifest.parent))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: manifest.json is not valid JSON: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("row, reason", [
+        (b"A,d\xff,0,0.5", "'utf-8' codec can't decode byte 0xff"),
+        (b"A," + b"x" * 200_000 + b",0,0.5", "field larger than field limit (131072)"),
+    ], ids=["invalid-utf8", "oversized-field"])
+    def test_report_csv_exits_2(self, tmp_path, capsys, row, reason):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"method,dataset,fold,test_loss\n" + row + b"\n")
+        code, out, err = run(capsys, "report", "--results", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: cannot read results CSV: {reason}")
+        assert err.count("\n") == 1
+
+    def test_no_traceback_from_a_fresh_process(self, tmp_path):
+        """A fresh interpreter has its full recursion budget, as a user's run has."""
+        (tmp_path / "r").mkdir()
+        (tmp_path / "r" / "manifest.json").write_bytes(undecodable_json("deep-nesting", b""))
+        (tmp_path / "spec.json").write_bytes(undecodable_json("deep-nesting", b""))
+        (tmp_path / "r.csv").write_text("method,dataset,fold,test_loss\nA,"
+                                        + "x" * 200_000 + ",0,0.5\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(predrepo.__file__).parents[1]))
+        for argv, named in ((["validate", "--repo", str(tmp_path / "r")], "manifest.json"),
+                            (["generate", "--spec", str(tmp_path / "spec.json"),
+                              "--out", str(tmp_path / "g")], str(tmp_path / "spec.json")),
+                            (["report", "--results", str(tmp_path / "r.csv")],
+                             str(tmp_path / "r.csv"))):
+            proc = subprocess.run([sys.executable, "-m", "predrepo.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 2, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+            assert named in proc.stderr and proc.stdout == ""
+
+
 def test_import_loads_no_scipy():
     script = ("import sys, predrepo, predrepo.cli; "
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

@@ -231,6 +231,15 @@ class TestOpen:
         with pytest.raises(StoreError, match="missing file"):
             open_repo(tmp_path / "r")
 
+    @pytest.mark.parametrize("name", FILES)
+    def test_directory_in_place_of_a_file_is_named(self, tmp_path, handmade_repo, name):
+        write_repo(handmade_repo, tmp_path / "r")
+        (tmp_path / "r" / name).unlink()
+        (tmp_path / "r" / name).mkdir()
+        with pytest.raises(StoreError) as err:
+            open_repo(tmp_path / "r")
+        assert str(err.value) == f"{name} is a directory"
+
     @pytest.mark.parametrize("field", ["configs", "tasks", "folds_per_dataset",
                                        "label_checksums"])
     def test_missing_manifest_field_is_named(self, tmp_path, handmade_repo, field):
@@ -641,6 +650,17 @@ class TestFuzz:
         else:
             with pytest.raises(StoreError):
                 open_altered("preds.idx", bytes(idx))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_flipped_manifest_bit_rejected_or_opened(self, data):
+        manifest = bytearray(pristine_files()["manifest.json"])
+        pos = data.draw(st.integers(0, len(manifest) - 1), label="byte")
+        manifest[pos] ^= 1 << data.draw(st.integers(0, 7), label="bit")
+        try:
+            open_altered("manifest.json", bytes(manifest))
+        except StoreError:
+            pass
 
     @pytest.mark.parametrize("length", range(8))
     @pytest.mark.parametrize("name", ["preds.blob", "preds.idx", "evals.bin", "labels.bin"])
