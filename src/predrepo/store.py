@@ -11,11 +11,13 @@ repository, built or generated, fills such a buffer that
 :func:`_packed_buffers` allocates; an opened one is a view past
 the header of preds.blob, mapped once, whole and read-only, as is each other
 binary file. The labels sit likewise in one float64 buffer in labels.bin
-order. Reads return read-only views into these buffers and copy
-nothing, except that classification labels are converted to int64 class
-indices; :func:`write_repo` and :func:`open_repo` admit only labels that are
-class indices, so the conversion is exact. :meth:`Repository.task_predictions`
-views a task split's adjacent cells as one (configs, rows, o) slab.
+order. A :class:`Repository` takes each task split's views of these
+buffers once, when it is made (:func:`_split_views`); reads index those
+views and copy nothing, except that classification labels are converted to
+int64 class indices; :func:`write_repo` and :func:`open_repo` admit only
+labels that are class indices, so the conversion is exact.
+:meth:`Repository.task_predictions` views a task split's adjacent cells as
+one (configs, rows, o) slab, and a cell is one config of that slab.
 :func:`write_repo` and :func:`validate_repo` check the cells in one pass per
 block of whole tasks over the packed buffer, with no float64 copy, and test
 multiclass row sums with a screened sum that decides every row as numpy's
@@ -188,28 +190,55 @@ def _task_region(buf: np.ndarray, start: int, n_configs: int, task: TaskMeta) ->
     return buf[start:start + n_configs * rows * task.o].reshape(n_configs, rows, task.o)
 
 
+SplitViews = dict[int, list[np.ndarray]]  # split -> one view per task
+
+
+def _split_views(tasks: Sequence[TaskMeta], n_configs: int,
+                 labels: np.ndarray, label_start: Sequence[int],
+                 preds: np.ndarray, pred_start: Sequence[int]) -> tuple[SplitViews, SplitViews]:
+    """Each task split's labels and cells as views of packed buffers, by ``[split][task]``.
+
+    ``label_start`` and ``pred_start`` are :func:`_label_starts` and
+    :func:`_pred_starts` of ``tasks``. The labels of a split are a run of
+    the task's labels, val rows first; its cells are one (n_configs, rows,
+    o) view, the split's rows of the task's region. The views are as
+    writable as the buffers.
+    """
+    label_views: SplitViews = {VAL: [], TEST: []}
+    cell_views: SplitViews = {VAL: [], TEST: []}
+    for t, task in enumerate(tasks):
+        n_val, at = task.n_val, label_start[t]
+        region = _task_region(preds, pred_start[t], n_configs, task)
+        label_views[VAL].append(labels[at:at + n_val])
+        label_views[TEST].append(labels[at + n_val:label_start[t + 1]])
+        cell_views[VAL].append(region[:, :n_val])
+        cell_views[TEST].append(region[:, n_val:])
+    return label_views, cell_views
+
+
 def _packed_buffers(tasks: Sequence[TaskMeta], n_configs: int) -> tuple[
-        np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+        np.ndarray, np.ndarray, SplitViews, SplitViews]:
     """Fresh packed label and prediction buffers for ``tasks`` and ``n_configs`` configs.
 
-    Returns the float64 label buffer, the float32 prediction buffer and, per
-    task, writable views for filling them: its run of labels (val rows
-    first) and its val and test cells as (n_configs, rows, o) views, split
-    as :meth:`Repository.task_predictions` splits a task's region.
-    :meth:`Repository.in_memory` and :func:`synth.generate_repo` fill
-    through these views; the :class:`Repository` made from the buffers
-    freezes them.
+    Returns the float64 label buffer, the float32 prediction buffer and
+    their writable :func:`_split_views` for filling them, the views a
+    :class:`Repository` reads. :meth:`Repository.in_memory` and
+    :func:`synth.generate_repo` fill through these views; the
+    :class:`Repository` made from the buffers freezes them.
     """
     label_start = _label_starts(tasks)
     pred_start = _pred_starts(tasks, n_configs)
     labels = np.empty(label_start[-1], dtype="<f8")
     preds = np.empty(pred_start[-1], dtype="<f4")
-    views = []
-    for t, task in enumerate(tasks):
-        region = _task_region(preds, pred_start[t], n_configs, task)
-        views.append((labels[label_start[t]:label_start[t + 1]],
-                      region[:, :task.n_val], region[:, task.n_val:]))
-    return labels, preds, views
+    return (labels, preds,
+            *_split_views(tasks, n_configs, labels, label_start, preds, pred_start))
+
+
+def _split(split) -> int:
+    """VAL or TEST for a split that equals one of them; anything else is a ValueError."""
+    if split not in (VAL, TEST):
+        raise ValueError(f"split must be {VAL} (val) or {TEST} (test)")
+    return TEST if split == TEST else VAL
 
 
 class Repository:
@@ -218,9 +247,11 @@ class Repository:
     ``predictions`` is the float32 buffer of every cell in the layout of
     preds.blob past its header, and ``labels`` the float64 buffer of every
     label in the layout of labels.bin past its header (see the module
-    docstring). The constructor makes both buffers read-only, so reads
-    return read-only views into them. Immutable after construction, except
-    that an in-memory repository's ``eval_table`` is the caller's array.
+    docstring). The constructor makes both buffers read-only and then takes
+    each task split's label and cell views (:func:`_split_views`) once, so
+    reads index them and return read-only views. Immutable after
+    construction, except that an in-memory repository's ``eval_table`` is
+    the caller's array.
     """
 
     def __init__(
@@ -252,16 +283,19 @@ class Repository:
             raise StoreError(f"evals table has shape {evals.shape}, expected "
                              f"{(len(self.tasks), len(self.configs), _EVAL_FIELDS)}")
 
-        self._shape = [(t.n_val, t.n_test, t.o) for t in self.tasks]
         self._pred_start = _pred_starts(self.tasks, len(self.configs))
         self._label_start = _label_starts(self.tasks)
         self._preds = np.asarray(predictions)
         self._labels = np.asarray(labels)
+        # frozen before the views are taken: a view of a writable buffer stays writable
         self._preds.flags.writeable = self._labels.flags.writeable = False
         self._bytes_read = 0
         if (self._preds.shape != (self._pred_start[-1],)
                 or self._labels.shape != (self._label_start[-1],)):
             raise StoreError("prediction or label buffer does not match the task shapes")
+        self._label_views, self._cells = _split_views(
+            self.tasks, len(self.configs), self._labels, self._label_start,
+            self._preds, self._pred_start)
 
         self._task_index = {k: i for i, k in enumerate(keys)}
         self._datasets = list(dict.fromkeys(t.dataset_id for t in self.tasks))
@@ -293,13 +327,14 @@ class Repository:
         if not len(labels) == len(predictions) == len(tasks):
             raise StoreError(f"{len(labels)} label pairs and {len(predictions)} prediction "
                              f"slab pairs for {len(tasks)} tasks")
-        labs, buf, views = _packed_buffers(tasks, len(configs))
-        for task, (yv, yt), (val, test), (run, val_cells, test_cells) in zip(
-                tasks, labels, predictions, views):
+        labs, buf, label_views, cell_views = _packed_buffers(tasks, len(configs))
+        for t, (task, (yv, yt), slabs) in enumerate(zip(tasks, labels, predictions)):
             if len(yv) != task.n_val or len(yt) != task.n_test:
                 raise StoreError(f"label lengths for task {task.key} do not match task meta")
-            run[...] = np.concatenate([yv, yt])
-            for s, part, slab in ((VAL, val_cells, val), (TEST, test_cells, test)):
+            label_views[VAL][t][...] = yv
+            label_views[TEST][t][...] = yt
+            for s, slab in zip((VAL, TEST), slabs):
+                part = cell_views[s][t]
                 slab = np.asarray(slab)
                 if slab.shape != part.shape:
                     raise StoreError(f"prediction slab shape {slab.shape} != {part.shape} "
@@ -335,13 +370,18 @@ class Repository:
         return out
 
     def task_index(self, task) -> int:
-        """Resolve a TaskMeta, (dataset_id, fold) pair, or ordinal to an ordinal."""
+        """Resolve a TaskMeta, (dataset_id, fold) pair, or ordinal to an ordinal.
+
+        A fold that is not an ``int`` or an ``np.integer`` names no task.
+        """
         if isinstance(task, TaskMeta):
             task = task.key
         if isinstance(task, (int, np.integer)):
             if not 0 <= task < self.n_tasks:
                 raise KeyError(f"task ordinal out of range: {task}")
             return int(task)
+        if not isinstance(task[1], (int, np.integer)):
+            raise KeyError(f"unknown task: {task!r}")
         key = (task[0], int(task[1]))
         try:
             return self._task_index[key]
@@ -385,29 +425,35 @@ class Repository:
 
     # -- data access ------------------------------------------------------
 
+    # An in-range plain int is its own task or config ordinal, as in
+    # config_ordinals; every other kind is resolved by task_index or
+    # config_index. A split is looked up as given, and converted by _split
+    # only when that lookup misses.
+
     def predictions(self, task, config, split: int) -> np.ndarray:
         """Stored prediction matrix for one cell; float32, read-only."""
-        t = self.task_index(task)
-        j = self.config_index(config)
-        if split not in (VAL, TEST):
-            raise ValueError(f"split must be {VAL} (val) or {TEST} (test)")
-        n_val, n_test, o = self._shape[t]
-        rows, skip = (n_val, 0) if split == VAL else (n_test, n_val)
-        start = self._pred_start[t] + (j * (n_val + n_test) + skip) * o
-        self._bytes_read += rows * o * 4
-        return self._preds[start:start + rows * o].reshape(rows, o)
+        t = task if type(task) is int and 0 <= task < len(self.tasks) else self.task_index(task)
+        j = (config if type(config) is int and 0 <= config < len(self.configs)
+             else self.config_index(config))
+        try:
+            slabs = self._cells[split]
+        except (KeyError, TypeError):
+            slabs = self._cells[_split(split)]
+        cell = slabs[t][j]
+        self._bytes_read += cell.nbytes
+        return cell
 
     def task_predictions(self, task, split: int) -> np.ndarray:
         """Every config's cell of one task split: an (n_configs, rows, o) float32 read-only view.
 
-        Slices the split's rows out of the task's region without copying.
+        The same view on every call, taken once at construction.
         """
-        t = self.task_index(task)
-        if split not in (VAL, TEST):
-            raise ValueError(f"split must be {VAL} (val) or {TEST} (test)")
-        meta = self.tasks[t]
-        region = _task_region(self._preds, self._pred_start[t], self.n_configs, meta)
-        slab = region[:, :meta.n_val] if split == VAL else region[:, meta.n_val:]
+        t = task if type(task) is int and 0 <= task < len(self.tasks) else self.task_index(task)
+        try:
+            slabs = self._cells[split]
+        except (KeyError, TypeError):
+            slabs = self._cells[_split(split)]
+        slab = slabs[t]
         self._bytes_read += slab.nbytes
         return slab
 
@@ -422,13 +468,13 @@ class Repository:
         return self.predictions(task, config, TEST)
 
     def labels(self, task, split: int) -> np.ndarray:
-        """Labels of one task split: int64 class indices, or read-only float64 targets."""
-        t = self.task_index(task)
-        if split not in (VAL, TEST):
-            raise ValueError(f"split must be {VAL} (val) or {TEST} (test)")
-        start = self._label_start[t] + (self.tasks[t].n_val if split == TEST else 0)
-        rows = self._shape[t][split]
-        y = self._labels[start:start + rows]
+        """Labels of one task split: an int64 copy of class indices, or read-only float64 targets."""
+        t = task if type(task) is int and 0 <= task < len(self.tasks) else self.task_index(task)
+        try:
+            runs = self._label_views[split]
+        except (KeyError, TypeError):
+            runs = self._label_views[_split(split)]
+        y = runs[t]
         return y.astype(np.int64) if self.tasks[t].problem.is_classification else y
 
     @property

@@ -29,10 +29,11 @@ whole block, elementwise and in the per-config order of operations, so the
 values are the per-config ones bit for bit. The store allocates the
 repository's packed label and prediction buffers
 (:func:`store._packed_buffers`, which :meth:`store.Repository.in_memory`
-fills too) and hands out each task's label run and val and test cell
-views; each task's slabs are written straight into those views, and their
-stored losses come from one :class:`metrics.StackLoss` call per split,
-which equals :func:`metrics.task_loss` bit for bit. Structural
+fills too) and hands out each task split's label and cell views, the
+views the repository reads; each task's slabs are written straight into
+those views, and their stored losses come from one
+:class:`metrics.StackLoss` call per split, which equals
+:func:`metrics.task_loss` bit for bit. Structural
 metadata (task shapes, problem assignment, class counts) is keyed on a
 constant instead of the seed, so changing only the seed redraws values but
 never shapes.
@@ -60,7 +61,7 @@ import numpy as np
 
 from . import metrics
 from .portfolio import AGGREGATIONS, RAW_LOSS, NORMALIZED_LOSS
-from .store import VAL, ConfigMeta, ProblemType, Repository, TaskMeta, _packed_buffers, _typed
+from .store import TEST, VAL, ConfigMeta, ProblemType, Repository, TaskMeta, _packed_buffers, _typed
 
 BINARY_LOGIT_SCALE = 2.0
 MULTICLASS_LOGIT_SCALE = 3.0
@@ -426,14 +427,16 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
     w_own = np.sqrt(1.0 - rho)[:, None, None]
     time_base = np.array(fam_time_base)[family]
 
-    labels, preds, views = _packed_buffers(tasks, M)
+    labels, preds, label_views, cell_views = _packed_buffers(tasks, M)
     evals = np.zeros((len(tasks), M, 4), dtype=np.float64)
     evals[:, :, 3] = np.array(fam_infer_const)[family] * np.array(infer_factor)
 
-    for t, (task, (label_run, val_cells, test_cells)) in enumerate(zip(tasks, views)):
+    for t, task in enumerate(tasks):
         y_val, y_test = _draw_labels(_rekey(rng, seed, _P_LABELS, a=t), task.problem,
                                      task.n_val, task.n_test, task.o)
-        label_run[...] = np.concatenate([y_val, y_test])
+        label_views[VAL][t][...] = y_val
+        label_views[TEST][t][...] = y_test
+        val_cells, test_cells = cell_views[VAL][t], cell_views[TEST][t]
         z_val = _truth_logits(task.problem, y_val, task.o)
         z_test = _truth_logits(task.problem, y_test, task.o)
 

@@ -749,6 +749,212 @@ class TestAccess:
             assert data == expected[cell]
 
 
+def read_api_repo(kind: str, tmp_path) -> Repository:
+    """A repository of the given kind: in memory, generated, opened, or bench-shaped."""
+    if kind == "handmade":
+        return make_handmade_repo()
+    if kind == "opened":
+        write_repo(make_handmade_repo(), tmp_path / "r")
+        return open_repo(tmp_path / "r")
+    if kind == "small_spec":
+        return generate_repo(small_spec())
+    workloads = bench_workloads()
+    if workloads is None:
+        pytest.skip("no bench/ in this checkout")
+    return generate_repo(workloads[kind].spec(predrepo, 1))
+
+
+# each split value that reads accept, with the split it names
+SPLIT_KINDS = [(VAL, VAL), (TEST, TEST), (False, VAL), (True, TEST), (np.int64(1), TEST),
+               (np.int32(0), VAL), (0.0, VAL), (1.0, TEST), (np.float64(1.0), TEST)]
+SPLIT_ERROR = "split must be 0 (val) or 1 (test)"
+
+
+class TestReadAPI:
+    """What every kind of task, config and split reads, and what a bad one raises."""
+
+    @staticmethod
+    def task_kinds(repo, t):
+        task = repo.tasks[t]
+        kinds = [t, np.int64(t), np.int32(t), task, task.key, (task.dataset_id, np.int64(task.fold)),
+                 [task.dataset_id, task.fold]]
+        return kinds + [bool(t)] if t < 2 else kinds
+
+    @staticmethod
+    def config_kinds(repo, j):
+        kinds = [j, np.int64(j), np.uint8(j), repo.configs[j].config_id, repo.configs[j]]
+        return kinds + [bool(j)] if j < 2 else kinds
+
+    @pytest.mark.parametrize("kind", ["handmade", "opened"])
+    def test_every_task_and_config_kind_reads_its_cell(self, tmp_path, kind):
+        repo = read_api_repo(kind, tmp_path)
+        for t in range(repo.n_tasks):
+            for s in (VAL, TEST):
+                want_slab = repo.task_predictions(t, s)
+                want_labels = repo.labels(t, s)
+                for task in self.task_kinds(repo, t):
+                    assert repo.task_index(task) == t and type(repo.task_index(task)) is int
+                    assert np.shares_memory(repo.task_predictions(task, s), want_slab)
+                    assert np.array_equal(repo.labels(task, s), want_labels)
+                    for j in range(repo.n_configs):
+                        for config in self.config_kinds(repo, j):
+                            cell = repo.predictions(task, config, s)
+                            assert cell.shape == want_slab[j].shape
+                            assert np.shares_memory(cell, want_slab[j])
+                            assert np.array_equal(cell, want_slab[j])
+        for j in range(repo.n_configs):
+            for config in self.config_kinds(repo, j):
+                assert repo.config_index(config) == j and type(repo.config_index(config)) is int
+
+    def test_predict_val_and_predict_test_take_every_task_form(self, handmade_repo):
+        repo = handmade_repo
+        for t, task in enumerate(repo.tasks):
+            for j, config in enumerate(repo.configs):
+                for read, s in ((repo.predict_val, VAL), (repo.predict_test, TEST)):
+                    want = repo.predictions(t, j, s)
+                    for got in (read(task.dataset_id, task.fold, config.config_id),
+                                read(task.key, config=j), read(t, config=config),
+                                read(task, config=np.int64(j))):
+                        assert np.shares_memory(got, want) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("split, named", SPLIT_KINDS)
+    def test_every_split_kind_reads_its_split(self, handmade_repo, split, named):
+        repo = handmade_repo
+        for t, task in enumerate(repo.tasks):
+            rows = task.n_val if named == VAL else task.n_test
+            slab = repo.task_predictions(t, split)
+            assert slab.shape == (repo.n_configs, rows, task.o)
+            assert np.shares_memory(slab, repo.task_predictions(t, named))
+            for j in range(repo.n_configs):
+                cell = repo.predictions(t, j, split)
+                assert cell.shape == (rows, task.o)
+                assert np.shares_memory(cell, repo.predictions(t, j, named))
+
+    @pytest.mark.parametrize("split, named", SPLIT_KINDS)
+    def test_labels_take_every_split_kind(self, handmade_repo, split, named):
+        # a float split once failed here alone, indexing a tuple of row counts
+        repo = handmade_repo
+        for t in range(repo.n_tasks):
+            got, want = repo.labels(t, split), repo.labels(t, named)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("task, config, error", [
+        (6, 0, "task ordinal out of range: 6"),
+        (-1, 0, "task ordinal out of range: -1"),
+        (np.int64(6), 0, "task ordinal out of range: 6"),
+        (("nope", 0), 0, "unknown task: ('nope', 0)"),
+        (("reg", 2), 0, "unknown task: ('reg', 2)"),
+        (("reg", np.int64(5)), 0, "unknown task: ('reg', 5)"),
+        (0, 3, "config ordinal out of range: 3"),
+        (0, -1, "config ordinal out of range: -1"),
+        (0, np.int64(3), "config ordinal out of range: 3"),
+        (0, "xyz", "unknown config: 'xyz'"),
+        (0, ConfigMeta("xyz", "alpha"), "unknown config: 'xyz'"),
+        (6, "xyz", "task ordinal out of range: 6"),  # the task is resolved first
+    ])
+    def test_bad_task_or_config_error_texts(self, handmade_repo, task, config, error):
+        repo = handmade_repo
+        calls = [lambda s: repo.predictions(task, config, s)]
+        if config == 0:  # the reads that take no config
+            calls += [lambda s: repo.task_predictions(task, s), lambda s: repo.labels(task, s)]
+        for call in calls:
+            for split in (VAL, TEST, 2):  # a bad task or config outranks a bad split
+                with pytest.raises(KeyError) as got:
+                    call(split)
+                assert got.value.args == (error,)
+        assert repo.prediction_bytes_read == 0
+
+    @pytest.mark.parametrize("split", [2, -1, 1.5, "1", None, np.int64(2)])
+    def test_bad_split_error_text(self, handmade_repo, split):
+        repo = handmade_repo
+        for call in (lambda: repo.predictions(0, 0, split), lambda: repo.task_predictions(0, split),
+                     lambda: repo.labels(0, split),
+                     lambda: repo.predictions(("mc", 1), "beta-default", split)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert got.value.args == (SPLIT_ERROR,)
+        assert repo.prediction_bytes_read == 0
+
+    @pytest.mark.parametrize("kind", ["handmade", "opened"])
+    def test_prediction_bytes_read_increments(self, tmp_path, kind):
+        repo = read_api_repo(kind, tmp_path)
+        total = 0
+        assert repo.prediction_bytes_read == 0
+        for t, task in enumerate(repo.tasks):
+            for s, rows in ((VAL, task.n_val), (TEST, task.n_test)):
+                repo.predictions(task.key, 1, s)
+                total += rows * task.o * 4
+                assert repo.prediction_bytes_read == total
+                repo.task_predictions(t, s)
+                total += repo.n_configs * rows * task.o * 4
+                assert repo.prediction_bytes_read == total
+                repo.labels(t, s)  # labels are not prediction bytes
+                assert repo.prediction_bytes_read == total
+
+    @pytest.mark.parametrize("kind", ["handmade", "opened", "small_spec", "sim-fig2",
+                                      "ablate-wide"])
+    def test_every_cell_is_the_offset_arithmetic_view(self, tmp_path, kind):
+        repo = read_api_repo(kind, tmp_path)
+        preds, labels, M = repo._preds, repo._labels, repo.n_configs
+        pred_at = label_at = 0
+        for t, task in enumerate(repo.tasks):
+            rows_both = task.n_val + task.n_test
+            for s, rows, skip in ((VAL, task.n_val, 0), (TEST, task.n_test, task.n_val)):
+                y = labels[label_at + skip:label_at + skip + rows]
+                got = repo.labels(t, s)
+                if task.problem.is_classification:
+                    assert got.dtype == np.int64 and np.array_equal(got, y)
+                else:
+                    assert got.dtype == np.float64 and np.shares_memory(got, labels)
+                    assert np.array_equal(got, y)
+                slab = repo.task_predictions(t, s)
+                assert np.shares_memory(slab, preds)
+                for j in range(M):
+                    start = pred_at + (j * rows_both + skip) * task.o
+                    oracle = preds[start:start + rows * task.o].reshape(rows, task.o)
+                    cell = repo.predictions(t, j, s)
+                    assert cell.shape == oracle.shape and cell.dtype == np.float32
+                    assert np.shares_memory(cell, oracle)
+                    assert np.array_equal(cell.view(np.uint32), oracle.view(np.uint32))
+                    assert np.array_equal(slab[j].view(np.uint32), oracle.view(np.uint32))
+            pred_at += M * rows_both * task.o
+            label_at += rows_both
+        assert pred_at == preds.size and label_at == labels.size
+
+    def test_fold_must_be_an_integer(self):
+        repo = generate_repo(small_spec(folds=3))
+        assert ("d000", 2) in {t.key for t in repo.tasks}
+        for fold in (2.7, "2", 2.0, np.float64(1.5), None):
+            with pytest.raises(KeyError) as got:
+                repo.task_index(("d000", fold))
+            assert got.value.args == (f"unknown task: {('d000', fold)!r}",)
+            with pytest.raises(KeyError):
+                repo.predict_val("d000", fold, 0)
+        t = repo.task_index(("d000", 2))
+        for fold in (np.int64(2), np.int32(2), np.uint8(2)):
+            assert repo.task_index(("d000", fold)) == t
+            assert np.shares_memory(repo.predict_test("d000", fold, 0), repo.predictions(t, 0, TEST))
+
+    @pytest.mark.parametrize("kind", ["handmade", "small_spec", "opened"])
+    def test_reads_cannot_be_written(self, tmp_path, kind):
+        repo = read_api_repo(kind, tmp_path)
+        regression = [t for t, task in enumerate(repo.tasks)
+                      if task.problem is ProblemType.REGRESSION]
+        assert regression
+        for t in range(repo.n_tasks):
+            for s in (VAL, TEST):
+                arrays = [repo.predictions(t, 0, s), repo.predictions(t, repo.n_configs - 1, s),
+                          repo.task_predictions(t, s), repo.task_predictions(t, s)[0]]
+                if t in regression:
+                    arrays.append(repo.labels(t, s))
+                for a in arrays:
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[...] = 0
+                    with pytest.raises(ValueError):
+                        a.flags.writeable = True
+
+
 class TestValidate:
     def test_clean_repo_empty_report(self, handmade_repo):
         assert validate_repo(handmade_repo) == []
