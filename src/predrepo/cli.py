@@ -68,7 +68,6 @@ WINRATE_HEADER = ["method", "winrate", ">", "<", "=", "time fit (s)", "time infe
 DEFAULT_BUDGET_S = 14400.0
 
 AXES = ("configs-per-family", "n-train-datasets", "portfolio-size", "ensemble-members")
-SEEDED_AXES = ("configs-per-family", "n-train-datasets")
 
 
 def _fmt(x: float) -> str:
@@ -282,44 +281,37 @@ def cmd_ablate(args) -> int:
         raise ValueError(
             f"portfolio-size value {max(args.values)} exceeds config count {repo.n_configs}")
 
-    # each run's leave-one-out set and c_max, keyed by (value, seed); portfolio-size
-    # and ensemble-members do not depend on the seed: one set is learned per command
-    # (a size-k portfolio is the first k picks of a larger one), and each value is
-    # one run on it. The seeded axes learn one set per distinct learner input: at
-    # the full family size, or with every other dataset training, all seeds draw
-    # the same input.
-    seeds = args.seeds if args.axis in SEEDED_AXES else [None]
-    if args.axis in ("portfolio-size", "ensemble-members"):
-        n_max = max(args.values) if args.axis == "portfolio-size" else args.n_max
-        learned = _loo_portfolios(repo, n_max, agg)
+    # each run keyed by what it computes: its learner input (the candidate list on
+    # configs-per-family, the training lists on n-train-datasets, or neither), its
+    # portfolio size and its c_max. Each distinct input is learned once, at the
+    # largest size (a size-k portfolio is the first k picks of a larger one), and
+    # each distinct run is simulated once, so seeds that draw one input share a run
+    n_learn = max(args.values) if args.axis == "portfolio-size" else args.n_max
     sets: dict[tuple, dict[str, Portfolio]] = {}
-
-    def learned_on(key: tuple, **inputs) -> dict[str, Portfolio]:
-        if key not in sets:
-            sets[key] = _loo_portfolios(repo, args.n_max, agg, **inputs)
-        return sets[key]
-
-    runs = {}
+    runs: dict[tuple, tuple[dict[str, Portfolio], int]] = {}
+    run_of = {}
     for value in args.values:
-        for seed in seeds:
-            if args.axis == "portfolio-size":
-                portfolios = {d: Portfolio(p.configs[:value], p.objective_trajectory[:value], agg)
-                              for d, p in learned.items()}
-            elif args.axis == "ensemble-members":
-                portfolios = learned
-            elif args.axis == "configs-per-family":
-                candidates = _ablation_candidates(repo, value, seed)
-                portfolios = learned_on(tuple(candidates), candidates=candidates)
-            else:
-                # keyed by the lists alone: the held-out datasets come in repository order
-                train_datasets = _ablation_train_datasets(repo, value, seed)
-                portfolios = learned_on(tuple(map(tuple, train_datasets.values())),
-                                        train_datasets=train_datasets)
+        for seed in args.seeds:
+            candidates = (_ablation_candidates(repo, value, seed)
+                          if args.axis == "configs-per-family" else None)
+            train_datasets = (_ablation_train_datasets(repo, value, seed)
+                              if args.axis == "n-train-datasets" else None)
+            # keyed by the lists alone: the held-out datasets come in repository order
+            learner_input = (tuple(candidates or ()),
+                             tuple(map(tuple, (train_datasets or {}).values())))
+            if learner_input not in sets:
+                sets[learner_input] = _loo_portfolios(repo, n_learn, agg, candidates,
+                                                      train_datasets)
+            size = value if args.axis == "portfolio-size" else n_learn
             c_max = value if args.axis == "ensemble-members" else args.c_max
-            runs[value, seed] = portfolios, c_max
+            key = run_of[value, seed] = learner_input, size, c_max
+            if key not in runs:
+                runs[key] = ({d: Portfolio(p.configs[:size], p.objective_trajectory[:size], agg)
+                              for d, p in sets[learner_input].items()}, c_max)
 
     # one simulation: the fixed single-family table at --c-max, which anchors the
-    # normalization across all runs, and every run at its own c_max
+    # normalization across all runs, and every distinct run at its own c_max, in
+    # the order the runs first appear
     by_family, ensembles = _simulate_methods(repo, policy, args.c_max, repo.families,
                                              list(runs.values()))
     base = [_method_results(name, res) for name, res in _family_methods(by_family).items()]
@@ -331,8 +323,7 @@ def cmd_ablate(args) -> int:
 
     rows, summary = [], []
     for value in args.values:
-        per_seed = [scores[value, seed if args.axis in SEEDED_AXES else None]
-                    for seed in args.seeds]
+        per_seed = [scores[run_of[value, seed]] for seed in args.seeds]
         for seed, (err, train_obj) in zip(args.seeds, per_seed):
             rows.append([args.axis, str(value), str(seed), _fmt(err), _fmt(train_obj)])
         errs = np.array([err for err, _ in per_seed])

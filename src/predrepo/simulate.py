@@ -14,10 +14,11 @@ step count. A run's result is the best prefix of its own count of the one
 greedy run on its pool, so runs on the same pool share that run.
 ``simulate`` asks for every family at ``c_max`` and two runs on one set:
 ``Portfolio (ensemble)`` at ``c_max`` and ``Portfolio`` at one step.
-``ablate`` asks for every family at ``--c-max`` and every (value, seed) run
-at its own ``c_max``. :func:`simulate_portfolio` and
-:func:`simulate_single_family` ask for one run or one family; the
-``default`` and ``tuned`` family modes need no greedy run and skip the loop.
+``ablate`` asks for every family at ``--c-max`` and every distinct run (one
+per learner input, size and ``c_max``) at its own ``c_max``.
+:func:`simulate_portfolio` and :func:`simulate_single_family` ask for one run
+or one family; the ``default`` and ``tuned`` family modes need no greedy run
+and skip the loop.
 """
 
 from __future__ import annotations

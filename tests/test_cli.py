@@ -521,13 +521,21 @@ class TestAblateCommand:
         assert summary_header == ["axis", "value", "mean", "stderr", "n_seeds"]
         assert len(summary_rows) == 3
 
-    def test_value_exceeding_count_exits_3(self, repo_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("axis, value, message", [
+        ("n-train-datasets", "99", "n-train-datasets value 99 exceeds available count 3"),
+        ("configs-per-family", "4", "configs-per-family value 4 exceeds family 'mlp' size 3"),
+        ("portfolio-size", "8", "portfolio-size value 8 exceeds config count 7")],
+        ids=["n-train-datasets", "configs-per-family", "portfolio-size"])
+    def test_value_exceeding_count_exits_3(self, repo_dir, tmp_path, capsys, axis, value,
+                                           message):
+        out_csv = tmp_path / "x.csv"
         code, _, err = run(capsys, "ablate", "--repo", str(repo_dir),
-                           "--axis", "n-train-datasets", "--values", "99",
+                           "--axis", axis, "--values", value,
                            "--seeds", "0", "--budget-s", "1e12",
-                           "--out", str(tmp_path / "x.csv"))
+                           "--out", str(out_csv))
         assert code == 3
-        assert "exceeds" in err
+        assert err == f"error: {message}\n"
+        assert not out_csv.exists()
 
     def test_ensemble_members_one_equals_best_single(self, repo_dir, tmp_path, capsys):
         out_csv = tmp_path / "abl.csv"
@@ -789,10 +797,26 @@ class TestOneGreedyRunPerTask:
         # every family pool and one pool per (value, seed) run, all at --c-max 6
         assert counts == [[6] * (f + 4)] * len(counts)
 
+    @pytest.mark.parametrize("axis", ["configs-per-family", "n-train-datasets"])
+    def test_seeds_drawing_one_input_make_one_pool(self, tmp_path, capsys, monkeypatch, axis):
+        # with equal families at their full size, or every other dataset training,
+        # each seed draws the same input: one run, so one pool beside the families'
+        spec_path = write_spec(tmp_path, families=(FamilySpec("gbm", 3, 0.85, 0.5, 0.3),
+                                                   FamilySpec("mlp", 3, 0.6, 0.8, 0.2)))
+        code, _, _ = run(capsys, "generate", "--spec", str(spec_path), "--out",
+                         str(tmp_path / "repo"))
+        assert code == 0
+        n_datasets = len(open_repo(tmp_path / "repo").datasets)
+        value = "3" if axis == "configs-per-family" else str(n_datasets - 1)
+        counts, f = self.calls(capsys, monkeypatch, tmp_path / "repo", tmp_path, "ablate",
+                               "--axis", axis, "--values", value, "--seeds", "0,1,2")
+        assert counts == [[6] * (f + 1)] * len(counts)
+
     @pytest.mark.parametrize("budget", ["4", "20"])
     @pytest.mark.parametrize("axis, values", [
         ("configs-per-family", "1,3"), ("n-train-datasets", "1,3"),
-        ("portfolio-size", "1,4"), ("ensemble-members", "1,6")])
+        ("portfolio-size", "1,4"), ("ensemble-members", "1,6"),
+        ("n-train-datasets", "4")])
     def test_ablate_rows_equal_one_pool_runs(self, wider_repo_dir, tmp_path, capsys, axis,
                                              values, budget):
         from predrepo.cli import (
