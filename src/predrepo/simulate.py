@@ -194,7 +194,7 @@ def _family_task(repo: Repository, t: int, default: int, order: list[int],
     meta = repo.tasks[t]
     rec = repo.eval_table[t, default]
     plain = SimResult(meta.dataset_id, meta.fold, [default], False,
-                      float(rec[0]), float(rec[1]), float(rec[2]), float(rec[3]))
+                      float(rec[0]), float(rec[1]), float(rec[2]) + 0.0, float(rec[3]))
     walk = trained, fb, fit = _walk(repo, t, order, policy)
     # (validation loss, ordinal) pairs: the lowest loss first, the lowest ordinal on ties
     ranked = sorted(zip(repo.eval_table[t, trained, 0].tolist(), trained))
@@ -209,8 +209,9 @@ def simulate_single_family(repo: Repository, family: str, mode: str,
                            order_seed: int | None = None) -> list[SimResult]:
     """Simulate one model family on every task.
 
-    ``default`` reports the family's default config as stored. ``tuned`` walks
-    the family's configs in repository order (or a seeded shuffle) under the
+    ``default`` reports the family's default config as stored, except that a
+    ``-0.0`` fit time reads ``0.0`` as in the other rows. ``tuned`` walks the
+    family's configs in repository order (or a seeded shuffle) under the
     budget and keeps the one with the best stored validation loss.
     ``tuned+ensemble`` runs greedy selection over the best 20 configs that fit.
     """

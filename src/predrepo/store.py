@@ -37,11 +37,19 @@ Directory layout::
         preds.blob      # magic "TRPB", version u32 LE, then raw f32 LE row-major
                         #   matrices back to back
 
+One table, :data:`_BINARY_FILES`, gives each binary file's magic and the
+type of its values past the header; :func:`write_repo` writes the four in
+one loop, and :func:`open_repo` reads each through one helper,
+:func:`_map_array`, which checks the header and the exact size and returns
+a typed view. A file of the wrong size is named in one message shape,
+"<file> shorter|longer than index extent: need N bytes, <file> has M".
+
 Index offsets are absolute byte positions in preds.blob. Splits are numbered
 val=0, test=1. The index is redundant with the manifest: :func:`open_repo`
-rejects any record that differs from the one the task shapes imply, and any
-evaluation record with a negative or non-finite field. A canonical index is
-accepted by one byte compare; only a mismatch is diagnosed record by record.
+reads it first and rejects any record that differs from the one the task
+shapes imply before it maps preds.blob, and it rejects any evaluation
+record with a negative or non-finite field. A canonical index is accepted
+by one compare; only a mismatch is diagnosed record by record.
 manifest.json is ``json.dumps(manifest, indent=2)`` plus a newline, produced
 from the C JSON encoder (:func:`_manifest_text`). Repository handles
 are immutable after open and safe for concurrent readers. All writes go
@@ -63,10 +71,6 @@ from typing import Sequence
 
 import numpy as np
 
-MAGIC_BLOB = b"TRPB"
-MAGIC_INDEX = b"TRPI"
-MAGIC_EVALS = b"TREV"
-MAGIC_LABELS = b"TRLB"
 FORMAT_VERSION = 1
 
 VAL = 0
@@ -89,7 +93,15 @@ _INDEX_DTYPE = np.dtype(
 assert _INDEX_DTYPE.itemsize == 28
 _PAD_BYTES = slice(9, 12)  # the pad field's bytes within a record; never checked
 
-STORE_FILES = ("manifest.json", "labels.bin", "evals.bin", "preds.idx", "preds.blob")
+# each binary file: its magic and the type of the values past its 8-byte header
+_BINARY_FILES = {
+    "labels.bin": (b"TRLB", np.dtype("<f8")),
+    "evals.bin": (b"TREV", np.dtype("<f8")),
+    "preds.idx": (b"TRPI", np.dtype("<u4")),  # 7 words per 28-byte record
+    "preds.blob": (b"TRPB", np.dtype("<f4")),
+}
+
+STORE_FILES = ("manifest.json", *_BINARY_FILES)
 
 _EVAL_FIELDS = 4  # loss_val, loss_test, time_fit, time_infer
 
@@ -647,27 +659,39 @@ def _check_evals(repo: Repository) -> None:
         raise StoreError(f"invalid evaluation record at {_cell(repo, *bad[0])}")
 
 
-def _header(magic: bytes) -> bytes:
-    return magic + np.uint32(FORMAT_VERSION).tobytes()
+def _header(name: str) -> bytes:
+    """The 8-byte header of the binary file ``name``: its magic, then the format version."""
+    return _BINARY_FILES[name][0] + np.uint32(FORMAT_VERSION).tobytes()
 
 
-def _map_file(path: Path, magic: bytes) -> mmap.mmap | bytes:
-    """A read-only map of the whole binary file ``path``, its 8-byte header checked."""
+def _map_array(path: Path, name: str, count: int) -> np.ndarray:
+    """The ``count`` values past the header of the binary file ``name`` in ``path``.
+
+    The file is mapped whole and read-only, and the result is a view of the
+    map, typed as :data:`_BINARY_FILES` says. The header is checked first,
+    then the size: a file that does not hold exactly ``count`` values past
+    its header is a StoreError, in one message shape for every file.
+    """
+    magic, dtype = _BINARY_FILES[name]
     try:
-        with open(path, "rb", buffering=0) as f:
+        with open(path / name, "rb", buffering=0) as f:
             data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)  # holds its own descriptor
     except FileNotFoundError:
-        raise StoreError(f"missing file: {path.name}") from None
+        raise StoreError(f"missing file: {name}") from None
     except IsADirectoryError:
-        raise StoreError(f"{path.name} is a directory") from None
+        raise StoreError(f"{name} is a directory") from None
     except ValueError:  # an empty file cannot be mapped
         data = b""
     if len(data) < 8 or data[:4] != magic:
-        raise StoreError(f"bad magic in {path.name}: expected {magic!r}")
+        raise StoreError(f"bad magic in {name}: expected {magic!r}")
     version = int.from_bytes(data[4:8], "little")
     if version != FORMAT_VERSION:
-        raise StoreError(f"unsupported version {version} in {path.name}")
-    return data
+        raise StoreError(f"unsupported version {version} in {name}")
+    need, size = 8 + count * dtype.itemsize, len(data)
+    if size != need:
+        side = "shorter" if size < need else "longer"
+        raise StoreError(f"{name} {side} than index extent: need {need} bytes, {name} has {size}")
+    return np.frombuffer(data, dtype=dtype, offset=8)
 
 
 def _replace_file(path: Path, name: str, *parts) -> None:
@@ -689,6 +713,14 @@ def _replace_file(path: Path, name: str, *parts) -> None:
 
 
 _TASK_FIELDS = tuple(f.name for f in fields(TaskMeta))
+
+
+def _label_checksums(labels: np.ndarray, label_start: Sequence[int]) -> list[str]:
+    """The sha256 hex digest of each task's run of the label buffer, as the manifest keeps them.
+
+    ``label_start`` is :func:`_label_starts` of the tasks.
+    """
+    return [hashlib.sha256(labels[a:b]).hexdigest() for a, b in zip(label_start, label_start[1:])]
 
 
 def _task_record(task: TaskMeta) -> dict:
@@ -746,8 +778,6 @@ def write_repo(repo: Repository, path: str | Path) -> None:
 
     if bad_labels := _label_violations(tasks, repo._labels):
         raise StoreError(next(iter(bad_labels.values())))
-    starts = repo._label_start
-    checksums = [hashlib.sha256(repo._labels[a:b]).hexdigest() for a, b in zip(starts, starts[1:])]
 
     manifest = {
         "format": "prediction-repository",
@@ -755,14 +785,14 @@ def write_repo(repo: Repository, path: str | Path) -> None:
         "folds_per_dataset": repo.folds_per_dataset,
         "tasks": [_task_record(t) for t in tasks],
         "configs": [{key: getattr(c, key) for key, _ in _CONFIG_TYPES} for c in configs],
-        "label_checksums": checksums,
+        "label_checksums": _label_checksums(repo._labels, repo._label_start),
     }
 
     path.mkdir(parents=True, exist_ok=True)
-    _replace_file(path, "preds.blob", _header(MAGIC_BLOB), repo._preds)
-    _replace_file(path, "preds.idx", _header(MAGIC_INDEX), _canonical_index(tasks, len(configs)))
-    _replace_file(path, "evals.bin", _header(MAGIC_EVALS), evals)
-    _replace_file(path, "labels.bin", _header(MAGIC_LABELS), repo._labels)
+    for name, values in (("preds.blob", repo._preds),
+                         ("preds.idx", _canonical_index(tasks, len(configs))),
+                         ("evals.bin", evals), ("labels.bin", repo._labels)):
+        _replace_file(path, name, _header(name), values)
     _replace_file(path, "manifest.json", (_manifest_text(manifest) + "\n").encode("utf-8"))
 
 
@@ -840,20 +870,19 @@ def _manifest_configs(entries: list) -> list[ConfigMeta]:
     return configs
 
 
-def _check_index(index, tasks: Sequence[TaskMeta], configs: Sequence[ConfigMeta]) -> None:
-    """Compare the records of preds.idx, mapped as ``index``, with the canonical ones.
+def _check_index(words: np.ndarray, tasks: Sequence[TaskMeta],
+                 configs: Sequence[ConfigMeta]) -> None:
+    """Compare the records of preds.idx, given as its ``<u4`` words, with the canonical ones.
 
-    A file equal to the canonical one passes by one compare of all record
-    bytes, taken as ``<u4`` words (a record is 7 of them) so that no copy or
-    per-byte mask is made; any other is compared record by record, pad
-    bytes excepted.
+    ``words`` holds as many records as the canonical index (:func:`_map_array`
+    checks the size). A file equal to the canonical one passes by one
+    compare of all words, which makes no copy or per-byte mask; any other is
+    compared record by record, pad bytes excepted.
     """
     want = _canonical_index(tasks, len(configs)).reshape(-1)
-    if len(index) - 8 != want.nbytes:
-        raise StoreError(f"preds.idx holds {len(index) - 8} record bytes, expected {want.nbytes}")
-    if np.array_equal(np.frombuffer(index, dtype="<u4", offset=8), want.view("<u4")):
+    if np.array_equal(words, want.view("<u4")):
         return
-    raw = np.frombuffer(index, dtype=np.uint8, offset=8)
+    raw = words.view(np.uint8)
     width = _INDEX_DTYPE.itemsize
     differs = raw.reshape(-1, width) != want.view(np.uint8).reshape(-1, width)
     differs[:, _PAD_BYTES] = False
@@ -879,14 +908,15 @@ def _check_index(index, tasks: Sequence[TaskMeta], configs: Sequence[ConfigMeta]
 def open_repo(path: str | Path) -> Repository:
     """Open an on-disk repository for reading.
 
-    Metadata is parsed fully, the index is checked against the records the
-    task shapes imply, and each task's labels are checked against their
-    manifest checksum and checked to be finite and, for classification tasks,
-    class indices, in one pass over all labels. The prediction blob is
-    never read in full at open time. Each binary file is opened once and
-    mapped whole and read-only; its header is checked in the map and the
-    arrays are views of it. A canonical index passes by one byte compare.
-    The returned handle is immutable and safe for concurrent readers.
+    Metadata is parsed fully. Each binary file is then read through
+    :func:`_map_array`, which checks its header and exact size and returns a
+    view of its map; preds.idx comes first, and its records are checked
+    against the ones the task shapes imply before preds.blob is mapped. A
+    canonical index passes by one compare. Each task's labels are checked
+    against their manifest checksum and checked to be finite and, for
+    classification tasks, class indices, in one pass over all labels. The
+    prediction blob is never read in full at open time. The returned handle
+    is immutable and safe for concurrent readers.
     """
     path = Path(path)
     try:
@@ -910,47 +940,24 @@ def open_repo(path: str | Path) -> Repository:
     label_checksums = _field(manifest, "label_checksums", array)
     T, M = len(tasks), len(configs)
 
-    blob, index, evals_map, labels_map = (
-        _map_file(path / name, magic)
-        for name, magic in (("preds.blob", MAGIC_BLOB), ("preds.idx", MAGIC_INDEX),
-                            ("evals.bin", MAGIC_EVALS), ("labels.bin", MAGIC_LABELS)))
-
+    index = _map_array(path, "preds.idx", 2 * T * M * _INDEX_DTYPE.itemsize // 4)
     _check_index(index, tasks, configs)
-    end = 8 + 4 * _pred_starts(tasks, M)[-1]
-    blob_size = len(blob)
-    if blob_size != end:
-        side = "shorter" if blob_size < end else "longer"
-        raise StoreError(
-            f"blob {side} than index extent: need {end} bytes, preds.blob has {blob_size}"
-        )
-
-    evals_size = len(evals_map)
-    if evals_size != 8 + T * M * _EVAL_FIELDS * 8:
-        raise StoreError(
-            f"evals.bin has {evals_size} bytes, expected {8 + T * M * _EVAL_FIELDS * 8}"
-        )
-
+    preds = _map_array(path, "preds.blob", _pred_starts(tasks, M)[-1])
+    evals = _map_array(path, "evals.bin", T * M * _EVAL_FIELDS).reshape(T, M, _EVAL_FIELDS)
     label_start = _label_starts(tasks)
-    labels_size = len(labels_map)
-    if labels_size != 8 + label_start[-1] * 8:
-        raise StoreError(f"labels.bin has {labels_size} bytes, expected {8 + label_start[-1] * 8}")
-    labels = np.frombuffer(labels_map, dtype="<f8", offset=8)
+    labels = _map_array(path, "labels.bin", label_start[-1])
     if len(label_checksums) != T:
         raise StoreError(
             f"manifest.json has {len(label_checksums)} label checksums for {T} tasks")
-    for t, task in enumerate(tasks):
-        if type(label_checksums[t]) is not str:
-            raise StoreError(f"manifest.json: task {task.key}: invalid label checksum "
-                             f"{label_checksums[t]!r}")
-        chunk = labels[label_start[t]:label_start[t + 1]]
-        if hashlib.sha256(chunk).hexdigest() != label_checksums[t]:
+    for task, want, got in zip(tasks, label_checksums, _label_checksums(labels, label_start)):
+        if type(want) is not str:
+            raise StoreError(f"manifest.json: task {task.key}: invalid label checksum {want!r}")
+        if got != want:
             raise StoreError(f"label checksum mismatch in labels.bin for task {task.key}")
     if bad_labels := _label_violations(tasks, labels):
         raise StoreError(next(iter(bad_labels.values())))
 
-    evals = np.frombuffer(evals_map, dtype="<f8", offset=8).reshape(T, M, _EVAL_FIELDS)
-    repo = Repository(tasks, configs, folds, labels,
-                      np.frombuffer(blob, dtype="<f4", offset=8), evals)
+    repo = Repository(tasks, configs, folds, labels, preds, evals)
     _check_evals(repo)
     return repo
 

@@ -26,10 +26,9 @@ from predrepo import (
 from predrepo.cli import TASK_CSV_HEADER, main
 from predrepo.ensemble import _select_and_score
 from predrepo.simulate import SimResult, _loo_portfolios, _sum_in_order, anytime_filter
+from predrepo.store import STORE_FILES
 
 from conftest import rebuild_repo, repo_arrays, small_spec
-
-FILES = ("manifest.json", "labels.bin", "evals.bin", "preds.idx", "preds.blob")
 
 
 def run(capsys, *argv):
@@ -114,7 +113,7 @@ class TestGenerate:
         code, out, _ = run(capsys, "generate", "--spec", str(spec_path),
                            "--out", str(tmp_path / "repo"))
         assert code == 0
-        for name in FILES:
+        for name in STORE_FILES:
             assert (tmp_path / "repo" / name).exists()
         assert out.startswith("D=4 S=2 M=7 bytes=")
 
@@ -122,7 +121,7 @@ class TestGenerate:
         spec_path = write_spec(tmp_path, seed=223)
         run(capsys, "generate", "--spec", str(spec_path), "--out", str(tmp_path / "a"))
         run(capsys, "generate", "--spec", str(spec_path), "--out", str(tmp_path / "b"))
-        for name in FILES:
+        for name in STORE_FILES:
             ha = hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest()
             hb = hashlib.sha256((tmp_path / "b" / name).read_bytes()).hexdigest()
             assert ha == hb, name
@@ -497,7 +496,7 @@ class TestSimulateCommand:
                          "--methods-out", str(all_csv))
         assert code == 0
         rows = parse_csv(all_csv.read_text())[1]
-        for method in ("gbm (tuned)", "Portfolio"):
+        for method in ("gbm (default)", "gbm (tuned)", "Portfolio"):
             assert [r[5] for r in rows if r[0] == method] == ["0"] * repo.n_tasks
 
 

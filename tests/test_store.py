@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import importlib.util
 import json
@@ -32,7 +33,7 @@ from predrepo import (
     write_repo,
 )
 from predrepo import metrics, store
-from predrepo.store import _INDEX_DTYPE, TEST, VAL
+from predrepo.store import _INDEX_DTYPE, STORE_FILES, TEST, VAL
 
 from conftest import (
     EDGE_SUMS,
@@ -46,11 +47,9 @@ from conftest import (
     ulps_around,
 )
 
-FILES = ("manifest.json", "labels.bin", "evals.bin", "preds.idx", "preds.blob")
-
 
 def read_all(path):
-    return {name: (path / name).read_bytes() for name in FILES}
+    return {name: (path / name).read_bytes() for name in STORE_FILES}
 
 
 def one_cell_repo(n_val=2, n_test=3):
@@ -72,10 +71,15 @@ class TestWrite:
     def test_files_and_blob_size(self, tmp_path):
         repo = one_cell_repo(n_val=2, n_test=3)
         write_repo(repo, tmp_path / "r")
-        for name in FILES:
+        for name in STORE_FILES:
             assert (tmp_path / "r" / name).exists()
         # header + (n_val + n_test) * o * 4 bytes for the single config
         assert (tmp_path / "r" / "preds.blob").stat().st_size == 8 + (2 + 3) * 1 * 4
+
+    def test_leaves_exactly_the_store_files(self, tmp_path, handmade_repo):
+        (tmp_path / "r").mkdir()
+        write_repo(handmade_repo, tmp_path / "r")
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == sorted(STORE_FILES)
 
     def test_rewrite_is_byte_identical(self, tmp_path, handmade_repo):
         write_repo(handmade_repo, tmp_path / "a")
@@ -188,6 +192,23 @@ class TestOpen:
                                              f"bytes, preds.blob has {size + 1000}"):
             open_repo(tmp_path / "r")
 
+    @pytest.mark.parametrize("name, itemsize", [("labels.bin", 8), ("evals.bin", 8),
+                                                ("preds.idx", 4), ("preds.blob", 4)])
+    @pytest.mark.parametrize("side", ["shorter", "longer"])
+    def test_wrong_size_has_one_message_for_every_binary_file(self, tmp_path, handmade_repo,
+                                                              name, itemsize, side):
+        # shorter drops the last value; longer appends one byte
+        write_repo(handmade_repo, tmp_path / "r")
+        path = tmp_path / "r" / name
+        size = path.stat().st_size
+        data = path.read_bytes()
+        path.write_bytes(data[:-itemsize] if side == "shorter" else data + b"\0")
+        has = size - itemsize if side == "shorter" else size + 1
+        with pytest.raises(StoreError) as err:
+            open_repo(tmp_path / "r")
+        assert str(err.value) == (f"{name} {side} than index extent: need {size} bytes, "
+                                  f"{name} has {has}")
+
     def test_bad_magic(self, tmp_path, handmade_repo):
         write_repo(handmade_repo, tmp_path / "r")
         blob = tmp_path / "r" / "preds.blob"
@@ -231,7 +252,7 @@ class TestOpen:
         with pytest.raises(StoreError, match="missing file"):
             open_repo(tmp_path / "r")
 
-    @pytest.mark.parametrize("name", FILES)
+    @pytest.mark.parametrize("name", STORE_FILES)
     def test_directory_in_place_of_a_file_is_named(self, tmp_path, handmade_repo, name):
         write_repo(handmade_repo, tmp_path / "r")
         (tmp_path / "r" / name).unlink()
@@ -423,7 +444,7 @@ class TestOpen:
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert read_all(tmp_path / "r") == before
-        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == sorted(FILES)
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == sorted(STORE_FILES)
 
     def test_views_keep_their_values_when_every_file_is_replaced(self, tmp_path):
         # the new store has the old one's shapes: a rewrite in place would
@@ -447,6 +468,7 @@ class TestOpen:
         write_repo(handmade_repo, tmp_path / "r")
         write_repo(handmade_repo, tmp_path / "bad")
         (tmp_path / "bad" / "labels.bin").write_bytes(b"TRLB")  # fails after three maps
+        gc.collect()  # earlier tests' tracebacks may still hold open maps in reference cycles
         before = len(os.listdir(fds))
         for _ in range(50):
             repo = open_repo(tmp_path / "r")
@@ -670,7 +692,7 @@ class TestFuzz:
         assert str(err.value) == f"bad magic in {name}: expected {pristine_files()[name][:4]!r}"
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(FILES), st.data())
+    @given(st.sampled_from(STORE_FILES), st.data())
     def test_truncated_file_rejected(self, name, data):
         content = pristine_files()[name]
         if name == "manifest.json":
