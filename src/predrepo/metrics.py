@@ -156,7 +156,7 @@ class StackLoss:
       within 1e-5. Any failed check raises ``ValueError``. It returns the
       ``(M, n)`` column the metric reads: column 0, or for multiclass tasks
       each row's true-class probability. The row sums are screened by the
-      store's kernel (:func:`store._rows_off_one`): a left-to-right sum
+      store's kernel (:func:`store._rows_off_one`): a mat-vec sum
       with a proven rounding bound decides every row outside a narrow band
       around the tolerance, and numpy sums the rows inside it, so ``check``
       raises exactly when ``np.abs(p.sum(axis=2) - 1.0) > 1e-5`` somewhere.

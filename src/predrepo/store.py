@@ -18,10 +18,14 @@ int64 class indices; :func:`write_repo` and :func:`open_repo` admit only
 labels that are class indices, so the conversion is exact.
 :meth:`Repository.task_predictions` views a task split's adjacent cells as
 one (configs, rows, o) slab, and a cell is one config of that slab.
-:func:`write_repo` and :func:`validate_repo` check the cells in one pass per
-block of whole tasks over the packed buffer, with no float64 copy, and test
-multiclass row sums with a screened sum that decides every row as numpy's
-row sum does (:func:`_rows_off_one`, which :class:`metrics.StackLoss` shares).
+:func:`write_repo` and :func:`validate_repo` check the cells over the
+packed buffer with no float64 copy. Whole-buffer screens (each task's least
+and greatest value, and a row-sum mat-vec per multiclass task) prove a clean
+store clean, and only a block of whole tasks that holds a flagged task pays
+for the per-cell pass that names bad cells (:func:`_cell_violations`). The
+row sums are screened with a rounding bound in the input's dtype that
+decides every row as numpy's row sum does (:func:`_rows_off_one`, which
+:class:`metrics.StackLoss` shares).
 
 Directory layout::
 
@@ -523,44 +527,57 @@ def _rows_off_one(p: np.ndarray) -> np.ndarray:
     numpy reduces a short last axis one row at a time, so the rows are
     screened by a sum whose error is bounded instead (a floating-point
     filter, as in Shewchuk's robust predicates), and numpy sums only the
-    rows near the tolerance. The screen takes each row's left-to-right sum
-    ``s`` and mass ``m``, the sum of its absolute values, in ``o - 1``
-    vector adds each; with no negative entry in ``p``, ``m`` is ``s``, the
-    same adds of the same values. It decides as numpy's sum ``r`` does:
+    rows near the tolerance. The screen takes each row's sum ``s`` and mass
+    ``m``, the sum of its absolute values, as one mat-vec with a vector of
+    ones in the dtype of ``p``; with no negative entry in ``p``, ``m`` is
+    ``s``. With ``eps`` that dtype's machine epsilon, it decides as numpy's
+    float64 sum ``r`` does:
 
     - For a float64 ``x``, ``abs(x - 1.0) > ROW_SUM_TOL`` is the exact test
       ``|x - 1| > ROW_SUM_TOL``: the subtraction is exact for ``x`` in
       ``[0.5, 2]`` (Sterbenz), and outside that range both sides exceed 0.5.
-    - ``s`` and ``r`` add the same ``o`` terms, each in some order. Every
-      order is within ``g * A`` of the exact sum, where ``A`` is the exact
-      mass, ``g = (o - 1) u / (1 - (o - 1) u)`` and ``u = eps / 2`` (Higham,
-      *Accuracy and Stability of Numerical Algorithms*, section 4.2). The
-      computed mass is at least ``(1 - g) A``, so ``|s - r| <= 2 g A / (1 -
-      g) < o * eps * m`` for any ``o`` below 10**7.
+      ``s`` is widened to float64 before it is subtracted.
+    - ``s`` and ``r`` add the same ``o`` terms, each in some order. An
+      order in a dtype of unit roundoff ``u`` is within ``g * A`` of the
+      exact sum, where ``A`` is the exact mass and ``g = (o - 1) u / (1 - (o
+      - 1) u)`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+      section 4.2). With ``u = eps / 2`` this bounds ``s``, and ``r`` too,
+      whose float64 sum is at least as close. The computed mass is at least
+      ``(1 - g) A``, so ``|s - r| <= 2 g A / (1 - g) <= 2 g m / (1 - g)**2``,
+      which for any ``o`` below 10**6 stays below the band ``2 * o * eps *
+      m`` less the relative roundings of the band's own arithmetic.
     - ``|x - 1| - ROW_SUM_TOL`` moves by at most ``|s - r|`` between ``x =
       s`` and ``x = r``. A row whose computed ``| |s - 1| - ROW_SUM_TOL |``
-      exceeds the band ``2 * o * eps * m`` is therefore decided alike by
-      ``s`` and by ``r``; the factor 2 covers the few relative roundings of
-      the band's own arithmetic.
+      exceeds its band is therefore decided alike by ``s`` and by ``r``. A
+      row whose sum is NaN or whose band is infinite (from a NaN or an
+      infinity in the row, or from an overflow) is in the band.
+    - Whole-region check: when the largest ``|s - 1|`` plus the band at the
+      largest ``m`` is at most ``ROW_SUM_TOL``, every row's ``|s - 1|`` is
+      below the tolerance by more than its band, so no row is off and none
+      is in the band, and the kernel returns with no per-row pass. Rows of
+      probabilities stored in float32 sum within a few ulp of one, so a
+      clean float32 region passes it while its band, ``2 * o * eps``, is
+      well below the tolerance: up to about 40 classes.
 
     Rows inside the band take their test from ``p[near].sum(axis=-1)``:
     numpy sums each row of that gather in the order it sums the row in
     ``p``. That order is left to right only for short rows (up to 7 values
-    under numpy 2.4), which is why the screen needs its band. A row with an
-    infinity has an infinite mass, so numpy sums it too.
+    under numpy 2.4), and the mat-vec's order is the BLAS library's, which
+    is why the screen needs its band.
     """
     o = p.shape[-1]
-    total = p[..., 0].astype(np.float64)
-    for k in range(1, o):
-        total += p[..., k]
-    mass = total
-    if not p.min(initial=0.0) >= 0.0:  # a negative entry, or a NaN
-        mass = np.abs(p[..., 0], dtype=np.float64)
-        for k in range(1, o):
-            mass += np.abs(p[..., k])
-    distance = np.abs(total - 1.0)
+    ones = np.ones(o, dtype=p.dtype)
+    total = (p.reshape(-1, o) @ ones).reshape(p.shape[:-1])
+    mass = total if p.min(initial=0.0) >= 0.0 else np.abs(p) @ ones  # a negative, or a NaN
+    band = 2 * o * float(np.finfo(p.dtype).eps)
+    if total.size:
+        lo, hi = float(total.min()), float(total.max())
+        heaviest = hi if mass is total else float(mass.max())
+        if max(hi - 1.0, 1.0 - lo) + band * heaviest <= ROW_SUM_TOL:
+            return np.zeros(total.shape, dtype=bool)
+    distance = np.abs(np.subtract(total, 1.0, dtype=np.float64))
     off = distance > ROW_SUM_TOL
-    near = np.abs(distance - ROW_SUM_TOL) <= (2 * o * np.finfo(np.float64).eps) * mass
+    near = ~(np.abs(distance - ROW_SUM_TOL) > band * mass)  # true for a NaN
     if near.any():
         full = np.asarray(p[near], dtype=np.float64).sum(axis=-1)
         off[near] = np.abs(full - 1.0) > ROW_SUM_TOL
@@ -575,16 +592,41 @@ def _cell_violations(repo: Repository) -> list[tuple[int, int, int, str]]:
 
     A non-finite value outranks the classification checks: every value in
     [0, 1] and, for multiclass tasks, every row summing to one within
-    ``ROW_SUM_TOL``. The packed buffer is checked in one pass per block of
-    whole tasks of at most ``_CHECK_BLOCK`` values, which bounds the pass's
-    temporaries.
+    ``ROW_SUM_TOL``. Screens over the whole packed buffer first prove tasks
+    clean:
+
+    - ``np.minimum.reduceat`` and ``np.maximum.reduceat`` at the task
+      starts give each task's least and greatest value. NaN propagates
+      through both and an infinity is an extreme, so a task's values are
+      all finite exactly when these two are; a classification task's
+      values all lie in [0, 1] exactly when the least is at least 0 and the
+      greatest at most 1.
+    - A multiclass task that passes has its rows tested by
+      :func:`_rows_off_one` on its region.
+
+    The cells are then checked one by one, by :func:`_block_violations`,
+    only in the blocks of whole tasks, of at most ``_CHECK_BLOCK`` values,
+    that hold a task the screens flag; so only a flagged block pays for the
+    per-cell pass, whose temporaries the block size bounds.
     """
-    starts, found, first = repo._pred_start, [], 0
+    preds, starts = repo._preds, repo._pred_start
+    if not preds.size:
+        return []
+    repo._bytes_read += preds.nbytes
+    lo, hi = np.minimum.reduceat(preds, starts[:-1]), np.maximum.reduceat(preds, starts[:-1])
+    classification = np.array([t.problem.is_classification for t in repo.tasks])
+    clean = np.where(classification, (lo >= 0.0) & (hi <= 1.0), np.isfinite(lo) & np.isfinite(hi))
+    for t, task in enumerate(repo.tasks):
+        if clean[t] and task.problem is ProblemType.MULTICLASS:
+            region = _task_region(preds, starts[t], repo.n_configs, task)
+            clean[t] = not _rows_off_one(region).any()
+    found, first = [], 0
     while first < repo.n_tasks:
         end = first + 1
         while end < repo.n_tasks and starts[end + 1] - starts[first] <= _CHECK_BLOCK:
             end += 1
-        found += _block_violations(repo, first, end)
+        if not clean[first:end].all():
+            found += _block_violations(repo, first, end)
         first = end
     return found
 
@@ -596,12 +638,10 @@ def _block_violations(repo: Repository, first: int, end: int) -> list[tuple[int,
     ``isfinite`` and one ``[0, 1]`` comparison over the block, each reduced
     at the cell starts, flag every cell. No float64 copy is made: float32
     widens to float64 exactly, so the comparisons decide as on such a copy.
+    This is the one place that names bad cells.
     """
     tasks, offset = repo.tasks[first:end], repo._pred_start[first]
     values = repo._preds[offset:repo._pred_start[end]]
-    if not values.size:
-        return []
-    repo._bytes_read += values.nbytes
     shape = (len(tasks), repo.n_configs, 2)
     sizes = np.array([[t.n_val * t.o, t.n_test * t.o] for t in tasks])
     sizes = np.broadcast_to(sizes[:, None], shape).reshape(-1)
@@ -648,14 +688,20 @@ def _label_violations(tasks: Sequence[TaskMeta], labels: np.ndarray) -> dict[int
             for t in sorted(nonfinite.union(owner[bad].tolist()))}
 
 
-def _invalid_evals(evals: np.ndarray) -> np.ndarray:
-    """(tasks, configs) mask of the evaluation records with a negative or non-finite field."""
-    return ~np.all(np.isfinite(evals) & (evals >= 0), axis=2)
+def _invalid_evals(evals: np.ndarray) -> list[list[int]]:
+    """(task, config) of each evaluation record with a negative or non-finite field, in order.
+
+    The whole table is screened first: NaN fails ``min >= 0`` and either
+    infinity fails one of the two tests, so a table that passes is clean and
+    needs no per-record mask.
+    """
+    if evals.min(initial=0.0) >= 0.0 and evals.max(initial=0.0) < np.inf:
+        return []
+    return np.argwhere(~np.all(np.isfinite(evals) & (evals >= 0), axis=2)).tolist()
 
 
 def _check_evals(repo: Repository) -> None:
-    bad = np.argwhere(_invalid_evals(repo.eval_table)).tolist()
-    if bad:
+    if bad := _invalid_evals(repo.eval_table):
         raise StoreError(f"invalid evaluation record at {_cell(repo, *bad[0])}")
 
 
@@ -853,8 +899,23 @@ _CONFIG_TYPES = (("config_id", str), ("family", str), ("is_default", bool), ("hy
 
 
 def _manifest_configs(entries: list) -> list[ConfigMeta]:
-    """Parse the manifest's configs; a mistyped value is a StoreError naming ordinal and field."""
-    configs = []  # many more than tasks: their values are checked without _field
+    """Parse the manifest's configs; a mistyped value is a StoreError naming ordinal and field.
+
+    There are many more configs than tasks, so every config's four values
+    are read at once and each field's types checked across all configs at
+    once; only a list that fails is read again config by config, to name
+    its first fault: the first config at fault, a missing field before a
+    mistyped one, fields in :data:`_CONFIG_TYPES` order.
+    """
+    try:
+        values = [(c["config_id"], c["family"], c["is_default"], c.get("hyperparams", ""))
+                  for c in entries]  # only a JSON object has string keys
+    except (KeyError, TypeError):
+        values = None
+    if values is not None and all({*map(type, column)} <= {kind}
+                                  for (_, kind), column in zip(_CONFIG_TYPES, zip(*values))):
+        return [ConfigMeta(*v) for v in values]
+    configs = []
     try:
         for j, c in enumerate(entries):
             if type(c) is not dict:
@@ -972,13 +1033,17 @@ def validate_repo(repo: Repository) -> list[str]:
     the stored predictions within ``LOSS_RECOMPUTE_TOL`` relative, in one
     :meth:`metrics.StackLoss.score` call per task. The losses are recomputed
     only for cells that passed the cell checks, so their columns are read
-    with :meth:`metrics.StackLoss.column` and not checked twice. Violations
-    come in (task, config) order. Density and cell shapes hold by construction.
+    with :meth:`metrics.StackLoss.column` and not checked twice; a task with
+    no bad cell, evaluation record or label scores its validation slab view
+    as it is, with no copy. Violations come in (task, config) order. Density
+    and cell shapes hold by construction.
     """
     from . import metrics  # local import to avoid a cycle
 
     report: list[str] = []
-    bad_evals = _invalid_evals(repo.eval_table)
+    bad_evals: dict[int, list[int]] = {}
+    for t, j in _invalid_evals(repo.eval_table):
+        bad_evals.setdefault(t, []).append(j)
     bad_labels = _label_violations(repo.tasks, repo._labels)
     bad_cells: dict[int, list[tuple[int, str]]] = {}
     for t, j, _, message in _cell_violations(repo):
@@ -986,8 +1051,10 @@ def validate_repo(repo: Repository) -> list[str]:
     for t, task in enumerate(repo.tasks):
         found = bad_cells.get(t, [])
         found += [(j, f"invalid evaluation record at {_cell(repo, t, j)}")
-                  for j in np.flatnonzero(bad_evals[t]).tolist()]
-        check = np.flatnonzero(~np.isin(np.arange(repo.n_configs), [j for j, _ in found]))
+                  for j in bad_evals.get(t, ())]
+        check = range(repo.n_configs)
+        if found:  # the cells left to score
+            check = np.flatnonzero(~np.isin(check, [j for j, _ in found])).tolist()
         if t in bad_labels:  # first for the task; no loss is recomputed against such labels
             found.append((-1, bad_labels[t]))
         else:
@@ -995,15 +1062,18 @@ def validate_repo(repo: Repository) -> list[str]:
                 loss_of = metrics.StackLoss(task, repo.labels(t, VAL))
             except ValueError as e:
                 found += [(j, f"loss recomputation failed at {_cell(repo, t, j)}: {e}")
-                          for j in check.tolist()]
+                          for j in check]
             else:
-                # these cells passed _cell_violations: score them without a second check
-                recomputed = loss_of.score(loss_of.column(repo.task_predictions(t, VAL)[check]))
-                stored = repo.eval_table[t, check, 0]
+                # these cells passed _cell_violations: score them without a second check;
+                # a task with none left out scores its slab view as it is
+                slab, stored = repo.task_predictions(t, VAL), repo.eval_table[t, :, 0]
+                if len(check) < repo.n_configs:
+                    slab, stored = slab[check], stored[check]
+                recomputed = loss_of.score(loss_of.column(slab))
                 tol = LOSS_RECOMPUTE_TOL * np.maximum(1.0, np.abs(recomputed))
-                off = np.abs(stored - recomputed) > tol
-                found += [(j, f"loss_val mismatch at {_cell(repo, t, j)}: "
-                              f"stored={float(a)!r}, recomputed={float(b)!r}")
-                          for j, a, b in zip(check[off].tolist(), stored[off], recomputed[off])]
+                found += [(check[i], f"loss_val mismatch at {_cell(repo, t, check[i])}: "
+                                     f"stored={float(stored[i])!r}, "
+                                     f"recomputed={float(recomputed[i])!r}")
+                          for i in np.flatnonzero(np.abs(stored - recomputed) > tol).tolist()]
         report.extend(message for _, message in sorted(found, key=lambda entry: entry[0]))
     return report

@@ -490,6 +490,32 @@ class TestManifestConfigs:
             open_repo(tmp_path / "r")
         assert str(err.value) == f"manifest.json is missing required field '{field}' in config 2"
 
+    @pytest.mark.parametrize("faults, error", [
+        ({1: {"is_default": 1}, 2: None}, "manifest.json: config 1: invalid 'is_default' value 1"),
+        ({2: {"config_id": 5, "family": ...}},
+         "manifest.json is missing required field 'family' in config 2"),
+        ({0: {"hyperparams": 3, "family": 4}}, "manifest.json: config 0: invalid 'family' value 4"),
+        ({1: "x", 2: {"config_id": ...}}, "manifest.json: config 1 is not a JSON object"),
+    ])
+    def test_first_fault_is_named(self, tmp_path, handmade_repo, faults, error):
+        # every config is checked at once; the message names the first config at fault,
+        # a missing field before a mistyped one, and fields in manifest order
+        write_repo(handmade_repo, tmp_path / "r")
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        for j, fault in faults.items():
+            if not isinstance(fault, dict):
+                manifest["configs"][j] = fault
+                continue
+            for field, value in fault.items():
+                if value is ...:
+                    del manifest["configs"][j][field]
+                else:
+                    manifest["configs"][j][field] = value
+        (tmp_path / "r" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError) as err:
+            open_repo(tmp_path / "r")
+        assert str(err.value) == error
+
     def test_duplicate_config_id_is_named(self, tmp_path, handmade_repo):
         write_repo(handmade_repo, tmp_path / "r")
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
@@ -1149,6 +1175,50 @@ class TestRowSums:
         assert len(recorder.masks) == 1
         np.testing.assert_array_equal(recorder.masks[0], inside)
 
+    @pytest.mark.parametrize("o", [2, 5, 9, 20])
+    def test_rows_within_the_float32_band_are_summed_by_numpy(self, o):
+        # a float32 row is screened by a float32 sum, so its band is 2 * o * eps * x with
+        # float32's eps; a row whose one nonzero entry is x has the sum x in every order
+        eps, tol = Fraction(float(np.finfo(np.float32).eps)), Fraction(store.ROW_SUM_TOL)
+        rows, ratios = [], []
+        for edge in (1.0 + store.ROW_SUM_TOL, 1.0 - store.ROW_SUM_TOL):
+            for x in ulps_around(edge, 6 * o, np.float32):
+                ratio = abs(abs(Fraction(x) - 1) - tol) / (o * eps * Fraction(x))
+                if abs(ratio - 1) > 0.1 and abs(ratio - 2) > 0.1:  # clear of both widths
+                    rows.append(np.zeros(o, dtype=np.float32))
+                    rows[-1][len(rows) % o] = x
+                    ratios.append(ratio)
+        inside = np.array([ratio < 2 for ratio in ratios])
+        assert any(1 < ratio < 2 for ratio in ratios) and not inside.all()
+        p = np.array(rows)
+        recorder = p.view(_MaskRecorder)
+        recorder.masks = []
+        np.testing.assert_array_equal(np.asarray(store._rows_off_one(recorder)), full_sum_off(p))
+        assert len(recorder.masks) == 1
+        np.testing.assert_array_equal(recorder.masks[0], inside)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 20), st.data())
+    def test_clean_regions_and_one_edge_row_match_the_full_sum(self, o, data):
+        # rows of probabilities normalized in float64 and stored in the dtype: a region of
+        # them alone passes the whole-region check, and no row reaches numpy
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]), label="dtype")
+        n = data.draw(st.integers(1, 40), label="rows")
+        weights = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n * o,
+                                              max_size=n * o), label="weights"))
+        p = (weights.reshape(n, o) / weights.reshape(n, o).sum(axis=1, keepdims=True)).astype(dtype)
+        edge = data.draw(st.none() | st.sampled_from(EDGE_SUMS), label="edge sum")
+        if edge is not None:
+            row = data.draw(st.integers(0, n - 1), label="edge row")
+            p[row] = at_sum(p[row], edge)
+        recorder = p.view(_MaskRecorder)
+        recorder.masks = []
+        np.testing.assert_array_equal(np.asarray(store._rows_off_one(recorder)), full_sum_off(p))
+        np.testing.assert_array_equal(store._rows_off_one(p.reshape(1, n, o)),
+                                      full_sum_off(p)[None])
+        if edge is None:
+            assert recorder.masks == []
+
     def test_infinite_and_nan_rows(self):
         p = np.array([[np.inf, 0.0], [np.inf, -np.inf], [np.nan, 1.0], [1e308, 1e308],
                       [0.25, 0.75]])
@@ -1255,3 +1325,67 @@ class TestOnePassCellChecks:
         for block in (1, 500, store._CHECK_BLOCK):
             monkeypatch.setattr(store, "_CHECK_BLOCK", block)
             assert store._cell_violations(bad) == want
+
+
+def count_block_checks(monkeypatch) -> list:
+    """Patch ``store._block_violations`` to record the tasks of every call; return the record."""
+    calls, real = [], store._block_violations
+    monkeypatch.setattr(store, "_block_violations",
+                        lambda repo, first, end: calls.append((first, end)) or real(repo, first, end))
+    return calls
+
+
+class TestCellScreens:
+    """The whole-buffer screens pass clean values at the edges of the checks, send every
+    bad cell on to the per-cell check, and spare a clean store that check."""
+
+    BLOCKS = (1, 66, 132, 264, store._CHECK_BLOCK)  # handmade tasks hold 66 or 198 values
+
+    @staticmethod
+    def edge_arrays():
+        """The handmade repository's arrays with valid values at the edges of the checks."""
+        labels, preds, evals = repo_arrays(make_handmade_repo())
+        big = np.finfo(np.float32).max
+        preds[0][VAL][0][0, 0], preds[1][TEST][2][-1, 0] = big, -big  # regression
+        preds[2][VAL][0][:3, 0] = (-0.0, 0.0, 1.0)  # binary
+        preds[4][VAL][1][0] = (1.0, 0.0, -0.0)  # multiclass rows of exact sum 1
+        preds[5][TEST][2][-1] = (0.0, 1.0, 0.0)
+        return labels, preds, evals
+
+    def test_valid_edge_values_pass_the_screens(self, tmp_path, monkeypatch):
+        repo = rebuild_repo(make_handmade_repo(), *self.edge_arrays())
+        assert all(reference_cell_violations(repo, t) == [] for t in range(repo.n_tasks))
+        calls = count_block_checks(monkeypatch)
+        for block in self.BLOCKS:
+            monkeypatch.setattr(store, "_CHECK_BLOCK", block)
+            assert store._cell_violations(repo) == []
+            write_repo(repo, tmp_path / f"r{block}")
+        assert calls == []
+
+    def test_bad_edge_values_equal_the_reference(self, tmp_path, monkeypatch):
+        labels, preds, evals = self.edge_arrays()
+        above_one = np.nextafter(np.float32(1), np.float32(2))
+        preds[3][TEST][1][4, 0] = above_one  # binary
+        preds[4][TEST][0][2] = (above_one, 0.0, 0.0)  # multiclass
+        for t in (1, 3, 5):  # the last value of the last cell of a block, at every size
+            preds[t][TEST][-1][-1, -1] = np.nan
+        bad = rebuild_repo(make_handmade_repo(), labels, preds, evals)
+        want_cells = [(t, *found) for t in range(bad.n_tasks)
+                      for found in reference_cell_violations(bad, t)]
+        assert len(want_cells) == 5
+        want = reference_outputs(bad, tmp_path / "want", monkeypatch)
+        for block in self.BLOCKS:
+            monkeypatch.setattr(store, "_CHECK_BLOCK", block)
+            assert store._cell_violations(bad) == want_cells
+            assert store_outputs(bad, tmp_path / f"got{block}") == want
+
+    def test_clean_store_takes_no_per_cell_pass(self, tmp_path, monkeypatch):
+        repo = generate_repo(small_spec(seed=5))
+        calls = count_block_checks(monkeypatch)
+        assert validate_repo(repo) == []
+        write_repo(repo, tmp_path / "r")
+        assert validate_repo(open_repo(tmp_path / "r")) == []
+        assert calls == []
+        labels, preds, evals = repo_arrays(repo)  # the count sees a flagged block
+        preds[-1][TEST][0][0, 0] = np.nan
+        assert validate_repo(rebuild_repo(repo, labels, preds, evals)) and calls
