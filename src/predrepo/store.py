@@ -21,10 +21,10 @@ one (configs, rows, o) slab, and a cell is one config of that slab.
 :func:`write_repo` and :func:`validate_repo` check the cells over the
 packed buffer with no float64 copy. Whole-buffer screens (each task's least
 and greatest value, and a row-sum mat-vec per multiclass task) prove a clean
-store clean, and only a block of whole tasks that holds a flagged task pays
-for the per-cell pass that names bad cells (:func:`_cell_violations`). The
-row sums are screened with a rounding bound in the input's dtype that
-decides every row as numpy's row sum does (:func:`_rows_off_one`, which
+store clean, and only a task they flag is checked cell by cell, on its own
+region, to name its bad cells (:func:`_cell_violations`). The row sums
+are screened with a rounding bound in the input's dtype that decides every
+row as numpy's row sum does (:func:`_rows_off_one`, which
 :class:`metrics.StackLoss` shares).
 
 Directory layout::
@@ -69,7 +69,7 @@ import hashlib
 import json
 import mmap
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -584,9 +584,6 @@ def _rows_off_one(p: np.ndarray) -> np.ndarray:
     return off
 
 
-_CHECK_BLOCK = 1 << 20  # values of whole tasks checked in one pass; a larger task is its own block
-
-
 def _cell_violations(repo: Repository) -> list[tuple[int, int, int, str]]:
     """(task, config, split, message) for every invalid cell, in (task, config, split) order.
 
@@ -604,10 +601,8 @@ def _cell_violations(repo: Repository) -> list[tuple[int, int, int, str]]:
     - A multiclass task that passes has its rows tested by
       :func:`_rows_off_one` on its region.
 
-    The cells are then checked one by one, by :func:`_block_violations`,
-    only in the blocks of whole tasks, of at most ``_CHECK_BLOCK`` values,
-    that hold a task the screens flag; so only a flagged block pays for the
-    per-cell pass, whose temporaries the block size bounds.
+    Only a task the screens flag is checked cell by cell, on its own region,
+    by :func:`_task_violations`; a task flagged by its rows hands them on.
     """
     preds, starts = repo._preds, repo._pred_start
     if not preds.size:
@@ -616,58 +611,45 @@ def _cell_violations(repo: Repository) -> list[tuple[int, int, int, str]]:
     lo, hi = np.minimum.reduceat(preds, starts[:-1]), np.maximum.reduceat(preds, starts[:-1])
     classification = np.array([t.problem.is_classification for t in repo.tasks])
     clean = np.where(classification, (lo >= 0.0) & (hi <= 1.0), np.isfinite(lo) & np.isfinite(hi))
+    found = []
     for t, task in enumerate(repo.tasks):
-        if clean[t] and task.problem is ProblemType.MULTICLASS:
-            region = _task_region(preds, starts[t], repo.n_configs, task)
-            clean[t] = not _rows_off_one(region).any()
-    found, first = [], 0
-    while first < repo.n_tasks:
-        end = first + 1
-        while end < repo.n_tasks and starts[end + 1] - starts[first] <= _CHECK_BLOCK:
-            end += 1
-        if not clean[first:end].all():
-            found += _block_violations(repo, first, end)
-        first = end
+        if clean[t] and task.problem is not ProblemType.MULTICLASS:
+            continue
+        region = _task_region(preds, starts[t], repo.n_configs, task)
+        rows_off = _rows_off_one(region) if clean[t] else None  # a multiclass task's screen
+        if rows_off is None or rows_off.any():
+            found += _task_violations(repo, t, region, rows_off)
     return found
 
 
-def _block_violations(repo: Repository, first: int, end: int) -> list[tuple[int, int, int, str]]:
-    """:func:`_cell_violations` of tasks ``first`` to ``end - 1``, in one pass over their values.
+def _task_violations(repo: Repository, t: int, region: np.ndarray,
+                     rows_off: np.ndarray | None) -> list[tuple[int, int, int, str]]:
+    """:func:`_cell_violations` of task ``t``, whose :func:`_task_region` is ``region``.
 
-    Their cells sit back to back in (task, config, split) order, so one
-    ``isfinite`` and one ``[0, 1]`` comparison over the block, each reduced
-    at the cell starts, flag every cell. No float64 copy is made: float32
-    widens to float64 exactly, so the comparisons decide as on such a copy.
-    This is the one place that names bad cells.
+    Each value of the region is flagged non-finite, or off: outside [0, 1]
+    in a classification task, or in a multiclass row that
+    :func:`_rows_off_one` finds off one (``rows_off``, when the screens took
+    it, else None). One ``np.logical_or.reduceat`` at the split start
+    reduces each config's rows to its two cells, and an ``any`` over the
+    last axis then reduces each cell's columns; taking that ``any`` first,
+    over every row's few values, would go row by row. No float64 copy is
+    made: float32 widens to float64 exactly, so the comparisons decide as on
+    such a copy. This is the one place that names bad cells.
     """
-    tasks, offset = repo.tasks[first:end], repo._pred_start[first]
-    values = repo._preds[offset:repo._pred_start[end]]
-    shape = (len(tasks), repo.n_configs, 2)
-    sizes = np.array([[t.n_val * t.o, t.n_test * t.o] for t in tasks])
-    sizes = np.broadcast_to(sizes[:, None], shape).reshape(-1)
-    cell_starts = np.cumsum(sizes) - sizes
-
-    def cells_with(flags: np.ndarray) -> np.ndarray:
-        """The (tasks, configs, 2) mask of the cells holding a set flag of a value."""
-        if not flags.any():  # a valid block skips the reduction
-            return np.zeros(shape, dtype=bool)
-        return np.logical_or.reduceat(flags, cell_starts).reshape(shape)
-
-    nonfinite = cells_with(~np.isfinite(values))
-    outside = values < 0.0
-    outside |= values > 1.0
-    off = cells_with(outside)
-    off &= np.array([t.problem.is_classification for t in tasks])[:, None, None]
-    with np.errstate(invalid="ignore"):  # inf - inf in the row sums of non-finite cells
-        for i, task in enumerate(tasks):
-            if task.problem is ProblemType.MULTICLASS:
-                region = _task_region(values, repo._pred_start[first + i] - offset,
-                                      repo.n_configs, task)
-                off[i] |= np.logical_or.reduceat(_rows_off_one(region), [0, task.n_val], axis=1)
-    return [(first + i, j, s,
-             f"{'non-finite prediction' if nonfinite[i, j, s] else 'row-stochastic violation'}"
-             f" at {_cell(repo, first + i, j, s)}")
-            for i, j, s in np.argwhere(nonfinite | off).tolist()]
+    task = repo.tasks[t]
+    nonfinite = ~np.isfinite(region)
+    off = ((region < 0.0) | (region > 1.0)) & task.problem.is_classification
+    if task.problem is ProblemType.MULTICLASS:
+        if rows_off is None:
+            with np.errstate(invalid="ignore"):  # inf - inf in the row sums of non-finite rows
+                rows_off = _rows_off_one(region)
+        off |= rows_off[..., None]
+    flags = np.logical_or.reduceat(np.stack([nonfinite, off]), [0, task.n_val], axis=2)
+    nonfinite, off = flags.any(axis=3)
+    return [(t, j, s,
+             f"{'non-finite prediction' if nonfinite[j, s] else 'row-stochastic violation'}"
+             f" at {_cell(repo, t, j, s)}")
+            for j, s in np.argwhere(nonfinite | off).tolist()]
 
 
 def _label_violations(tasks: Sequence[TaskMeta], labels: np.ndarray) -> dict[int, str]:
@@ -758,22 +740,12 @@ def _replace_file(path: Path, name: str, *parts) -> None:
         raise
 
 
-_TASK_FIELDS = tuple(f.name for f in fields(TaskMeta))
-
-
 def _label_checksums(labels: np.ndarray, label_start: Sequence[int]) -> list[str]:
     """The sha256 hex digest of each task's run of the label buffer, as the manifest keeps them.
 
     ``label_start`` is :func:`_label_starts` of the tasks.
     """
     return [hashlib.sha256(labels[a:b]).hexdigest() for a, b in zip(label_start, label_start[1:])]
-
-
-def _task_record(task: TaskMeta) -> dict:
-    """A task's manifest entry: its fields in declaration order, the problem by value."""
-    record = {key: getattr(task, key) for key in _TASK_FIELDS}
-    record["problem"] = task.problem.value
-    return record
 
 
 # every item on its own line: strings are encoded with their newlines
@@ -829,8 +801,8 @@ def write_repo(repo: Repository, path: str | Path) -> None:
         "format": "prediction-repository",
         "version": FORMAT_VERSION,
         "folds_per_dataset": repo.folds_per_dataset,
-        "tasks": [_task_record(t) for t in tasks],
-        "configs": [{key: getattr(c, key) for key, _ in _CONFIG_TYPES} for c in configs],
+        "tasks": [{**vars(t), "problem": t.problem.value} for t in tasks],
+        "configs": [vars(c) for c in configs],
         "label_checksums": _label_checksums(repo._labels, repo._label_start),
     }
 

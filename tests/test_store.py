@@ -1287,12 +1287,11 @@ def corrupt(repo, rng, n_defects: int):
 
 
 class TestOnePassCellChecks:
-    """The one-pass cell check reports what the per-split check reported, at any block size."""
+    """The one-pass cell check reports what the per-split check reported."""
 
-    @pytest.mark.parametrize("block", [1, 70, 150, 300, 5000, store._CHECK_BLOCK])
-    def test_reports_and_errors_equal_the_reference(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(store, "_CHECK_BLOCK", block)
-        rng = np.random.default_rng(block)
+    @pytest.mark.parametrize("seed", [1, 70, 150, 300, 5000, 2**20])
+    def test_reports_and_errors_equal_the_reference(self, tmp_path, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
         for case, source in enumerate([make_handmade_repo(), make_handmade_repo(1),
                                        generate_repo(small_spec(seed=5))] * 4):
             bad = corrupt(source, rng, int(rng.integers(0, 9)))
@@ -1313,33 +1312,27 @@ class TestOnePassCellChecks:
         bad = rebuild_repo(repo, labels, preds, evals)
         want = reference_outputs(bad, tmp_path / "want", monkeypatch)
         assert len([r for r in want[0] if "prediction" in r or "row-stochastic" in r]) == 14
-        for block in (1, 100, 400, store._CHECK_BLOCK):
-            monkeypatch.setattr(store, "_CHECK_BLOCK", block)
-            assert store_outputs(bad, tmp_path / f"got{block}") == want
+        assert store_outputs(bad, tmp_path / "got") == want
 
-    def test_cells_in_repository_order(self, monkeypatch):
+    def test_cells_in_repository_order(self):
         bad = corrupt(generate_repo(small_spec(seed=7)), np.random.default_rng(3), 30)
         want = [(t, *found) for t in range(bad.n_tasks)
                 for found in reference_cell_violations(bad, t)]
         assert len(want) > 5
-        for block in (1, 500, store._CHECK_BLOCK):
-            monkeypatch.setattr(store, "_CHECK_BLOCK", block)
-            assert store._cell_violations(bad) == want
+        assert store._cell_violations(bad) == want
 
 
-def count_block_checks(monkeypatch) -> list:
-    """Patch ``store._block_violations`` to record the tasks of every call; return the record."""
-    calls, real = [], store._block_violations
-    monkeypatch.setattr(store, "_block_violations",
-                        lambda repo, first, end: calls.append((first, end)) or real(repo, first, end))
+def count_task_checks(monkeypatch) -> list:
+    """Patch ``store._task_violations`` to record the task of every call; return the record."""
+    calls, real = [], store._task_violations
+    monkeypatch.setattr(store, "_task_violations",
+                        lambda repo, t, *args: calls.append(t) or real(repo, t, *args))
     return calls
 
 
 class TestCellScreens:
     """The whole-buffer screens pass clean values at the edges of the checks, send every
     bad cell on to the per-cell check, and spare a clean store that check."""
-
-    BLOCKS = (1, 66, 132, 264, store._CHECK_BLOCK)  # handmade tasks hold 66 or 198 values
 
     @staticmethod
     def edge_arrays():
@@ -1355,11 +1348,9 @@ class TestCellScreens:
     def test_valid_edge_values_pass_the_screens(self, tmp_path, monkeypatch):
         repo = rebuild_repo(make_handmade_repo(), *self.edge_arrays())
         assert all(reference_cell_violations(repo, t) == [] for t in range(repo.n_tasks))
-        calls = count_block_checks(monkeypatch)
-        for block in self.BLOCKS:
-            monkeypatch.setattr(store, "_CHECK_BLOCK", block)
-            assert store._cell_violations(repo) == []
-            write_repo(repo, tmp_path / f"r{block}")
+        calls = count_task_checks(monkeypatch)
+        assert store._cell_violations(repo) == []
+        write_repo(repo, tmp_path / "r")
         assert calls == []
 
     def test_bad_edge_values_equal_the_reference(self, tmp_path, monkeypatch):
@@ -1367,25 +1358,48 @@ class TestCellScreens:
         above_one = np.nextafter(np.float32(1), np.float32(2))
         preds[3][TEST][1][4, 0] = above_one  # binary
         preds[4][TEST][0][2] = (above_one, 0.0, 0.0)  # multiclass
-        for t in (1, 3, 5):  # the last value of the last cell of a block, at every size
+        for t in (1, 3, 5):  # the last value of a task's region
             preds[t][TEST][-1][-1, -1] = np.nan
         bad = rebuild_repo(make_handmade_repo(), labels, preds, evals)
         want_cells = [(t, *found) for t in range(bad.n_tasks)
                       for found in reference_cell_violations(bad, t)]
         assert len(want_cells) == 5
         want = reference_outputs(bad, tmp_path / "want", monkeypatch)
-        for block in self.BLOCKS:
-            monkeypatch.setattr(store, "_CHECK_BLOCK", block)
-            assert store._cell_violations(bad) == want_cells
-            assert store_outputs(bad, tmp_path / f"got{block}") == want
+        calls = count_task_checks(monkeypatch)
+        assert store._cell_violations(bad) == want_cells
+        assert calls == [1, 3, 4, 5]
+        assert store_outputs(bad, tmp_path / "got") == want
 
     def test_clean_store_takes_no_per_cell_pass(self, tmp_path, monkeypatch):
         repo = generate_repo(small_spec(seed=5))
-        calls = count_block_checks(monkeypatch)
+        calls = count_task_checks(monkeypatch)
         assert validate_repo(repo) == []
         write_repo(repo, tmp_path / "r")
         assert validate_repo(open_repo(tmp_path / "r")) == []
         assert calls == []
-        labels, preds, evals = repo_arrays(repo)  # the count sees a flagged block
+        labels, preds, evals = repo_arrays(repo)  # the count sees a flagged task
         preds[-1][TEST][0][0, 0] = np.nan
         assert validate_repo(rebuild_repo(repo, labels, preds, evals)) and calls
+
+    def test_only_the_flagged_task_is_diagnosed(self, monkeypatch):
+        repo = generate_repo(small_spec(seed=5))
+        labels, preds, evals = repo_arrays(repo)
+        preds[-1][VAL][-1][-1, 0] = np.nan
+        bad = rebuild_repo(repo, labels, preds, evals)
+        calls = count_task_checks(monkeypatch)
+        last = bad.n_tasks - 1
+        assert store._cell_violations(bad) == [
+            (last, bad.n_configs - 1, VAL,
+             f"non-finite prediction at {store._cell(bad, last, bad.n_configs - 1, VAL)}")]
+        assert calls == [last]
+
+    def test_rows_of_a_task_flagged_by_its_rows_are_summed_once(self, monkeypatch):
+        labels, preds, evals = repo_arrays(make_handmade_repo())
+        preds[4][VAL][1][3] = (0.5, 0.25, 0.25 + 2e-5)  # in [0, 1], summing to 1 + 2e-5
+        bad = rebuild_repo(make_handmade_repo(), labels, preds, evals)
+        region = store._task_region(bad._preds, bad._pred_start[4], bad.n_configs, bad.tasks[4])
+        summed, real = [], store._rows_off_one
+        monkeypatch.setattr(store, "_rows_off_one", lambda p: summed.append(p) or real(p))
+        assert store._cell_violations(bad) == [
+            (4, 1, VAL, f"row-stochastic violation at {store._cell(bad, 4, 1, VAL)}")]
+        assert sum(np.shares_memory(p, region) for p in summed) == 1
