@@ -39,30 +39,32 @@ checks of a full call hold without running it:
 - shape: every average has the stack's shape;
 - finite values: a step averages at most ``c_max`` stored float32 values,
   which cannot overflow float64;
-- multiclass row sums: decided once per run, from its pool's candidates
-  alone and its own length ``c``, so each run decides as the own run of its
-  longest request does. Let ``D`` be the largest distance from one of a
-  candidate row sum. An average of row sums that are each within ``D`` of
-  one is itself within ``D`` of one, and the row sums of a step's full
-  average differ from that exact average by at most ``(c + o) * eps *
-  mass``, where ``mass`` is the largest sum of absolute values in one
-  candidate row. So when ``D`` is inside ``ROW_SUM_TOL`` by twice that
-  bound, and by at least ``SCREEN_MARGIN``, no row of any of the run's
-  steps can fail and no later step of it is checked. Otherwise the run keeps
-  the sum of its picked rows, and each later step up to ``c`` runs the full
-  check on the full averages of all such runs still running, at once. A
-  step at which no checked run is still running checks nothing.
+- multiclass row sums: decided once per call, from the candidates of all
+  pools and the longest run's length ``c``. Let ``D`` be the largest
+  distance from one of a candidate row sum. An average of row sums that are
+  each within ``D`` of one is itself within ``D`` of one, and the row sums
+  of a step's full average differ from that exact average by at most ``(c +
+  o) * eps * mass``, where ``mass`` is the largest sum of absolute values in
+  one candidate row. So when ``D`` is inside ``ROW_SUM_TOL`` by twice that
+  bound, and by at least ``SCREEN_MARGIN``, no row of any step of any run
+  can fail and no later step is checked. Otherwise each pool keeps the sum
+  of its picked rows, and each later step runs the full check on the full
+  averages of every run still running, at once.
 
-A pooled call therefore raises exactly when some request's own run raises,
+The same bound decides a run alone, from its own pool's candidates and its
+own length, and a run clear on its own cannot fail any step's check. A
+pooled call therefore raises exactly when some request's own run raises,
 with a message that some request's own run gives. The one check of the
 union fails exactly when the check of some pool's candidates fails, and the
 first of its parts to fail (shape, then finite values, then row sums) is
 the first to fail for some pool. A later step ``s`` raises exactly when the
-check of some checked run's full average fails there. That run is at least
-``s`` steps long, so the request of its length checks step ``s`` in its own
-run and raises there too. Conversely, a request whose own run raises at step
-``s`` is checked at its count, so its pool's run, whose margin at a length
-at least as large is no smaller, is checked at step ``s`` as well.
+check of some run's full average fails there. That run is at least ``s``
+steps long and not clear on its own, so the request of its length checks
+step ``s`` in its own run and raises there too. Conversely, a request whose
+own run raises at step ``s`` is not clear on its own. Its pool's candidates
+are among the call's and its length is at most ``c``, so the call's ``D``
+and bound are no smaller and the call's screen trips too; its pool's run,
+at least ``s`` steps long, is checked at step ``s`` and raises.
 
 The validation and test losses of a task's ensembles come from one
 ``StackLoss`` call per split on the stack of their float32 predictions,
@@ -159,19 +161,14 @@ def _select_pools(repo: Repository, task, pools, c_max) -> list[EnsembleWeights]
     slots = np.arange(len(rows)) + (owner * width - firsts[owner])
     grid = np.full(p * width, np.inf)
 
-    # each run's own row-sum decision at its own length; picked sums each pool's
-    # picked rows, kept only when later steps check some run's full averages
+    # one row-sum decision for the call, from all candidates and the longest run;
+    # picked sums each pool's picked rows, kept only when later steps check
     picked = None
     if meta.problem is ProblemType.MULTICLASS and c_max > 1:
-        per_row = np.stack([np.abs(stack.sum(axis=2) - 1.0).max(axis=1),
-                            np.abs(stack).sum(axis=2).max(axis=1)])
-        distance, mass = np.maximum.reduceat(per_row[:, rows], firsts, axis=1)
-        length = np.array(list(lengths.values()))
-        rounding = (length + stack.shape[2]) * np.finfo(np.float64).eps * mass
-        checked = (distance > ROW_SUM_TOL - np.maximum(SCREEN_MARGIN, 2.0 * rounding))[owner]
-        if checked.any():
-            checked_stack, checked_owner = stack[rows[checked]], owner[checked]
-            checked_length = length[checked_owner]
+        distance, mass = np.abs(stack.sum(axis=2) - 1.0).max(), np.abs(stack).sum(axis=2).max()
+        rounding = (c_max + stack.shape[2]) * np.finfo(np.float64).eps * mass
+        if distance > ROW_SUM_TOL - max(SCREEN_MARGIN, 2.0 * rounding):
+            length = np.array(list(lengths.values()))[owner]  # each entry's run length
             picked = np.zeros((p, *stack.shape[1:]), dtype=np.float64)
 
     running = np.zeros((p, columns.shape[1]), dtype=np.float64)
@@ -179,9 +176,8 @@ def _select_pools(repo: Repository, task, pools, c_max) -> list[EnsembleWeights]
     losses = np.empty((c_max, p), dtype=np.float64)
     for step in range(1, c_max + 1):
         if picked is not None and step > 1:
-            live = checked_length >= step  # the checked runs that have not taken their last step
-            if live.any():
-                loss_of.check((picked.take(checked_owner[live], axis=0) + checked_stack[live]) / step)
+            live = length >= step  # the entries of the runs that have not taken their last step
+            loss_of.check((picked.take(owner[live], axis=0) + stack[rows[live]]) / step)
         scores = loss_of.score((running.take(owner, axis=0) + cols) / step)
         grid[slots] = scores
         # each pool's first minimum: the lowest ordinal wins ties

@@ -229,7 +229,10 @@ class StackLoss:
 
     def column(self, stack: np.ndarray) -> np.ndarray:
         """The float64 ``(M, n)`` column of an ``(M, n, o)`` stack, as :meth:`check`
-        returns it, without checking anything: for a stack already checked.
+        returns it, without checking anything: for a stack already checked, or
+        one whose unchecked configs' scores are thrown away, as
+        :func:`store.validate_repo` throws away those of the configs it has
+        already named. Each config's score reduces its own row only.
 
         Only the column is widened to float64; float32 widens exactly, so a
         float32 stack gives the bits of its float64 copy."""

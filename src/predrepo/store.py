@@ -653,21 +653,37 @@ def _task_violations(repo: Repository, t: int, region: np.ndarray,
 
 
 def _label_violations(tasks: Sequence[TaskMeta], labels: np.ndarray) -> dict[int, str]:
-    """A message per task, by ordinal, with a non-finite label or, in a
-    classification task, a label that is not a class index: an integer in
-    ``[0, o)``, or 0 or 1 for a binary task. A non-finite label is named first.
+    """A message per task, in ordinal order, whose labels break a rule, naming
+    the first rule broken: a non-finite label; in a classification task, a
+    label that is not a class index (an integer in ``[0, o)``, or 0 or 1 for a
+    binary task); in a binary task, a val or test split whose labels are all
+    one class, the first such split named. So every task that passes can be
+    scored, AUC too, in either split.
 
-    ``labels`` is a buffer in the layout of labels.bin past its header; it is
-    checked in one pass.
+    ``labels`` is a buffer in the layout of labels.bin past its header; the
+    first two rules are checked in one pass over it, and the last by counting
+    the ones of each binary split.
     """
     sizes = [task.n_val + task.n_test for task in tasks]
     classes = [max(task.o, 2) if task.problem.is_classification else 0 for task in tasks]
     owner, bound = np.repeat(np.arange(len(tasks)), sizes), np.repeat(classes, sizes)
     nonfinite = set(owner[~np.isfinite(labels)].tolist())
     bad = (bound > 0) & ~((labels >= 0) & (labels < bound) & (np.floor(labels) == labels))
-    return {t: f"non-finite label for task {tasks[t].key}" if t in nonfinite else
-            f"labels of task {tasks[t].key} are not class indices in [0, {classes[t]})"
-            for t in sorted(nonfinite.union(owner[bad].tolist()))}
+    not_index = set(owner[bad].tolist())
+    found, at = {}, 0  # at: the start of task t's labels
+    for t, task in enumerate(tasks):
+        if t in nonfinite:
+            found[t] = f"non-finite label for task {task.key}"
+        elif t in not_index:
+            found[t] = f"labels of task {task.key} are not class indices in [0, {classes[t]})"
+        elif task.problem is ProblemType.BINARY:
+            mid, end = at + task.n_val, at + sizes[t]
+            one_class = [s for s, (a, b) in enumerate(((at, mid), (mid, end)))
+                         if np.count_nonzero(labels[a:b]) in (0, b - a)]
+            if one_class:
+                found[t] = f"labels of task {task.key} hold one class in split {one_class[0]}"
+        at += sizes[t]
+    return found
 
 
 def _invalid_evals(evals: np.ndarray) -> list[list[int]]:
@@ -781,11 +797,11 @@ def write_repo(repo: Repository, path: str | Path) -> None:
 
     The output is canonical: writing the same repository twice, or writing a
     freshly opened copy, produces byte-identical files. Every cell, evaluation
-    record and label is checked before anything is written (labels finite,
-    and class indices for classification tasks); a violation aborts with a
-    diagnostic naming the offending cell or task. Each file is then
-    written under a temporary name and renamed into place, manifest.json
-    last, so ``path`` may be the directory ``repo`` was opened from.
+    record and label is checked before anything is written (the labels by
+    :func:`_label_violations`); a violation aborts with a diagnostic naming
+    the offending cell or task. Each file is then written under a temporary
+    name and renamed into place, manifest.json last, so ``path`` may be the
+    directory ``repo`` was opened from.
     """
     path = Path(path)
     tasks, configs = repo.tasks, repo.configs
@@ -946,10 +962,11 @@ def open_repo(path: str | Path) -> Repository:
     view of its map; preds.idx comes first, and its records are checked
     against the ones the task shapes imply before preds.blob is mapped. A
     canonical index passes by one compare. Each task's labels are checked
-    against their manifest checksum and checked to be finite and, for
-    classification tasks, class indices, in one pass over all labels. The
-    prediction blob is never read in full at open time. The returned handle
-    is immutable and safe for concurrent readers.
+    against their manifest checksum and then by :func:`_label_violations`:
+    finite, class indices in classification tasks, and both classes in each
+    split of a binary task. The prediction blob is never read in full at
+    open time. The returned handle is immutable and safe for concurrent
+    readers.
     """
     path = Path(path)
     try:
@@ -998,54 +1015,40 @@ def open_repo(path: str | Path) -> Repository:
 def validate_repo(repo: Repository) -> list[str]:
     """Check repository invariants; returns a list of violations (empty = valid).
 
-    Covers labels that are not finite or, in classification tasks, not class
-    indices (reported first for their task, whose losses are then not
-    recomputed), NaN freedom and row stochasticity of every cell, valid
-    evaluation records, and recomputation of the stored validation loss from
-    the stored predictions within ``LOSS_RECOMPUTE_TOL`` relative, in one
-    :meth:`metrics.StackLoss.score` call per task. The losses are recomputed
-    only for cells that passed the cell checks, so their columns are read
-    with :meth:`metrics.StackLoss.column` and not checked twice; a task with
-    no bad cell, evaluation record or label scores its validation slab view
-    as it is, with no copy. Violations come in (task, config) order. Density
-    and cell shapes hold by construction.
+    Covers the label rules of :func:`_label_violations` (labels finite, class
+    indices in classification tasks, both classes in each split of a binary
+    task; a task that breaks one gets one label line, first for the task, and
+    its losses are not recomputed), NaN freedom and row stochasticity of every
+    cell, valid evaluation records, and recomputation of the stored
+    validation loss from the stored predictions within
+    ``LOSS_RECOMPUTE_TOL`` relative. Each task is checked in one pass. Its
+    lines are kept as (config, message) pairs, the label line at config -1.
+    A task with no label line has its whole validation slab view scored,
+    with no copy, in one :meth:`metrics.StackLoss.score` call on its
+    :meth:`metrics.StackLoss.column`; its labels pass every label rule, so
+    that call cannot fail, and its cells are not checked a second time.
+    Each config's loss reduces its own row, so the configs already named
+    are left out of the comparison, by setting their losses to NaN, without
+    changing the others' bits. Violations come in (task, config) order.
+    Density and cell shapes hold by construction.
     """
     from . import metrics  # local import to avoid a cycle
 
-    report: list[str] = []
-    bad_evals: dict[int, list[int]] = {}
-    for t, j in _invalid_evals(repo.eval_table):
-        bad_evals.setdefault(t, []).append(j)
-    bad_labels = _label_violations(repo.tasks, repo._labels)
-    bad_cells: dict[int, list[tuple[int, str]]] = {}
+    found: list[list[tuple[int, str]]] = [[] for _ in repo.tasks]
+    for t, message in _label_violations(repo.tasks, repo._labels).items():
+        found[t].append((-1, message))
     for t, j, _, message in _cell_violations(repo):
-        bad_cells.setdefault(t, []).append((j, message))
+        found[t].append((j, message))
+    for t, j in _invalid_evals(repo.eval_table):
+        found[t].append((j, f"invalid evaluation record at {_cell(repo, t, j)}"))
     for t, task in enumerate(repo.tasks):
-        found = bad_cells.get(t, [])
-        found += [(j, f"invalid evaluation record at {_cell(repo, t, j)}")
-                  for j in bad_evals.get(t, ())]
-        check = range(repo.n_configs)
-        if found:  # the cells left to score
-            check = np.flatnonzero(~np.isin(check, [j for j, _ in found])).tolist()
-        if t in bad_labels:  # first for the task; no loss is recomputed against such labels
-            found.append((-1, bad_labels[t]))
-        else:
-            try:
-                loss_of = metrics.StackLoss(task, repo.labels(t, VAL))
-            except ValueError as e:
-                found += [(j, f"loss recomputation failed at {_cell(repo, t, j)}: {e}")
-                          for j in check]
-            else:
-                # these cells passed _cell_violations: score them without a second check;
-                # a task with none left out scores its slab view as it is
-                slab, stored = repo.task_predictions(t, VAL), repo.eval_table[t, :, 0]
-                if len(check) < repo.n_configs:
-                    slab, stored = slab[check], stored[check]
-                recomputed = loss_of.score(loss_of.column(slab))
-                tol = LOSS_RECOMPUTE_TOL * np.maximum(1.0, np.abs(recomputed))
-                found += [(check[i], f"loss_val mismatch at {_cell(repo, t, check[i])}: "
-                                     f"stored={float(stored[i])!r}, "
-                                     f"recomputed={float(recomputed[i])!r}")
-                          for i in np.flatnonzero(np.abs(stored - recomputed) > tol).tolist()]
-        report.extend(message for _, message in sorted(found, key=lambda entry: entry[0]))
-    return report
+        if not found[t] or found[t][0][0] >= 0:  # no label line
+            loss_of = metrics.StackLoss(task, repo.labels(t, VAL))
+            recomputed = loss_of.score(loss_of.column(repo.task_predictions(t, VAL)))
+            recomputed[[j for j, _ in found[t]]] = np.nan  # named already: never a mismatch
+            stored = repo.eval_table[t, :, 0]
+            tol = LOSS_RECOMPUTE_TOL * np.maximum(1.0, np.abs(recomputed))
+            found[t] += [(j, f"loss_val mismatch at {_cell(repo, t, j)}: "
+                             f"stored={float(stored[j])!r}, recomputed={float(recomputed[j])!r}")
+                         for j in np.flatnonzero(np.abs(stored - recomputed) > tol).tolist()]
+    return [message for lines in found for _, message in sorted(lines, key=lambda entry: entry[0])]

@@ -48,14 +48,13 @@ from predrepo import (
     write_repo,
 )
 from predrepo.cli import main
-from predrepo.store import TEST, VAL
+from predrepo.store import STORE_FILES, TEST, VAL
 from predrepo.synth import oracle_auc_pairwise, oracle_greedy_extension
 
 from conftest import rebuild_repo, repo_arrays, small_spec
 from test_aggregate import make_methods
 
 THREADS = 4
-STORE_FILES = ("manifest.json", "labels.bin", "evals.bin", "preds.idx", "preds.blob")
 
 
 def criterion(number: int, description: str):

@@ -449,6 +449,18 @@ class TestPooledRuns:
         _select_pools(repo, 0, [pools[0], pools[3]], 9)
         assert check_calls[0] == 1
 
+    def test_the_screen_band_grows_with_the_longest_run(self, check_calls):
+        # every row 4.5e-8 inside the tolerance, with entries near 2**22: the
+        # rounding band reaches that inset for runs of 6 steps or more
+        repo = row_sum_repo(HIGHEST_SUM - 3 * 2**-26, 0, 2.0**22)
+        caruana_select(0, [1, 2], 5, repo)
+        assert check_calls[0] == 1
+        check_calls[0] = 0
+        assert isinstance(assert_pooled_equals_own_runs(repo, 0, [[1, 2], range(7)], 9), list)
+        check_calls[0] = 0
+        _select_pools(repo, 0, [[1, 2], range(7)], [5, 9])
+        assert check_calls[0] == 9  # the candidates once, then each later step once
+
     def test_nan_in_one_pool_raises_its_message(self):
         bad = col(0.3, 0.6, np.nan, 0.7)
         clean = [col(0.1, 0.9, 0.2, 0.8), col(0.2, 0.7, 0.4, 0.9), col(0.5, 0.1, 0.3, 0.2)]

@@ -620,6 +620,7 @@ BAD_LABELS = [
     (2, [0, 1, -1, 1], "labels of task ('bin', 0) are not class indices in [0, 2)"),
     (4, [0, 2.9, -0.5], "labels of task ('mc', 0) are not class indices in [0, 3)"),
     (4, [0, 3, 1], "labels of task ('mc', 0) are not class indices in [0, 3)"),
+    (2, [0] * 12, "labels of task ('bin', 0) hold one class in split 0"),  # every val label
 ]
 
 
@@ -666,6 +667,79 @@ class TestClassLabels:
         assert not any("class indices" in r for r in validate_repo(repo))
         write_repo(repo, tmp_path / "r")
         assert open_repo(tmp_path / "r").labels(4, VAL)[:3].tolist() == [0, 2, 1]
+
+
+def with_split_labels(repo, t, split, value):
+    """``repo`` with every label of split ``split`` of task ``t`` set to ``value``."""
+    labels, preds, evals = repo_arrays(repo)
+    labels[t][split][:] = value
+    return rebuild_repo(repo, labels, preds, evals)
+
+
+class TestOneClassBinarySplits:
+    """Each split of a binary task holds both classes, so its AUC is defined.
+
+    BAD_LABELS has a one-class val split; here every test label of task
+    ('bin', 1) is 1."""
+
+    MESSAGE = "labels of task ('bin', 1) hold one class in split 1"
+
+    def test_write_rejects_and_writes_nothing(self, tmp_path):
+        with pytest.raises(StoreError) as err:
+            write_repo(with_split_labels(make_handmade_repo(), 3, TEST, 1), tmp_path / "r")
+        assert str(err.value) == self.MESSAGE
+        assert not (tmp_path / "r").exists()
+
+    def test_open_rejects(self, tmp_path):
+        write_unchecked(with_split_labels(make_handmade_repo(), 3, TEST, 1), tmp_path / "r")
+        with pytest.raises(StoreError) as err:
+            open_repo(tmp_path / "r")
+        assert str(err.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_cli_exits_2(self, tmp_path, capsys, command):
+        from predrepo.cli import main
+
+        write_unchecked(with_split_labels(make_handmade_repo(), 3, TEST, 1), tmp_path / "r")
+        argv = [command, "--repo", str(tmp_path / "r")]
+        if command == "simulate":
+            argv += ["--budget-s", "100", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+
+    def test_validate_gives_one_label_line(self):
+        repo = make_handmade_repo()
+        labels, preds, evals = repo_arrays(repo)
+        evals[3, 1, 0] += 1e-2  # a loss mismatch, not reported: no loss is recomputed
+        bad = with_split_labels(rebuild_repo(repo, labels, preds, evals), 3, TEST, 1)
+        assert validate_repo(bad) == [self.MESSAGE]
+
+    @pytest.mark.parametrize("split, at", [(VAL, -1), (TEST, 0), (TEST, -1)])
+    def test_one_label_of_the_other_class_is_enough(self, tmp_path, split, at):
+        repo = make_handmade_repo()
+        labels, preds, evals = repo_arrays(repo)
+        labels[3][split][:] = 1
+        labels[3][split][at] = 0  # at either end of the split's run
+        write_repo(rebuild_repo(repo, labels, preds, evals), tmp_path / "r")
+        assert open_repo(tmp_path / "r").labels(3, split).tolist() == labels[3][split].tolist()
+
+    def test_class_index_message_comes_first(self, tmp_path):
+        bad = with_split_labels(make_handmade_repo(), 2, TEST, 1)
+        bad = with_val_labels(bad, 2, [0, 0.5])  # and a label that is no class index
+        message = "labels of task ('bin', 0) are not class indices in [0, 2)"
+        assert validate_repo(bad) == [message]
+        with pytest.raises(StoreError) as err:
+            write_repo(bad, tmp_path / "r")
+        assert str(err.value) == message
+
+    def test_first_split_and_first_task_named(self, tmp_path):
+        bad = with_split_labels(with_split_labels(make_handmade_repo(), 3, TEST, 0), 3, VAL, 1)
+        bad = with_split_labels(bad, 2, TEST, 0)
+        assert validate_repo(bad) == ["labels of task ('bin', 0) hold one class in split 1",
+                                      "labels of task ('bin', 1) hold one class in split 0"]
+        with pytest.raises(StoreError) as err:
+            write_repo(bad, tmp_path / "r")
+        assert str(err.value) == "labels of task ('bin', 0) hold one class in split 1"
 
 
 @functools.lru_cache(maxsize=1)
@@ -1090,11 +1164,9 @@ class TestCharacterization:
         labels[2][0][:] = 0  # task ('bin', 0): every val label is class 0
         preds[2][TEST][1][0, 0] = np.nan
         bad = rebuild_repo(repo, labels, preds, evals)
-        single = "AUC undefined: labels contain a single class"
         assert validate_repo(bad) == [
-            f"loss recomputation failed at (task=('bin', 0), config=alpha-default): {single}",
+            "labels of task ('bin', 0) hold one class in split 0",
             "non-finite prediction at (task=('bin', 0), config=alpha-001, split=1)",
-            f"loss recomputation failed at (task=('bin', 0), config=beta-default): {single}",
         ]
 
 
