@@ -41,9 +41,11 @@ checks of a full call hold without running it:
   which cannot overflow float64;
 - multiclass row sums: decided once per call, from the candidates of all
   pools and the longest run's length ``c``. Let ``D`` be the largest
-  distance from one of a candidate row sum. An average of row sums that are
-  each within ``D`` of one is itself within ``D`` of one, and the row sums
-  of a step's full average differ from that exact average by at most ``(c +
+  distance from one of a candidate row sum, taken one class column at a
+  time by :func:`store._class_sums`, which gives numpy's row sums without
+  its loop per row. An average of row sums that are each within ``D`` of
+  one is itself within ``D`` of one, and the row sums of a step's full
+  average differ from that exact average by at most ``(c +
   o) * eps * mass``, where ``mass`` is the largest sum of absolute values in
   one candidate row. So when ``D`` is inside ``ROW_SUM_TOL`` by twice that
   bound, and by at least ``SCREEN_MARGIN``, no row of any step of any run
@@ -82,7 +84,7 @@ from functools import reduce
 import numpy as np
 
 from . import metrics
-from .store import ROW_SUM_TOL, TEST, VAL, ProblemType, Repository
+from .store import ROW_SUM_TOL, TEST, VAL, ProblemType, Repository, _class_sums
 
 DEFAULT_STEPS = 40
 SCREEN_MARGIN = 1e-9  # least distance inside ROW_SUM_TOL that skips later steps' row-sum checks
@@ -165,7 +167,7 @@ def _select_pools(repo: Repository, task, pools, c_max) -> list[EnsembleWeights]
     # picked sums each pool's picked rows, kept only when later steps check
     picked = None
     if meta.problem is ProblemType.MULTICLASS and c_max > 1:
-        distance, mass = np.abs(stack.sum(axis=2) - 1.0).max(), np.abs(stack).sum(axis=2).max()
+        distance, mass = np.abs(_class_sums(stack) - 1.0).max(), _class_sums(np.abs(stack)).max()
         rounding = (c_max + stack.shape[2]) * np.finfo(np.float64).eps * mass
         if distance > ROW_SUM_TOL - max(SCREEN_MARGIN, 2.0 * rounding):
             length = np.array(list(lengths.values()))[owner]  # each entry's run length

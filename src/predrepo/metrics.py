@@ -208,6 +208,8 @@ class StackLoss:
             if np.any(y < 0) or np.any(y >= task.o):
                 raise ValueError("label out of range")
             y = y.astype(np.int64)
+            # each row's true-class entry in a config's flattened (n * o) matrix
+            self._flat = np.arange(y.size) * task.o + y
         self._y = y
 
     def __call__(self, stack) -> np.ndarray:
@@ -238,9 +240,10 @@ class StackLoss:
         float32 stack gives the bits of its float64 copy."""
         if self.task.problem is not ProblemType.MULTICLASS:
             return np.asarray(stack[:, :, 0], dtype=np.float64)
-        # take_along_axis gives C-contiguous rows, so the mean sums each row in
-        # the same order as log_loss does
-        column = np.take_along_axis(stack, self._y[None, :, None], axis=2)[:, :, 0]
+        # np.take gives C-contiguous rows, so the mean sums each row in the same
+        # order as log_loss does; the shape is spelled out for a stack of no configs
+        m, n, o = stack.shape
+        column = np.take(stack.reshape(m, n * o), self._flat, axis=1)
         return np.asarray(column, dtype=np.float64)
 
     def score(self, column: np.ndarray) -> np.ndarray:

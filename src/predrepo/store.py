@@ -520,6 +520,25 @@ def _cell(repo: Repository, t: int, j: int, split: int | None = None) -> str:
     return f"({where})" if split is None else f"({where}, split={split})"
 
 
+def _class_sums(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)`` of a float array, bit for bit.
+
+    numpy reduces a short last axis one row at a time, a loop per row of a
+    few values. Under numpy 2.4 a row of fewer than 8 values is added left
+    to right onto 0.0 (so a row of ``-0.0`` sums to ``0.0``), and so are the
+    class columns here, each in one whole-array add. A longer row is added
+    through eight accumulators, an order only numpy's own reduction gives,
+    so such an ``x`` goes to it.
+    """
+    o = x.shape[-1]
+    if not 0 < o < 8:
+        return x.sum(axis=-1)
+    total = x[..., 0] + 0.0
+    for i in range(1, o):
+        total += x[..., i]
+    return total
+
+
 def _rows_off_one(p: np.ndarray) -> np.ndarray:
     """``np.abs(p.sum(axis=-1) - 1.0) > ROW_SUM_TOL`` of a float32 or float64
     array, with the sums taken in float64 as ``p.astype(np.float64)`` takes them.
@@ -550,7 +569,8 @@ def _rows_off_one(p: np.ndarray) -> np.ndarray:
       s`` and ``x = r``. A row whose computed ``| |s - 1| - ROW_SUM_TOL |``
       exceeds its band is therefore decided alike by ``s`` and by ``r``. A
       row whose sum is NaN or whose band is infinite (from a NaN or an
-      infinity in the row, or from an overflow) is in the band.
+      infinity in the row, or from an overflow) is in the band. The sums
+      that overflow or meet ``inf - inf`` raise no floating-point warning.
     - Whole-region check: when the largest ``|s - 1|`` plus the band at the
       largest ``m`` is at most ``ROW_SUM_TOL``, every row's ``|s - 1|`` is
       below the tolerance by more than its band, so no row is off and none
@@ -567,8 +587,9 @@ def _rows_off_one(p: np.ndarray) -> np.ndarray:
     """
     o = p.shape[-1]
     ones = np.ones(o, dtype=p.dtype)
-    total = (p.reshape(-1, o) @ ones).reshape(p.shape[:-1])
-    mass = total if p.min(initial=0.0) >= 0.0 else np.abs(p) @ ones  # a negative, or a NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = (p.reshape(-1, o) @ ones).reshape(p.shape[:-1])
+        mass = total if p.min(initial=0.0) >= 0.0 else np.abs(p) @ ones  # a negative, or a NaN
     band = 2 * o * float(np.finfo(p.dtype).eps)
     if total.size:
         lo, hi = float(total.min()), float(total.max())
@@ -579,7 +600,8 @@ def _rows_off_one(p: np.ndarray) -> np.ndarray:
     off = distance > ROW_SUM_TOL
     near = ~(np.abs(distance - ROW_SUM_TOL) > band * mass)  # true for a NaN
     if near.any():
-        full = np.asarray(p[near], dtype=np.float64).sum(axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = np.asarray(p[near], dtype=np.float64).sum(axis=-1)
         off[near] = np.abs(full - 1.0) > ROW_SUM_TOL
     return off
 
@@ -641,8 +663,7 @@ def _task_violations(repo: Repository, t: int, region: np.ndarray,
     off = ((region < 0.0) | (region > 1.0)) & task.problem.is_classification
     if task.problem is ProblemType.MULTICLASS:
         if rows_off is None:
-            with np.errstate(invalid="ignore"):  # inf - inf in the row sums of non-finite rows
-                rows_off = _rows_off_one(region)
+            rows_off = _rows_off_one(region)
         off |= rows_off[..., None]
     flags = np.logical_or.reduceat(np.stack([nonfinite, off]), [0, task.n_val], axis=2)
     nonfinite, off = flags.any(axis=3)

@@ -18,25 +18,28 @@ then its test noise. Identical specs therefore produce byte-identical
 repositories. A Philox stream is its key and a counter, so
 :func:`generate_repo` builds one bit generator and re-keys it for each
 stream (:func:`_rekey`: the stream's key, a zero counter and an empty
-buffer), which draws exactly what ``rng_stream`` of that key draws without
-building a generator per stream. Each stream is drawn to its end before the
-next is keyed: a config draws all its bag folds' noise in one call, in the
+buffer, set from one state dict per call that is updated in place), which
+draws exactly what ``rng_stream`` of that key draws without building a
+generator per stream. Each stream is drawn to its end before the next is
+keyed: a config draws all its bag folds' noise in one call, in the
 documented order, and the folds are slices of it, since a stream's draws do
 not depend on how they are split into calls. Everything after the draws runs
 once per block of up to ``CONFIG_BLOCK`` configs of a task slab of shape
 (configs, rows, o): the blend, the link and the bag mean are applied to the
 whole block, elementwise and in the per-config order of operations, so the
-values are the per-config ones bit for bit. The store allocates the
-repository's packed label and prediction buffers
-(:func:`store._packed_buffers`, which :meth:`store.Repository.in_memory`
-fills too) and hands out each task split's label and cell views, the
-views the repository reads; each task's slabs are written straight into
-those views, and their stored losses come from one
-:class:`metrics.StackLoss` call per split, which equals
-:func:`metrics.task_loss` bit for bit. Structural
-metadata (task shapes, problem assignment, class counts) is keyed on a
-constant instead of the seed, so changing only the seed redraws values but
-never shapes.
+values are the per-config ones bit for bit. The softmax of a multiclass
+block goes one class column at a time (:func:`_link`): numpy reduces a
+short last axis one row at a time, a loop per row of a few classes, and
+whole-array operations on the columns give the same bits several times
+faster. The store allocates the repository's packed label and prediction
+buffers (:func:`store._packed_buffers`, which
+:meth:`store.Repository.in_memory` fills too) and hands out each task
+split's label and cell views, the views the repository reads; each task's
+slabs are written straight into those views, and their stored losses come
+from one :class:`metrics.StackLoss` call per split, which equals
+:func:`metrics.task_loss` bit for bit. Structural metadata (task shapes,
+problem assignment, class counts) is keyed on a constant instead of the
+seed, so changing only the seed redraws values but never shapes.
 
 Model per task with truth logits ``z`` (regression: z is the label itself)::
 
@@ -55,13 +58,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics
 from .portfolio import AGGREGATIONS, RAW_LOSS, NORMALIZED_LOSS
-from .store import TEST, VAL, ConfigMeta, ProblemType, Repository, TaskMeta, _packed_buffers, _typed
+from .store import (TEST, VAL, ConfigMeta, ProblemType, Repository, TaskMeta, _class_sums,
+                    _packed_buffers, _typed)
 
 BINARY_LOGIT_SCALE = 2.0
 MULTICLASS_LOGIT_SCALE = 3.0
@@ -105,15 +110,23 @@ def rng_stream(seed: int, purpose: int, a: int = 0, b: int = 0) -> np.random.Gen
 _ZEROS = (0, 0, 0, 0)
 
 
-def _rekey(rng: np.random.Generator, seed: int, purpose: int, a: int = 0,
-           b: int = 0) -> np.random.Generator:
+def _philox_state() -> dict:
+    """A Philox state of a zero counter and an empty buffer, as a new
+    ``Philox(key=...)`` starts; :func:`_rekey` sets its key."""
+    return {"bit_generator": "Philox", "state": {"counter": _ZEROS, "key": _ZEROS[:2]},
+            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
+def _rekey(rng: np.random.Generator, seed: int, purpose: int, a: int = 0, b: int = 0,
+           state: dict | None = None) -> np.random.Generator:
     """``rng``, a Philox generator, re-keyed to draw what ``rng_stream(seed,
-    purpose, a, b)`` draws: the stream's key, a zero counter and an empty
-    buffer, as a new ``Philox(key=...)`` starts."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": _stream_key(seed, purpose, a, b)},
-        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    purpose, a, b)`` draws: ``state``, a :func:`_philox_state` dict (a new
+    one when None), with the stream's key set in place. Setting a bit
+    generator's state copies the values, so one dict serves every stream of
+    one generator; it is never shared between callers."""
+    state = _philox_state() if state is None else state
+    state["state"]["key"] = _stream_key(seed, purpose, a, b)
+    rng.bit_generator.state = state
     return rng
 
 
@@ -351,13 +364,24 @@ def _truth_logits(problem: ProblemType, y: np.ndarray, o: int) -> np.ndarray:
 
 
 def _link(problem: ProblemType, logits: np.ndarray) -> np.ndarray:
-    """Identity, logistic function or softmax over the last axis, by problem type."""
+    """Identity, logistic function or softmax over the last axis, by problem type.
+
+    The softmax is ``e / e.sum(-1)`` with ``e = exp(z - z.max(-1))``, bit for
+    bit, taken one class column at a time: numpy reduces a short last axis one row at a
+    time, a few values per loop, which made the two reductions most of the
+    softmax's cost. The maximum is ``np.maximum`` over the columns, exact in
+    any order, and the sum is :func:`store._class_sums`, which has the bits
+    of numpy's row sum.
+    """
     if problem is ProblemType.REGRESSION:
         return logits
     if problem is ProblemType.BINARY:
         return 1.0 / (1.0 + np.exp(-logits))
-    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
+    top = reduce(np.maximum, np.moveaxis(logits, -1, 0))
+    shifted = np.subtract(logits, top[..., None])
+    np.exp(shifted, out=shifted)
+    shifted /= _class_sums(shifted)[..., None]
+    return shifted
 
 
 def generate_repo(spec: GeneratorSpec) -> Repository:
@@ -366,12 +390,12 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
     seed = spec.seed
     D, S, B = spec.n_datasets, spec.folds, spec.bag_folds
 
-    # one generator, re-keyed for every stream
-    rng = np.random.Generator(np.random.Philox(0))
+    # one generator and one state dict, re-keyed for every stream
+    rng, state = np.random.Generator(np.random.Philox(0)), _philox_state()
 
     # metadata is keyed on a constant so that changing only the seed never
     # changes task shapes, problem assignment, or any other structure
-    meta_rng = _rekey(rng, 0, _P_META)
+    meta_rng = _rekey(rng, 0, _P_META, state=state)
     assignment = _apportion_problems(spec.problem_mix, D)
     perm = meta_rng.permutation(D)
     problems = [ProblemType(assignment[perm[d]]) for d in range(D)]
@@ -394,7 +418,7 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
     sigma: list[float] = []
     infer_factor: list[float] = []
     for fi, fam in enumerate(spec.families):
-        props = _rekey(rng, seed, _P_CONFIG_PROPS, a=fi)
+        props = _rekey(rng, seed, _P_CONFIG_PROPS, a=fi, state=state)
         noise_mult = np.exp(CONFIG_NOISE_SPREAD * props.standard_normal(fam.count))
         noise_mult[0] = 1.0  # the default config sits at the family's nominal level
         factors = props.uniform(0.5, 1.5, fam.count)
@@ -412,7 +436,7 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
     fam_time_base = []
     fam_infer_const = []
     for fi in range(len(spec.families)):
-        const_rng = _rekey(rng, seed, _P_FAMILY_CONST, a=fi)
+        const_rng = _rekey(rng, seed, _P_FAMILY_CONST, a=fi, state=state)
         fam_time_base.append(float(np.exp(const_rng.uniform(np.log(2.0), np.log(300.0)))))
         fam_infer_const.append(float(np.exp(const_rng.uniform(np.log(1e-5), np.log(1e-2)))))
 
@@ -432,7 +456,7 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
     evals[:, :, 3] = np.array(fam_infer_const)[family] * np.array(infer_factor)
 
     for t, task in enumerate(tasks):
-        y_val, y_test = _draw_labels(_rekey(rng, seed, _P_LABELS, a=t), task.problem,
+        y_val, y_test = _draw_labels(_rekey(rng, seed, _P_LABELS, a=t, state=state), task.problem,
                                      task.n_val, task.n_test, task.o)
         label_views[VAL][t][...] = y_val
         label_views[TEST][t][...] = y_test
@@ -443,7 +467,7 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
         fam_val = np.empty((F,) + z_val.shape)
         fam_test = np.empty((F,) + z_test.shape)
         for fi in range(F):
-            fam_rng = _rekey(rng, seed, _P_FAMILY_NOISE, a=t, b=fi)
+            fam_rng = _rekey(rng, seed, _P_FAMILY_NOISE, t, fi, state)
             fam_rng.standard_normal(out=fam_val[fi])
             fam_rng.standard_normal(out=fam_test[fi])
 
@@ -453,8 +477,8 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
         for lo in range(0, M, CONFIG_BLOCK):
             k = slice(lo, lo + CONFIG_BLOCK)
             noise = np.empty((len(family[k]), task.n_val + B * task.n_test, task.o))
-            for j, out in enumerate(noise, lo):
-                _rekey(rng, seed, _P_CONFIG_PREDS, a=t, b=j).standard_normal(out=out)
+            for j, out in enumerate(noise, lo):  # positional: keywords cost per stream
+                _rekey(rng, seed, _P_CONFIG_PREDS, t, j, state).standard_normal(out=out)
             own_val = np.empty((len(noise),) + z_val.shape)
             base_test = skill[k] * z_test
             shared_test = w_shared[k] * fam_test[family[k]]
@@ -480,8 +504,9 @@ def generate_repo(spec: GeneratorSpec) -> Repository:
         evals[t, :, 0] = metrics.StackLoss(task, y_val)(val_cells)
         evals[t, :, 1] = metrics.StackLoss(task, y_test)(test_cells)
 
-        evals[t, 0, 2] = _rekey(rng, seed, _P_TIMES, a=t, b=0).uniform(*FALLBACK_FIT_RANGE)
-        fit_draws = [_rekey(rng, seed, _P_TIMES, a=t, b=j).standard_normal() for j in range(1, M)]
+        evals[t, 0, 2] = _rekey(rng, seed, _P_TIMES, t, 0, state).uniform(*FALLBACK_FIT_RANGE)
+        fit_draws = [_rekey(rng, seed, _P_TIMES, t, j, state).standard_normal()
+                     for j in range(1, M)]
         evals[t, 1:, 2] = time_base[1:] * np.exp(FIT_TIME_SPREAD * np.array(fit_draws))
 
     return Repository(tasks, configs, S, labels, preds, evals)

@@ -337,6 +337,21 @@ class TestStackLoss:
             want = np.array([log_loss(row, y) for row in stack])
             assert np.max(np.abs(got - want)) <= 1e-12
 
+    @pytest.mark.parametrize("o", [2, 3, 9])
+    def test_column_of_a_strided_split_view(self, o):
+        # a split's slab skips the other split's rows between configs; the column
+        # is the true-class entry of each row, C-contiguous, for any number of configs
+        rng = np.random.default_rng(15)
+        n = 40
+        task = TaskMeta("d", 0, ProblemType.MULTICLASS, n_val=n, n_test=7, o=o)
+        y = rng.integers(0, o, n)
+        slab = rng.random((6, n + 7, o)).astype(np.float32)[:, :n]
+        loss = StackLoss(task, y)
+        got = loss.column(slab)
+        want = np.take_along_axis(slab, y[None, :, None], axis=2)[:, :, 0].astype(np.float64)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        assert loss.column(slab[:0]).shape == (0, n)
+
     @pytest.mark.parametrize("drift,accepted", [(9.9e-6, True), (-9.9e-6, True),
                                                 (1.01e-5, False), (-1.01e-5, False)])
     def test_row_sum_edge_matches_scalar(self, drift, accepted):
@@ -381,6 +396,15 @@ class TestStackLoss:
         stack[1, 2, 0] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             StackLoss(task, [0, 1, 0, 1])(stack)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_overflowing_row_sums_rejected_without_warning(self, dtype):
+        # finite entries whose row sums overflow: the screen's mat-vec and numpy's
+        # own sum both reach infinity, which is off one, and neither warns
+        task = TaskMeta("d", 0, ProblemType.MULTICLASS, n_val=3, n_test=3, o=3)
+        big = 1e308 if dtype is np.float64 else 3e38
+        with pytest.raises(ValueError, match=r"^probs rows are not row-stochastic within 1e-5$"):
+            StackLoss(task, [0, 1, 2]).check(np.full((2, 3, 3), big, dtype=dtype))
 
     def test_shape_rejected(self):
         task = TaskMeta("d", 0, ProblemType.MULTICLASS, n_val=4, n_test=4, o=3)

@@ -1291,11 +1291,64 @@ class TestRowSums:
         if edge is None:
             assert recorder.masks == []
 
+    @pytest.mark.parametrize("dtype,big", [(np.float64, 1e308), (np.float32, 3e38)])
+    def test_overflowing_rows_are_off_without_warning(self, dtype, big):
+        # the mat-vec in the dtype overflows to infinity, whose band sends the row to
+        # numpy's float64 sum: infinite for float64, finite and far from one for float32
+        p = np.full((2, 3, 3), big, dtype=dtype)
+        p[1, 2] = (0.25, 0.5, 0.25)
+        want = np.ones((2, 3), dtype=bool)
+        want[1, 2] = False
+        np.testing.assert_array_equal(store._rows_off_one(p), want)
+
     def test_infinite_and_nan_rows(self):
         p = np.array([[np.inf, 0.0], [np.inf, -np.inf], [np.nan, 1.0], [1e308, 1e308],
                       [0.25, 0.75]])
         with np.errstate(invalid="ignore", over="ignore"):
             np.testing.assert_array_equal(store._rows_off_one(p), full_sum_off(p))
+
+
+# entries that tie, signed zeros, negatives, and magnitudes far enough apart
+# that a sum's order changes its rounding
+CLASS_SUM_ENTRIES = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 1e-8, 3.0, 2.0**24, -1e8])
+                     | st.floats(-1e6, 1e6, width=32))
+
+
+def spread_entries(rng, shape) -> np.ndarray:
+    """Normal entries scaled over many binades: sums whose rounding depends on order."""
+    return rng.standard_normal(shape) * np.exp(5.0 * rng.standard_normal(shape))
+
+
+class TestClassSums:
+    """``_class_sums(x)`` has the bits of ``x.sum(axis=-1)`` at every width."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 12), st.sampled_from([np.float64, np.float32]),
+           st.lists(CLASS_SUM_ENTRIES, min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+    def test_bits_of_numpy_row_sums(self, o, n, dtype, values, seed):
+        # a few values laid out at random: rows tie, and repeat signed zeros
+        x = np.random.default_rng(seed).choice(np.array(values, dtype=dtype), (n, o))
+        want = x.sum(axis=-1)
+        got = store._class_sums(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("o", range(1, 21))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bits_of_numpy_row_sums_of_spread_entries(self, o, dtype):
+        # left to right differs from numpy's eight accumulators in some of these
+        # rows from 8 classes on, so only numpy's own reduction passes there
+        x = spread_entries(np.random.default_rng(o), (40, 50, o)).astype(dtype)
+        for view in (x, x[::3, 1:], np.asfortranarray(x), x.transpose(1, 0, 2)):
+            assert store._class_sums(view).tobytes() == view.sum(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("o", [1, 4, 7, 8, 20])
+    def test_rows_of_negative_zeros_sum_to_positive_zero(self, o):
+        x = np.full((3, o), -0.0)
+        assert store._class_sums(x).tobytes() == x.sum(axis=-1).tobytes() == np.zeros(3).tobytes()
+
+    def test_no_classes(self):
+        x = np.empty((3, 4, 0), dtype=np.float32)
+        assert store._class_sums(x).tobytes() == x.sum(axis=-1).tobytes()
 
 
 def reference_cell_violations(repo, t):

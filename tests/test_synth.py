@@ -4,9 +4,12 @@ import hashlib
 import json
 import re
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predrepo import (
     FamilySpec,
@@ -297,6 +300,16 @@ class TestRekeyedStreams:
         want = stream_draws(rng_stream(seed, synth._P_CONFIG_PREDS, a, b))
         assert stream_draws(synth._rekey(rng, seed, synth._P_CONFIG_PREDS, a, b)) == want
 
+    def test_one_state_dict_serves_every_stream(self):
+        # a dict updated in place for each stream, as generate_repo keys its streams,
+        # even after a stream left mid-buffer
+        rng, state = np.random.Generator(np.random.Philox(0)), synth._philox_state()
+        for purpose in PURPOSES:
+            for seed, a, b in EDGE_KEYS:
+                assert stream_draws(synth._rekey(rng, seed, purpose, a, b, state)) == \
+                    stream_draws(rng_stream(seed, purpose, a, b))
+                rng.random(dtype=np.float32)
+
     @pytest.mark.parametrize("purpose,a,b", [(2**16, 0, 0), (-1, 0, 0), (0, 2**24, 0),
                                              (0, 0, 2**24), (0, -1, 0), (0, 0, -1)])
     def test_out_of_range_id_raises(self, purpose, a, b):
@@ -329,6 +342,28 @@ class TestRekeyedStreams:
             generate_repo(small_spec(families=(FamilySpec("gbm", count, 0.85, 0.5, 0.3),
                                                FamilySpec("mlp", 3, 0.6, 0.8, 0.2))))
             assert len(built) == 1
+
+    def test_one_state_dict_per_generate_call(self, monkeypatch):
+        # each call keys its streams through a dict of its own, so concurrent
+        # calls never share one
+        made = []
+        philox_state = synth._philox_state
+
+        def counted():
+            made.append(philox_state())
+            return made[-1]
+
+        monkeypatch.setattr(synth, "_philox_state", counted)
+        spec = small_spec()
+        want = generate_repo(spec)
+        generate_repo(spec)
+        assert len(made) == 2 and made[0] is not made[1]
+        made.clear()
+        with ThreadPoolExecutor(2) as pool:
+            repos = list(pool.map(generate_repo, [spec] * 4))
+        assert len(made) == 4
+        for repo in repos:
+            assert repo._preds.tobytes() == want._preds.tobytes()
 
 
 def per_config_reference(spec: GeneratorSpec, repo, t: int):
@@ -409,6 +444,58 @@ class TestByteContract:
             break
         else:
             pytest.fail(f"no {problem.value} task in the spec")
+
+
+WIDE_CLASS_DIGESTS = {
+    "manifest.json": "63cb04a4f09f02c36e5d358487c731144d4e973fd77caeec195cc3cc081fe361",
+    "labels.bin": "8f8c85fda16fc90921bd5b8e9a7c364a294b59a9647e114b4abdf002935207d2",
+    "evals.bin": "89f7a52a9a4194ba7812bbf102a6f5b581e40064bee4684add12024ca7625cf9",
+    "preds.idx": "27139c55995804a8448796e3d2ff2c4963a281035fc7f05940e3ddf75d8b31e4",
+    "preds.blob": "a30ddafc9e5540da1c81d128d4a600bc1bbef8325b4553530b2feaddcbe3dca1",
+}
+
+
+def softmax_reference(logits: np.ndarray) -> np.ndarray:
+    """The softmax with numpy's own reductions over the class axis."""
+    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
+
+
+class TestSoftmaxByClassColumns:
+    """``_link``'s softmax, taken one class column at a time, has the bits of
+    :func:`softmax_reference` at every width."""
+
+    def test_wide_class_store_matches_pinned_digests(self, tmp_path):
+        # tasks of 10, 13 and 19 classes: the sums go through numpy's own reduction
+        spec = small_spec(seed=0, problem_mix={"binary": 0.25, "multiclass": 0.5,
+                                               "regression": 0.25},
+                          multiclass_classes=(8, 20))
+        write_repo(generate_repo(spec), tmp_path)
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in WIDE_CLASS_DIGESTS}
+        assert got == WIDE_CLASS_DIGESTS
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 6), st.integers(1, 8),
+           st.lists(st.sampled_from([0.0, -0.0, 3.0, -3.0, 1e-300, 700.0, -745.0])
+                    | st.floats(-50.0, 50.0), min_size=1, max_size=8),
+           st.integers(0, 2**32 - 1))
+    def test_bits_of_the_reference(self, o, k, n, values, seed):
+        # a few values laid out at random as a (configs, rows, o) block: ties,
+        # signed zeros and negative logits
+        logits = np.random.default_rng(seed).choice(np.array(values), (k, n, o))
+        got = synth._link(ProblemType.MULTICLASS, logits)
+        assert got.tobytes() == softmax_reference(logits).tobytes()
+
+    @pytest.mark.parametrize("o", range(1, 21))
+    def test_bits_of_the_reference_on_generator_logits(self, o):
+        rng = np.random.default_rng(o)
+        y = rng.integers(0, o, 60)
+        logits = (0.6 * synth._truth_logits(ProblemType.MULTICLASS, y, o)
+                  + rng.uniform(0.3, 3.0, (30, 1, 1)) * rng.standard_normal((30, 60, o)))
+        got = synth._link(ProblemType.MULTICLASS, logits)
+        assert got.tobytes() == softmax_reference(logits).tobytes()
+        assert np.shares_memory(got, logits) is False
 
 
 class TestAggregateBagPredictions:
