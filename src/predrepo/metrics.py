@@ -148,8 +148,12 @@ class StackLoss:
 
     ``StackLoss(task, target)(stack)`` maps an ``(M, n, o)`` stack of
     prediction matrices to the ``(M,)`` array whose entry ``m`` equals
-    ``task_loss(task, stack[m], target)``. The labels are checked once, on
-    construction. A call is :meth:`check` followed by :meth:`score`:
+    ``task_loss(task, stack[m], target)``. Construction checks the labels,
+    raising ``ValueError`` as the scalar metrics do (targets finite, binary
+    labels 0 or 1 with both present, class indices in range), and then sets
+    up the scorer from them; :meth:`of_checked_labels` is the set-up alone,
+    for labels a caller has checked already. A call is :meth:`check`
+    followed by :meth:`score`:
 
     - :meth:`check` checks the stack as ``task_loss`` checks each matrix: its
       shape, finite values and, for multiclass tasks, rows that sum to one
@@ -163,6 +167,9 @@ class StackLoss:
       Its last step is :meth:`column`, which reads that column and checks
       nothing; a caller whose cells are already checked reads it directly.
     - :meth:`score` computes the loss from such a column and checks nothing.
+      An RMSE or AUC column may also be float32: RMSE widens it at its
+      subtraction and AUC only orders and compares its values, so it scores
+      as its float64 copy, bit for bit.
 
     Every metric is elementwise in the stack before it reduces a row, so the
     column of an average of stacks is the same average of their columns, bit
@@ -187,7 +194,6 @@ class StackLoss:
     """
 
     def __init__(self, task: TaskMeta, target):
-        self.task = task
         if task.problem is ProblemType.REGRESSION:
             y = _as_1d(target, "target")
         else:
@@ -195,22 +201,44 @@ class StackLoss:
         if task.problem is ProblemType.BINARY:
             if not np.all((y == 0) | (y == 1)):
                 raise ValueError("labels must be binary (0 or 1)")
-            self._pos = y == 1
-            self._n_pos = int(self._pos.sum())
-            self._n_neg = y.size - self._n_pos
-            if self._n_pos == 0 or self._n_neg == 0:
+            if np.count_nonzero(y) in (0, y.size):
                 raise ValueError("AUC undefined: labels contain a single class")
-            # one product with the neighbour-equality matrix gives each row's
-            # count of equal neighbours and the sum of their positions
-            at = np.arange(y.size + self._n_pos - 1, dtype=np.float64)
-            self._count_and_sum = np.stack([np.ones_like(at), at], axis=1)
         elif task.problem is ProblemType.MULTICLASS:
             if np.any(y < 0) or np.any(y >= task.o):
                 raise ValueError("label out of range")
             y = y.astype(np.int64)
-            # each row's true-class entry in a config's flattened (n * o) matrix
-            self._flat = np.arange(y.size) * task.o + y
-        self._y = y
+        self._set_up(task, y)
+
+    @classmethod
+    def of_checked_labels(cls, task: TaskMeta, labels: np.ndarray) -> StackLoss:
+        """The scorer ``StackLoss(task, labels)`` builds, with none of its label checks.
+
+        ``labels`` is a 1-D float64 or integer array that passes them: finite
+        targets, or class indices (0 and 1 of a binary task, both present).
+        :func:`store.validate_repo` passes each task's float64 label view once
+        :func:`store._label_violations` has passed it, so no label is checked
+        twice or copied to int64; every score has the bits of the public
+        construction's.
+        """
+        loss = cls.__new__(cls)
+        loss._set_up(task, labels)
+        return loss
+
+    def _set_up(self, task: TaskMeta, y: np.ndarray) -> None:
+        self.task, self._y = task, y
+        if task.problem is ProblemType.BINARY:
+            self._pos = y == 1
+            self._n_pos = int(np.count_nonzero(self._pos))
+            self._n_neg = y.size - self._n_pos
+            # one product with the neighbour-equality matrix gives each row's
+            # count of equal neighbours and the sum of their positions
+            self._count_and_sum = np.ones((y.size + self._n_pos - 1, 2))
+            self._count_and_sum[:, 1] = np.arange(y.size + self._n_pos - 1)
+        elif task.problem is ProblemType.MULTICLASS:
+            # each row's true-class entry in a config's flattened (n * o) matrix;
+            # a float class index is integral, so the unsafe cast is exact
+            self._flat = np.arange(y.size) * task.o
+            np.add(self._flat, y, out=self._flat, casting="unsafe")
 
     def __call__(self, stack) -> np.ndarray:
         return self.score(self.check(stack))

@@ -1045,12 +1045,19 @@ def validate_repo(repo: Repository) -> list[str]:
     ``LOSS_RECOMPUTE_TOL`` relative. Each task is checked in one pass. Its
     lines are kept as (config, message) pairs, the label line at config -1.
     A task with no label line has its whole validation slab view scored,
-    with no copy, in one :meth:`metrics.StackLoss.score` call on its
-    :meth:`metrics.StackLoss.column`; its labels pass every label rule, so
-    that call cannot fail, and its cells are not checked a second time.
-    Each config's loss reduces its own row, so the configs already named
-    are left out of the comparison, by setting their losses to NaN, without
-    changing the others' bits. Violations come in (task, config) order.
+    with no copy, in one :meth:`metrics.StackLoss.score` call. Its scorer
+    comes from :meth:`metrics.StackLoss.of_checked_labels` on the task's
+    float64 label view: the labels have passed every label rule, so they
+    are not checked a second time or copied to int64, and the score cannot
+    fail. Its cells are not checked a second time either: a multiclass
+    task's column is read by :meth:`metrics.StackLoss.column`, and an RMSE
+    or AUC task's is the slab's float32 column 0, which both metrics score
+    as its float64 copy. Each config's loss reduces its own row, so the
+    configs already named are left out by setting their losses to NaN
+    without changing the others' bits. The losses go into one (tasks,
+    configs) table, NaN for a task with a label line, and one tolerance test
+    compares it with the stored losses. Violations come in (task, config)
+    order.
     Density and cell shapes hold by construction.
     """
     from . import metrics  # local import to avoid a cycle
@@ -1062,14 +1069,20 @@ def validate_repo(repo: Repository) -> list[str]:
         found[t].append((j, message))
     for t, j in _invalid_evals(repo.eval_table):
         found[t].append((j, f"invalid evaluation record at {_cell(repo, t, j)}"))
+    recomputed = np.full((repo.n_tasks, repo.n_configs), np.nan)
     for t, task in enumerate(repo.tasks):
-        if not found[t] or found[t][0][0] >= 0:  # no label line
-            loss_of = metrics.StackLoss(task, repo.labels(t, VAL))
-            recomputed = loss_of.score(loss_of.column(repo.task_predictions(t, VAL)))
-            recomputed[[j for j, _ in found[t]]] = np.nan  # named already: never a mismatch
-            stored = repo.eval_table[t, :, 0]
-            tol = LOSS_RECOMPUTE_TOL * np.maximum(1.0, np.abs(recomputed))
-            found[t] += [(j, f"loss_val mismatch at {_cell(repo, t, j)}: "
-                             f"stored={float(stored[j])!r}, recomputed={float(recomputed[j])!r}")
-                         for j in np.flatnonzero(np.abs(stored - recomputed) > tol).tolist()]
+        if found[t] and found[t][0][0] < 0:  # a label line: no loss is recomputed
+            continue
+        loss_of = metrics.StackLoss.of_checked_labels(task, repo._label_views[VAL][t])
+        slab = repo.task_predictions(t, VAL)
+        # RMSE widens float32 at its subtraction and AUC only orders and compares
+        column = loss_of.column(slab) if task.problem is ProblemType.MULTICLASS else slab[:, :, 0]
+        recomputed[t] = loss_of.score(column)
+        if found[t]:  # named already: never a mismatch
+            recomputed[t, [j for j, _ in found[t]]] = np.nan
+    stored = repo.eval_table[:, :, 0]
+    tol = LOSS_RECOMPUTE_TOL * np.maximum(1.0, np.abs(recomputed))
+    for t, j in np.argwhere(np.abs(stored - recomputed) > tol).tolist():
+        found[t].append((j, f"loss_val mismatch at {_cell(repo, t, j)}: "
+                            f"stored={float(stored[t, j])!r}, recomputed={float(recomputed[t, j])!r}"))
     return [message for lines in found for _, message in sorted(lines, key=lambda entry: entry[0])]

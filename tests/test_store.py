@@ -1118,6 +1118,20 @@ class TestValidate:
         repo.eval_table[0, 0, 0] += 1e-8
         assert validate_repo(repo) == []
 
+    def test_tolerance_is_relative_to_the_recomputed_loss(self):
+        # 1e-6 of the recomputed loss, and 1e-6 absolute below a loss of 1
+        repo = make_handmade_repo()
+        recomputed = {t: metrics.StackLoss(repo.tasks[t], repo.labels(t, VAL))(
+            repo.task_predictions(t, VAL)) for t in (0, 2)}
+        assert recomputed[0][1] > 1.0 > recomputed[2][1]
+        for t, scale in ((0, recomputed[0][1]), (2, 1.0)):
+            repo.eval_table[t, 1, 0] = recomputed[t][1] + 1e-6 * scale * (1 + 1e-7)
+            repo.eval_table[t, 2, 0] = recomputed[t][2] - 1e-6 * max(recomputed[t][2], 1.0) * (1 - 1e-7)
+        assert [line.split(":")[0] for line in validate_repo(repo)] == [
+            "loss_val mismatch at (task=('reg', 0), config=alpha-001)",
+            "loss_val mismatch at (task=('bin', 0), config=alpha-001)",
+        ]
+
     def test_checked_cells_are_not_checked_again(self, monkeypatch, handmade_repo, synth_repo):
         # the cell pass has checked every cell whose loss is recomputed
         calls = []
@@ -1129,6 +1143,62 @@ class TestValidate:
         assert validate_repo(handmade_repo) == []
         assert validate_repo(synth_repo) == []
         assert calls == []
+
+    def test_checked_labels_are_not_checked_again(self, monkeypatch, handmade_repo, synth_repo):
+        # _label_violations has checked the labels of every task whose loss is
+        # recomputed: no StackLoss label check runs, and no label is copied to int64
+        checked, copied = [], []
+        init, labels = metrics.StackLoss.__init__, Repository.labels
+        monkeypatch.setattr(metrics.StackLoss, "__init__", lambda self, task, target: (
+            checked.append(task.key) or init(self, task, target)))
+        monkeypatch.setattr(Repository, "labels", lambda self, task, split: (
+            copied.append(task) or labels(self, task, split)))
+        problems = {task.problem for task in (*handmade_repo.tasks, *synth_repo.tasks)}
+        assert problems == set(ProblemType)
+        assert validate_repo(handmade_repo) == []
+        assert validate_repo(synth_repo) == []
+        assert checked == [] and copied == []
+        # built directly, StackLoss keeps every check and its message
+        binary, multiclass = handmade_repo.tasks[2], handmade_repo.tasks[4]
+        for task, target, message in [
+                (binary, [0, 1, 2, 1], "labels must be binary (0 or 1)"),
+                (binary, [1, 1, 1, 1], "AUC undefined: labels contain a single class"),
+                (binary, [0.0, -0.0], "AUC undefined: labels contain a single class"),
+                (multiclass, [0, 3], "label out of range"),
+                (multiclass, [-1, 2], "label out of range")]:
+            with pytest.raises(ValueError) as err:
+                metrics.StackLoss(task, target)
+            assert str(err.value) == message
+        assert len(checked) == 5
+
+
+class TestCheckedLabelScorer:
+    """``validate_repo``'s scorer, set up from a task's float64 label view with no
+    label check, scores each validation slab as the checked construction does."""
+
+    @given(st.integers(0, 2**16), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_bits_of_the_checked_construction(self, seed, levels):
+        repo = generate_repo(small_spec(seed=seed, n_datasets=3))
+        labels, preds, evals = repo_arrays(repo)
+        rng = np.random.default_rng(seed)
+        for t, task in enumerate(repo.tasks):
+            if task.problem is ProblemType.BINARY:  # ties, and -0.0 among +0.0
+                some = preds[t][VAL][rng.random(repo.n_configs) < 0.5]
+                some = np.floor(some * levels) / levels
+                some[(some == 0) & (rng.random(some.shape) < 0.5)] = -0.0
+                preds[t][VAL][:len(some)] = some
+        repo = rebuild_repo(repo, labels, preds, evals)
+        for t, task in enumerate(repo.tasks):
+            slab = repo.task_predictions(t, VAL)
+            want = metrics.StackLoss(task, repo.labels(t, VAL))(slab).view(np.uint64)
+            loss_of = metrics.StackLoss.of_checked_labels(task, repo._label_views[VAL][t])
+            assert np.array_equal(loss_of.score(loss_of.column(slab)).view(np.uint64), want)
+            if task.problem is not ProblemType.MULTICLASS:  # the float32 column
+                column = slab[:, :, 0]
+                assert np.array_equal(loss_of.score(column).view(np.uint64), want)
+                wide = loss_of.score(column.astype(np.float64)).view(np.uint64)
+                assert np.array_equal(wide, want)
 
 
 class TestCharacterization:
@@ -1167,6 +1237,36 @@ class TestCharacterization:
         assert validate_repo(bad) == [
             "labels of task ('bin', 0) hold one class in split 0",
             "non-finite prediction at (task=('bin', 0), config=alpha-001, split=1)",
+        ]
+
+    def test_loss_mismatches_in_several_tasks(self):
+        repo = make_handmade_repo()
+        labels, preds, evals = repo_arrays(repo)
+        evals[0, 1, 0] += 1e-2  # ('reg', 0): a mismatch
+        preds[0][TEST][2][4, 0] = np.nan  # and a cell line at a mismatching config
+        evals[0, 2, 0] += 1e-2
+        evals[1, 1, 3] = -1.0  # ('reg', 1): an evaluation line alone
+        evals[3, 0, 0] += 0.25  # ('bin', 1): a mismatch
+        evals[3, 2, 2] = np.inf  # and an evaluation line at a mismatching config
+        evals[3, 2, 0] += 0.25
+        labels[4] = (labels[4][0].astype(np.float64), labels[4][1])  # ('mc', 0): a label line
+        labels[4][0][5] = 1.5
+        evals[4, 0, 0] += 1.0  # and a loss never compared
+        evals[5, 2, 0] *= 1.001  # ('mc', 1): a mismatch
+        preds[5][VAL][0][2] *= np.float32(0.9)  # and a cell line, whose loss is off too
+        bad = rebuild_repo(repo, labels, preds, evals)
+        assert validate_repo(bad) == [
+            "loss_val mismatch at (task=('reg', 0), config=alpha-001): "
+            "stored=1.2570500552931816, recomputed=1.2470500552931816",
+            "non-finite prediction at (task=('reg', 0), config=beta-default, split=1)",
+            "invalid evaluation record at (task=('reg', 1), config=alpha-001)",
+            "loss_val mismatch at (task=('bin', 1), config=alpha-default): "
+            "stored=0.6388888888888888, recomputed=0.38888888888888884",
+            "invalid evaluation record at (task=('bin', 1), config=beta-default)",
+            "labels of task ('mc', 0) are not class indices in [0, 3)",
+            "row-stochastic violation at (task=('mc', 1), config=alpha-default, split=0)",
+            "loss_val mismatch at (task=('mc', 1), config=beta-default): "
+            "stored=1.3125573107486466, recomputed=1.3112460646839628",
         ]
 
 
