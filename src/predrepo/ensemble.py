@@ -10,23 +10,29 @@ first ``c`` steps of any longer run on the same pool. Every greedy result is
 therefore :func:`_best_prefix` of one run per distinct pool.
 
 There is one greedy loop. It takes candidate pools of one task, each with
-its own step count. Pools that are equal after
-:meth:`Repository.config_ordinals` share one run, as long as the largest
-count any of them asks for, and each then gets the best prefix of its own
-count. The distinct pools run side by side, each exactly as a run of that
-pool alone would, and :func:`caruana_select` is the call with one pool. The
-candidates of all pools are taken once from the task's validation slab
-(:meth:`Repository.task_predictions`) as an ``(M, n, o)`` float64 stack of
-their union. :meth:`metrics.StackLoss.check` checks that stack once, as
-:func:`metrics.task_loss` checks each candidate, and returns the ``(M, n)``
-column each metric reads. The pools' entries, one pool after another,
-gather their columns from it once. Each step then scores every entry of
-every pool in one :meth:`metrics.StackLoss.score` call on ``(running +
-columns) / step``, where ``running`` is the entry's pool's sum of picked
-columns. That is the column of the pool's full average ``(running + stack)
-/ step``, bit for bit, and every score reduces one row of that same
-elementwise expression, so it equals the score of the pool's own run and
-of a full ``StackLoss`` call on its average. The scores go into a ``(P,
+its own step count. Each pool is an ascending array of distinct ordinals:
+the simulation hands its pools over so, and any other pool goes through
+:meth:`Repository.config_ordinals`. Equal pools share one run, as long as
+the largest count any of them asks for, and each then gets the best prefix
+of its own count. The distinct pools run side by side, each exactly as a
+run of that pool alone would, and :func:`caruana_select` is the call with
+one pool. The candidates of all pools are taken once from the task's
+validation slab (:meth:`Repository.task_predictions`) as an ``(M, n, o)``
+float64 stack of their union. One pool is its own union; more are merged
+through a mark per config, which gives the union in ascending order and
+each entry's row in it with no sort or hash. :meth:`metrics.StackLoss.check`
+checks that stack once, as :func:`metrics.task_loss` checks each candidate,
+and returns the ``(M, n)`` column each metric reads. Each step then scores
+every entry of every pool in one :meth:`metrics.StackLoss.score` call on
+``(running + columns) / step``, where ``running`` is the entry's pool's sum
+of picked columns and ``columns`` the entries' columns, gathered once. That
+is the column of the pool's full average ``(running + stack) / step``, bit
+for bit, and every score reduces one row of that same elementwise
+expression, so it equals the score of the pool's own run and of a full
+``StackLoss`` call on its average. Step one's ``(0 + column) / 1`` is
+``column + 0.0`` (it differs from the column only in the sign of a zero),
+so step one scores each union column once and each entry reads its row's
+score. The scores go into a ``(P,
 W)`` grid, ``W`` the widest pool, filled with ``inf`` once. A step writes
 only the slots of real entries, so the padding slots past a pool's end are
 never written and hold ``inf``. The first minimum of each grid row is that
@@ -70,14 +76,20 @@ at least ``s`` steps long, is checked at step ``s`` and raises.
 
 The validation and test losses of a task's ensembles come from one
 ``StackLoss`` call per split on the stack of their float32 predictions,
-whose entries equal ``task_loss`` of each, bit for bit. The scalar
-``task_loss`` stays the reference: the tests compare the batched picks and
-those losses against it.
+whose entries equal ``task_loss`` of each, bit for bit. A split's distinct
+ensembles are built at once, each as :func:`ensemble_predict` builds it:
+one gather of the members' cells into an ``(E, K, n, o)`` array, ``K`` the
+most members, each cell times its count, then one add per member position,
+left to right, as ``reduce(np.add, ...)`` adds the terms in the order of
+``counts``. The slots past an ensemble's last member hold ``-0.0``, the one
+addend that leaves every float as it is, ``-0.0`` too; ``0.0`` would turn a
+``-0.0`` sum into ``0.0``, and ``0 * cell`` would read a cell of another
+config, NaN perhaps. The scalar ``task_loss`` stays the reference: the
+tests compare the batched picks and those losses against it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -116,6 +128,8 @@ def caruana_select(task, candidate_configs, c_max: int, repo: Repository) -> Ens
     loss (earliest such prefix on ties). Step one therefore always picks the
     best single candidate.
     """
+    if isinstance(candidate_configs, np.ndarray):  # resolved entry by entry, not taken as is
+        candidate_configs = list(candidate_configs)
     return _select_pools(repo, task, [candidate_configs], c_max)[0]
 
 
@@ -125,35 +139,51 @@ def _best_prefix(trajectory: list[tuple[int, float]], steps: int) -> EnsembleWei
     trajectory = trajectory[:steps]
     losses = [loss for _, loss in trajectory]
     best = losses.index(min(losses)) + 1  # the losses are finite, so min finds the first best
-    counts = dict(sorted(Counter(j for j, _ in trajectory[:best]).items()))
+    counts: dict[int, int] = {}
+    for j in sorted([j for j, _ in trajectory[:best]]):  # a Counter costs 1.5 us more a call
+        counts[j] = counts.get(j, 0) + 1
     return EnsembleWeights(counts=counts, steps=best, trajectory=trajectory)
 
 
 def _select_pools(repo: Repository, task, pools, c_max) -> list[EnsembleWeights]:
     """:func:`caruana_select` of each candidate pool of one task, in one greedy loop.
 
-    ``c_max`` is one step count for every pool or a list of one per pool.
-    Pools that are equal after :meth:`Repository.config_ordinals` run once, to
-    the most steps any of them asks for, and each gets the best prefix of its
-    own count.
+    ``c_max`` is one step count for every pool or a list of one per pool. A
+    pool is an ``np.ndarray`` of ascending, distinct, in-range config
+    ordinals, taken as it is (the simulation hands its pools over so), or
+    any other iterable of configs, resolved by
+    :meth:`Repository.config_ordinals`. Equal pools run once, to the most
+    steps any of them asks for, and each gets the best prefix of its own
+    count.
     """
     counts = list(c_max) if isinstance(c_max, list) else [c_max] * len(pools)
     if min(counts) < 1:
         raise ValueError(f"c_max must be >= 1, got {min(counts)}")
     t = repo.task_index(task)
-    requests = [tuple(repo.config_ordinals(pool)) for pool in pools]
-    # each distinct pool's run, with the most steps any request asks of it: sorted,
-    # a pool's largest count comes last and so is the one the dict keeps
-    lengths = dict(sorted(zip(requests, counts, strict=True)))
-    pools, c_max = list(lengths), max(counts)
+    requests = [pool if type(pool) is np.ndarray else np.array(repo.config_ordinals(pool))
+                for pool in pools]
+    keys = [pool.tobytes() for pool in requests]
+    # each distinct pool's run, with the most steps any request asks of it
+    lengths: dict[bytes, int] = {}
+    for key, steps in zip(keys, counts, strict=True):
+        lengths[key] = max(steps, lengths.get(key, 0))
+    pools = list(dict(zip(keys, requests)).values())  # one array per key, in key order
+    c_max = max(counts)
     meta = repo.tasks[t]
     loss_of = metrics.StackLoss(meta, repo.labels(t, VAL))
-    union = np.array(sorted(set().union(*pools)))
+    # the union of the pools, and each entry's row in it: one pool is its own
+    # union, and more are merged through a mark per config
+    if len(pools) == 1:
+        union, rows = pools[0], np.arange(len(pools[0]))
+    else:
+        entries = np.concatenate(pools)
+        row_of = np.zeros(repo.n_configs, dtype=np.intp)
+        row_of[entries] = 1
+        union = np.flatnonzero(row_of)
+        row_of[union] = np.arange(union.size)
+        rows = row_of[entries]
     stack = repo.task_predictions(t, VAL)[union].astype(np.float64)
     columns = loss_of.check(stack)  # step one's check: its average (0 + stack) / 1 is the stack
-    # the pools' entries, one pool after another, as rows of the stack
-    rows = np.searchsorted(union, np.concatenate(pools))
-    cols = columns[rows]
     sizes = [len(pool) for pool in pools]
     p, width = len(pools), max(sizes)
     owner = np.repeat(np.arange(p), sizes)
@@ -173,27 +203,33 @@ def _select_pools(repo: Repository, task, pools, c_max) -> list[EnsembleWeights]
             length = np.array(list(lengths.values()))[owner]  # each entry's run length
             picked = np.zeros((p, *stack.shape[1:]), dtype=np.float64)
 
-    running = np.zeros((p, columns.shape[1]), dtype=np.float64)
-    picks = np.empty((c_max, p), dtype=np.int64)  # each step's picked entry per pool
+    # step one scores each union column once: its (0 + column) / 1 is column + 0.0
+    scores = loss_of.score(columns + 0.0)[rows]
+    if c_max > 1:
+        cols = columns[rows]
+        running = np.zeros((p, columns.shape[1]), dtype=np.float64)
+    picks = np.empty((c_max, p), dtype=np.intp)  # each step's picked entry per pool
     losses = np.empty((c_max, p), dtype=np.float64)
     for step in range(1, c_max + 1):
-        if picked is not None and step > 1:
-            live = length >= step  # the entries of the runs that have not taken their last step
-            loss_of.check((picked.take(owner[live], axis=0) + stack[rows[live]]) / step)
-        scores = loss_of.score((running.take(owner, axis=0) + cols) / step)
+        if step > 1:
+            if picked is not None:
+                live = length >= step  # the entries of the runs that have not taken their last step
+                loss_of.check((picked.take(owner[live], axis=0) + stack[rows[live]]) / step)
+            scores = loss_of.score((running.take(owner, axis=0) + cols) / step)
         grid[slots] = scores
         # each pool's first minimum: the lowest ordinal wins ties
         k = grid.reshape(p, width).argmin(axis=1) + firsts
-        running += cols[k]
-        if picked is not None:
-            picked += stack[rows[k]]
         picks[step - 1] = k
         losses[step - 1] = scores[k]
+        if step < c_max:
+            running += cols[k]
+            if picked is not None:
+                picked += stack[rows[k]]
 
     chosen = union[rows[picks]]  # (c_max, P) ordinals
-    runs = {pool: list(zip(pool_picks, pool_losses))
-            for pool, pool_picks, pool_losses in zip(pools, chosen.T.tolist(), losses.T.tolist())}
-    return [_best_prefix(runs[pool], steps) for pool, steps in zip(requests, counts)]
+    runs = {key: list(zip(pool_picks, pool_losses))
+            for key, pool_picks, pool_losses in zip(lengths, chosen.T.tolist(), losses.T.tolist())}
+    return [_best_prefix(runs[key], steps) for key, steps in zip(keys, counts)]
 
 
 def ensemble_predict(weights: EnsembleWeights, task, split, repo: Repository) -> np.ndarray:
@@ -221,17 +257,33 @@ def _ensemble_losses(repo: Repository, t: int, weights: list[EnsembleWeights]
 
     Ensembles with equal counts, in equal order, and equal steps have equal
     predictions, so each distinct one is built and scored once and its
-    losses are shared.
+    losses are shared. A split's distinct ensembles are built together, as
+    :func:`ensemble_predict` builds each: one gather of their members'
+    cells, each times its count, added over member positions left to right,
+    then divided by the steps and cast to float32. The slots past an
+    ensemble's last member hold ``-0.0``, which leaves every sum as it is.
     """
     meta = repo.tasks[t]
-    keys = [(tuple(w.counts.items()), w.steps) for w in weights]
-    distinct = dict(zip(keys, weights))
-    row = {key: i for i, key in enumerate(distinct)}
-    rows = [row[key] for key in keys]
-    return tuple(
-        metrics.StackLoss(meta, repo.labels(t, split))(
-            np.stack([ensemble_predict(w, t, split, repo) for w in distinct.values()]))[rows].tolist()
-        for split in (VAL, TEST))
+    index: dict[tuple, int] = {}
+    rows = [index.setdefault((tuple(w.counts.items()), w.steps), len(index)) for w in weights]
+    sizes = np.array([len(counts) for counts, _ in index])
+    members = np.zeros((len(index), sizes.max()), dtype=np.intp)
+    weight = np.zeros(members.shape, dtype=np.float64)
+    for e, (counts, _) in enumerate(index):
+        members[e, :len(counts)], weight[e, :len(counts)] = zip(*counts)
+    padding = np.arange(members.shape[1]) >= sizes[:, None]
+    steps = np.array([steps for _, steps in index], dtype=np.float64)[:, None, None]
+    losses = []
+    for split in (VAL, TEST):
+        terms = repo.task_predictions(t, split)[members].astype(np.float64)
+        terms *= weight[:, :, None, None]
+        terms[padding] = -0.0
+        total = terms[:, 0]
+        for k in range(1, members.shape[1]):
+            total += terms[:, k]
+        stack = (total / steps).astype(np.float32)
+        losses.append(metrics.StackLoss(meta, repo.labels(t, split))(stack)[rows].tolist())
+    return losses[0], losses[1]
 
 
 def _select_and_score(repo: Repository, t: int, candidates, c_max: int

@@ -6,6 +6,11 @@ the walk stops at the first exclusion. When nothing fits, a designated cheap
 fallback config stands in. Ensemble selection itself is charged no time; it
 is a lookup-table operation over stored predictions.
 
+Every simulation computes only on checked evaluation values: it starts with
+:func:`store._check_evals`, the screen :func:`store.open_repo` runs, because
+an in-memory repository takes its table unchecked and keeps the caller's
+array. A NaN, infinite or negative record is a StoreError naming the first.
+
 One loop simulates, :func:`_simulate_methods`. For each task it builds the
 greedy candidate pool of every method asked for, each family's
 ``tuned+ensemble`` pool and one pool per run of a leave-one-out portfolio
@@ -19,8 +24,29 @@ per learner input, size and ``c_max``) at its own ``c_max``.
 :func:`simulate_portfolio` and :func:`simulate_single_family` ask for one run
 or one family; the ``default`` and ``tuned`` family modes need no greedy run
 and skip the loop.
-"""
 
+The bookkeeping before that loop is done in whole-array passes, each equal,
+bit for bit, to the per-task code it replaces (:func:`_walk`,
+:func:`anytime_filter` and a sort of (loss, ordinal) pairs remain its
+one-task forms):
+
+- Budget walks (:func:`_walks`): one ``np.add.accumulate`` along the rows
+  of a (tasks, order) table of fit times per family, and per run for all of
+  its held-out portfolios, padded to the longest. An accumulate adds each
+  row left to right, as :func:`prefix_len` does, so every running total,
+  and so every cut, is the one-task walk's. A walk ends at its order's end,
+  padding or not, and ``+ 0.0`` turns a ``-0.0`` total into the ``0.0`` of a
+  sum started from zero.
+- Tuned picks and pools (:func:`_family_rows`): one ``np.lexsort`` of each
+  family's table by (untrained, stored validation loss, ordinal) ranks each
+  task's trained configs by loss, ties to the lowest ordinal, ahead of every
+  untrained one, whatever its loss. That is the order of sorted (loss,
+  ordinal) pairs over the trained prefix: the screen leaves no NaN, which
+  ``sorted`` and ``np.lexsort`` would place differently, and both read
+  ``-0.0`` and ``0.0`` as equal.
+- Pools: each goes to the greedy loop as an ascending array of distinct
+  ordinals (:func:`_sorted_prefixes`), which it takes as it is.
+"""
 from __future__ import annotations
 
 import zlib
@@ -30,7 +56,7 @@ import numpy as np
 
 from .ensemble import EnsembleWeights, _ensemble_losses, _select_pools
 from .portfolio import NORMALIZED_LOSS, Portfolio, learn_portfolio, loo_train_tasks
-from .store import Repository
+from .store import Repository, _check_evals
 
 FALLBACK_MAX_FIT_S = 60.0
 TUNED_ENSEMBLE_POOL = 20  # ensemble is built on the best configs found by the search
@@ -98,21 +124,39 @@ def _sum_in_order(values: list[float]) -> float:
     return total
 
 
+def _walks(repo: Repository, tasks: np.ndarray, orders: list[list[int]], of_task: np.ndarray,
+           policy: BudgetPolicy) -> tuple[np.ndarray, np.ndarray, list[tuple[list[int], bool, float]]]:
+    """Train an order on each of ``tasks`` under the budget: ``orders[of_task[i]]`` on ``tasks[i]``.
+
+    Returns the (tasks, width) table of each task's order, past its end
+    padded with ordinal 0, each task's count of trained configs, and its
+    (trained, used_fallback, fit_s). One ``np.add.accumulate`` along the rows
+    of the table's fit times adds each row left to right, as
+    :func:`prefix_len` does, and a walk stops at its first running total over
+    the budget, NaN and negative fit times included, or at its order's end.
+    ``+ 0.0`` turns a ``-0.0`` total into the ``0.0`` that a sum started from
+    zero gives.
+    """
+    fit_times = repo.eval_table[:, :, 2]
+    lengths = np.array([len(order) for order in orders])
+    ordinals = np.zeros((len(orders), lengths.max()), dtype=np.intp)
+    for row, order in zip(ordinals, orders):
+        row[:len(order)] = order
+    ordinals = ordinals[of_task]
+    total = np.add.accumulate(fit_times[tasks[:, None], ordinals], axis=1)
+    over = total > policy.budget_s
+    k = np.minimum(np.where(over.any(axis=1), over.argmax(axis=1), total.shape[1]),
+                   lengths[of_task])
+    j = policy.fallback_config
+    fit = np.where(k > 0, total[np.arange(len(k)), k - 1], fit_times[tasks, j]) + 0.0
+    return ordinals, k, [(orders[o][:n], False, f) if n else ([j], True, f)
+                         for o, n, f in zip(of_task.tolist(), k.tolist(), fit.tolist())]
+
+
 def _walk(repo: Repository, t: int, order: list[int],
           policy: BudgetPolicy) -> tuple[list[int], bool, float]:
-    """Train ``order`` on task ``t`` under the budget: (trained, used_fallback, fit_s).
-
-    Adds left to right and stops at the first running total over the budget, as
-    :func:`prefix_len` does, NaN and negative fit times included. ``+ 0.0`` turns
-    a ``-0.0`` total into the ``0.0`` that a sum started from zero gives.
-    """
-    total = np.add.accumulate(repo.eval_table[t, order, 2])
-    over = np.flatnonzero(total > policy.budget_s)
-    k = int(over[0]) if over.size else len(order)
-    if k == 0:
-        j = policy.fallback_config
-        return [j], True, float(repo.eval_table[t, j, 2]) + 0.0
-    return order[:k], False, float(total[k - 1]) + 0.0
+    """Train ``order`` on task ``t`` under the budget: (trained, used_fallback, fit_s)."""
+    return _walks(repo, np.array([t]), [order], np.zeros(1, dtype=np.intp), policy)[2][0]
 
 
 def anytime_filter(portfolio: Portfolio, task, policy: BudgetPolicy,
@@ -124,16 +168,24 @@ def anytime_filter(portfolio: Portfolio, task, policy: BudgetPolicy,
     return trained, used_fallback
 
 
+def _sorted_prefixes(ordinals: np.ndarray, k: np.ndarray, fallback: int) -> list[np.ndarray]:
+    """Each row's first ``k[r]`` ordinals in ascending order, or ``[fallback]``
+    where ``k[r]`` is 0: the sorted pools :func:`ensemble._select_pools` takes as
+    they are."""
+    kept = np.arange(ordinals.shape[1]) < k[:, None]
+    cut = np.sort(np.where(kept, ordinals, np.iinfo(np.intp).max), axis=1)
+    return [row[:n] if n else np.array([fallback]) for row, n in zip(cut, k.tolist())]
+
+
 def _ensemble_results(repo: Repository, t: int, walks: list[tuple[list[int], bool, float]],
                       weights: list[EnsembleWeights]) -> list[SimResult]:
     """One SimResult per budget walk and its pool's ensemble weights on task ``t``."""
     meta = repo.tasks[t]
-    out = []
-    for (trained, fb, fit), w, val, test in zip(walks, weights,
-                                                *_ensemble_losses(repo, t, weights)):
-        infer = _sum_in_order(repo.eval_table[t, list(w.counts), 3].tolist())
-        out.append(SimResult(meta.dataset_id, meta.fold, list(trained), fb, val, test, fit, infer))
-    return out
+    infer_times = repo.eval_table[t, :, 3].tolist()
+    return [SimResult(meta.dataset_id, meta.fold, list(trained), fb, val, test, fit,
+                      _sum_in_order([infer_times[j] for j in w.counts]))
+            for (trained, fb, fit), w, val, test in zip(walks, weights,
+                                                        *_ensemble_losses(repo, t, weights))]
 
 
 def _loo_portfolios(repo: Repository, n_max: int, aggregation: str,
@@ -163,6 +215,7 @@ def _loo_portfolios(repo: Repository, n_max: int, aggregation: str,
 def simulate_portfolio(repo: Repository, policy: BudgetPolicy, n_max: int,
                        c_max: int, aggregation: str = NORMALIZED_LOSS) -> list[SimResult]:
     """Anytime LOO simulation: one SimResult per task, in repository task order."""
+    _check_evals(repo)
     _, [results] = _simulate_methods(repo, policy, c_max, [],
                                      [(_loo_portfolios(repo, n_max, aggregation), c_max)])
     return results
@@ -187,21 +240,31 @@ def _family_plan(repo: Repository, family: str, order_seed: int | None) -> tuple
     return defaults[0], _family_order(repo, family, order_seed)
 
 
-def _family_task(repo: Repository, t: int, default: int, order: list[int],
-                 policy: BudgetPolicy) -> tuple[SimResult, SimResult, list[int], tuple]:
-    """A family's ``default`` and ``tuned`` results on task ``t``, and its
-    ``tuned+ensemble`` pool and budget walk."""
-    meta = repo.tasks[t]
-    rec = repo.eval_table[t, default]
-    plain = SimResult(meta.dataset_id, meta.fold, [default], False,
-                      float(rec[0]), float(rec[1]), float(rec[2]) + 0.0, float(rec[3]))
-    walk = trained, fb, fit = _walk(repo, t, order, policy)
-    # (validation loss, ordinal) pairs: the lowest loss first, the lowest ordinal on ties
-    ranked = sorted(zip(repo.eval_table[t, trained, 0].tolist(), trained))
-    rec = repo.eval_table[t, ranked[0][1]]
-    tuned = SimResult(meta.dataset_id, meta.fold, list(trained), fb,
-                      float(rec[0]), float(rec[1]), fit, float(rec[3]))
-    return plain, tuned, [j for _, j in ranked[:TUNED_ENSEMBLE_POOL]], walk
+def _family_rows(repo: Repository, default: int, order: list[int], policy: BudgetPolicy
+                 ) -> tuple[list[SimResult], list[SimResult], list[np.ndarray], list[tuple]]:
+    """A family's ``default`` and ``tuned`` results on every task, and its
+    ``tuned+ensemble`` pools and budget walks.
+
+    The tuned pick and pool come from one ``np.lexsort`` of each task's row by
+    (untrained, stored validation loss, ordinal): the trained configs by loss,
+    the lowest ordinal first on ties, and the untrained ones after them all.
+    """
+    tasks = np.arange(repo.n_tasks)
+    ordinals, k, walks = _walks(repo, tasks, [order], np.zeros_like(tasks), policy)
+    untrained = np.arange(len(order)) >= k[:, None]
+    keys = (ordinals, repo.eval_table[tasks[:, None], ordinals, 0], untrained)
+    ranked = np.take_along_axis(ordinals, np.lexsort(keys, axis=1)[:, :TUNED_ENSEMBLE_POOL], axis=1)
+    best = np.where(k > 0, ranked[:, 0], policy.fallback_config)
+    plain, tuned = [], []
+    for meta, rec, top, (trained, fb, fit) in zip(
+            repo.tasks, repo.eval_table[:, default].tolist(),
+            repo.eval_table[tasks, best].tolist(), walks):
+        plain.append(SimResult(meta.dataset_id, meta.fold, [default], False,
+                               rec[0], rec[1], rec[2] + 0.0, rec[3]))
+        tuned.append(SimResult(meta.dataset_id, meta.fold, list(trained), fb,
+                               top[0], top[1], fit, top[3]))
+    pools = _sorted_prefixes(ranked, np.minimum(k, TUNED_ENSEMBLE_POOL), policy.fallback_config)
+    return plain, tuned, pools, walks
 
 
 def simulate_single_family(repo: Repository, family: str, mode: str,
@@ -217,12 +280,12 @@ def simulate_single_family(repo: Repository, family: str, mode: str,
     """
     if mode not in FAMILY_MODES:
         raise ValueError(f"mode must be one of {FAMILY_MODES}, got {mode!r}")
+    _check_evals(repo)
     if mode == MODE_TUNED_ENSEMBLE:
         by_family, _ = _simulate_methods(repo, policy, c_max, [family], [], order_seed)
         return by_family[family, mode]
-    default, order = _family_plan(repo, family, order_seed)
-    tasks = [_family_task(repo, t, default, order, policy) for t in range(repo.n_tasks)]
-    return [plain if mode == MODE_DEFAULT else tuned for plain, tuned, _, _ in tasks]
+    plain, tuned, _, _ = _family_rows(repo, *_family_plan(repo, family, order_seed), policy)
+    return plain if mode == MODE_DEFAULT else tuned
 
 
 def _simulate_methods(repo: Repository, policy: BudgetPolicy, c_max: int,
@@ -245,23 +308,29 @@ def _simulate_methods(repo: Repository, policy: BudgetPolicy, c_max: int,
     SimResult per task. ``ensembles[i]`` holds one SimResult per task for
     ``runs[i]``.
     """
-    plans = [_family_plan(repo, family, order_seed) for family in families]
-    by_family = {(family, mode): [] for family in families for mode in FAMILY_MODES}
+    _check_evals(repo)
+    by_family, pools, walks = {}, [], []
+    for family in families:
+        default, order = _family_plan(repo, family, order_seed)
+        plain, tuned, family_pools, family_walks = _family_rows(repo, default, order, policy)
+        by_family[family, MODE_DEFAULT], by_family[family, MODE_TUNED] = plain, tuned
+        by_family[family, MODE_TUNED_ENSEMBLE] = []
+        pools.append(family_pools)
+        walks.append(family_walks)
+    tasks = np.arange(repo.n_tasks)
+    of_task = np.array([repo.datasets.index(meta.dataset_id) for meta in repo.tasks])
+    for portfolios, _ in runs:
+        orders = [list(portfolios[dataset].configs) for dataset in repo.datasets]
+        ordinals, k, run_walks = _walks(repo, tasks, orders, of_task, policy)
+        pools.append(_sorted_prefixes(ordinals, k, policy.fallback_config))
+        walks.append(run_walks)
+
     # the results of each pool in a task's pool list: the family pools, then the runs' pools
     outs = [by_family[family, MODE_TUNED_ENSEMBLE] for family in families] + [[] for _ in runs]
     counts = [c_max] * len(families) + [steps for _, steps in runs]
     for t in range(repo.n_tasks):
-        pools, walks = [], []
-        for family, (default, order) in zip(families, plans):
-            plain, tuned, pool, walk = _family_task(repo, t, default, order, policy)
-            by_family[family, MODE_DEFAULT].append(plain)
-            by_family[family, MODE_TUNED].append(tuned)
-            pools.append(pool)
-            walks.append(walk)
-        for portfolios, _ in runs:
-            walks.append(_walk(repo, t, list(portfolios[repo.tasks[t].dataset_id].configs), policy))
-            pools.append(walks[-1][0])
-        weights = _select_pools(repo, t, pools, counts)
-        for out, result in zip(outs, _ensemble_results(repo, t, walks, weights)):
+        task_walks = [method_walks[t] for method_walks in walks]
+        weights = _select_pools(repo, t, [method_pools[t] for method_pools in pools], counts)
+        for out, result in zip(outs, _ensemble_results(repo, t, task_walks, weights)):
             out.append(result)
     return by_family, outs[len(families):]

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,23 @@ def small_spec(seed: int = 11, **overrides) -> GeneratorSpec:
     )
     kwargs.update(overrides)
     return GeneratorSpec(**kwargs)
+
+
+# the row sums furthest from one that pass the check: one float64 further fails
+HIGHEST_SUM = 1.0 + math.floor(ROW_SUM_TOL * 2**52) * 2**-52
+LOWEST_SUM = 1.0 - math.floor(ROW_SUM_TOL * 2**53) * 2**-53
+
+
+def row_summing_to(total, *leading):
+    """The float32 ``leading`` entries and three more; the row's float64 sum,
+    taken in order, is exactly ``total``."""
+    entries = [np.float32(v) for v in leading]
+    rest = Fraction(total) - sum(Fraction(float(v)) for v in entries)
+    for _ in range(3):
+        entries.append(np.float32(float(rest)))
+        rest -= Fraction(float(entries[-1]))
+    assert rest == 0
+    return entries
 
 
 def full_sum_off(p):

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -24,12 +22,11 @@ from predrepo import (
     metrics,
     task_loss,
 )
-from predrepo import ensemble as ensemble_module
 from predrepo.ensemble import _ensemble_losses, _select_pools
-from predrepo.store import ROW_SUM_TOL, TEST, VAL
+from predrepo.store import TEST, VAL
 from predrepo.synth import oracle_greedy_extension
 
-from conftest import small_spec
+from conftest import HIGHEST_SUM, LOWEST_SUM, row_summing_to, small_spec
 
 
 def single_task_repo(problem, y_val, y_test, config_preds, times=None):
@@ -228,23 +225,6 @@ def check_calls(monkeypatch):
 
     monkeypatch.setattr(metrics.StackLoss, "check", counted)
     return calls
-
-
-# the row sums furthest from one that pass the check: one float64 further fails
-HIGHEST_SUM = 1.0 + math.floor(ROW_SUM_TOL * 2**52) * 2**-52
-LOWEST_SUM = 1.0 - math.floor(ROW_SUM_TOL * 2**53) * 2**-53
-
-
-def row_summing_to(total, *leading):
-    """The float32 ``leading`` entries and three more; the row's float64 sum,
-    taken in order, is exactly ``total``."""
-    entries = [np.float32(v) for v in leading]
-    rest = Fraction(total) - sum(Fraction(float(v)) for v in entries)
-    for _ in range(3):
-        entries.append(np.float32(float(rest)))
-        rest -= Fraction(float(entries[-1]))
-    assert rest == 0
-    return entries
 
 
 def row_sum_repo(total, seed, big=0.0, m=6, n=40):
@@ -494,26 +474,29 @@ class TestPooledRuns:
 
     def test_equal_ensembles_are_scored_once(self, monkeypatch):
         repo = wide_repo()
-        built = []
+        scored = []
+        check = metrics.StackLoss.check
 
-        def counted(w, t, split, repo):
-            built.append((tuple(w.counts.items()), w.steps))
-            return ensemble_predict(w, t, split, repo)
+        def counted(self, stack):
+            scored.append(len(stack))
+            return check(self, stack)
 
-        monkeypatch.setattr(ensemble_module, "ensemble_predict", counted)
+        monkeypatch.setattr(metrics.StackLoss, "check", counted)
         for t, meta in enumerate(repo.tasks):
             # the first three pools are one pool: the first two requests are one
             # ensemble, and the one-step request may be one with them too
             weights = _select_pools(repo, t, [range(20), [19, *range(19)], range(20), [3, 7]],
                                     [8, 8, 1, 8])
-            built.clear()
-            for split, losses in zip((VAL, TEST), _ensemble_losses(repo, t, weights)):
+            scored.clear()
+            got = _ensemble_losses(repo, t, weights)
+            distinct = {(tuple(w.counts.items()), w.steps) for w in weights}
+            assert len(distinct) < len(weights)
+            # one stack per split, of one row per distinct ensemble
+            assert scored == [len(distinct)] * 2
+            for split, losses in zip((VAL, TEST), got):
                 want = [task_loss(meta, ensemble_predict(w, t, split, repo), repo.labels(t, split))
                         for w in weights]
                 assert [x.hex() for x in losses] == [x.hex() for x in want]
-            distinct = {(tuple(w.counts.items()), w.steps) for w in weights}
-            assert len(distinct) < len(weights)
-            assert len(built) == 2 * len(distinct) and set(built) == distinct
 
 
 def assert_counted_equals_own_runs(repo, t, pools, counts):
@@ -599,6 +582,54 @@ class TestBestPrefixRuns:
             _select_pools(synth_repo, 0, [[1], [2]], [3, 0])
         with pytest.raises(ValueError, match="shorter"):
             _select_pools(synth_repo, 0, [[1], [2]], [3])
+
+
+# ensembles of 1-6 members in any order, counts 1-3, some of them equal
+ENSEMBLES = st.lists(st.dictionaries(st.integers(0, 21), st.integers(1, 3), min_size=1,
+                                     max_size=6), min_size=1, max_size=6)
+
+
+class TestEnsembleLosses:
+    """``_ensemble_losses`` builds a split's distinct ensembles together: each loss
+    equals ``task_loss`` of ``ensemble_predict``, run once per ensemble."""
+
+    @staticmethod
+    def assert_equal_one_ensemble_at_a_time(repo, t, weights):
+        meta = repo.tasks[t]
+        for split, losses in zip((VAL, TEST), _ensemble_losses(repo, t, weights)):
+            want = [task_loss(meta, ensemble_predict(w, t, split, repo), repo.labels(t, split))
+                    for w in weights]
+            assert [x.hex() for x in losses] == [x.hex() for x in want]
+
+    @settings(max_examples=80, deadline=None)
+    @given(t=st.integers(0, 7), ensembles=ENSEMBLES)
+    def test_every_problem_type(self, t, ensembles):
+        weights = [EnsembleWeights(counts, sum(counts.values()), []) for counts in ensembles]
+        self.assert_equal_one_ensemble_at_a_time(wide_repo(), t, weights)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), ensembles=ENSEMBLES, extra=st.integers(0, 2))
+    def test_signed_zeros_and_more_steps_than_picks(self, seed, ensembles, extra):
+        rng = np.random.default_rng(seed)
+        # config 0 predicts NaN and is in no ensemble: no padding slot may read it
+        preds = [np.full((6, 1), np.nan)] + [rng.choice([-0.0, 0.0, 0.1, -0.7, 3.0], (6, 1))
+                                             for _ in range(22)]
+        repo = unchecked_repo(ProblemType.REGRESSION, rng.standard_normal(6), preds)
+        weights = [EnsembleWeights({j + 1: c for j, c in counts.items()},
+                                   sum(counts.values()) + extra, []) for counts in ensembles]
+        self.assert_equal_one_ensemble_at_a_time(repo, 0, weights)
+
+    def test_members_add_left_to_right(self):
+        # 1 + 2**-24 is a float32 rounding tie, and adding the two 2**-53 first
+        # lifts the float64 sum above it: the float32 mean depends on the order
+        preds = [col(1.0), col(2.0**-24), col(2.0**-53), col(2.0**-53)]
+        repo = unchecked_repo(ProblemType.REGRESSION, [0.0], preds)
+        forward = EnsembleWeights({0: 1, 1: 1, 2: 1, 3: 1}, 1, [])
+        backward = EnsembleWeights({3: 1, 2: 1, 1: 1, 0: 1}, 1, [])
+        assert ensemble_predict(forward, 0, VAL, repo) != ensemble_predict(backward, 0, VAL, repo)
+        # with a one-member ensemble beside them: three padding slots
+        self.assert_equal_one_ensemble_at_a_time(
+            repo, 0, [forward, backward, EnsembleWeights({2: 1}, 1, [])])
 
 
 class TestEnsemblePredict:

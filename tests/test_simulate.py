@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -16,8 +17,12 @@ from predrepo import (
     Portfolio,
     ProblemType,
     Repository,
+    SimResult,
+    StoreError,
     TaskMeta,
     anytime_filter,
+    caruana_select,
+    ensemble_predict,
     evaluate_ensemble,
     generate_repo,
     learn_portfolio,
@@ -32,12 +37,13 @@ from predrepo.simulate import (
     TUNED_ENSEMBLE_POOL,
     _family_order,
     _loo_portfolios,
+    _simulate_methods,
     _sum_in_order,
     _walk,
 )
 from predrepo.store import TEST, VAL
 
-from conftest import small_spec
+from conftest import HIGHEST_SUM, rebuild_repo, repo_arrays, row_summing_to, small_spec
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +240,69 @@ class TestSimulateSingleFamily:
                     assert g.sim_fit_time_s == pytest.approx(w["fit"], abs=1e-9)
 
 
+# -- every simulation computes only on checked evaluation values
+
+
+EVAL_FIELDS = {"loss_val": 0, "loss_test": 1, "fit_time": 2, "infer_time": 3}
+BAD_VALUES = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "negative": -2.5}
+# each takes (repo, policy, runs): simulate_portfolio, the three family modes, and
+# ablate's driver with families and runs learned before the table went bad
+SIMULATIONS = {
+    "portfolio": lambda repo, policy, runs: simulate_portfolio(repo, policy, 3, 2),
+    **{f"family-{mode}": (lambda mode: lambda repo, policy, runs: simulate_single_family(
+        repo, "gbm", mode, policy, 2))(mode) for mode in ("default", "tuned", "tuned+ensemble")},
+    "ablate-driver": lambda repo, policy, runs: _simulate_methods(repo, policy, 2, repo.families,
+                                                                  runs),
+}
+
+
+class TestCheckedEvaluations:
+    """An in-memory repository takes its evaluation table unchecked, and keeps
+    the caller's array: each simulation screens it where it starts and raises a
+    StoreError naming the first bad record, as open_repo does."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        return generate_repo(small_spec(seed=17))
+
+    @staticmethod
+    def bad_records(base, evals, field, value):
+        """Write ``value`` into two records; return how the first in (task, config) order is named."""
+        evals[3, 2, field] = value
+        evals[1, 4, field] = value
+        return re.escape(f"(task={base.tasks[1].key}, config={base.configs[4].config_id})")
+
+    @pytest.mark.parametrize("value", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+    @pytest.mark.parametrize("field", EVAL_FIELDS.values(), ids=EVAL_FIELDS.keys())
+    @pytest.mark.parametrize("simulation", SIMULATIONS.values(), ids=SIMULATIONS.keys())
+    def test_written_after_construction(self, base, simulation, field, value):
+        labels, predictions, evals = repo_arrays(base)
+        repo = rebuild_repo(base, labels, predictions, evals)
+        policy = BudgetPolicy(1e12, 0, repo)
+        runs = [(_loo_portfolios(repo, 3, NORMALIZED_LOSS), 2)]
+        simulation(repo, policy, runs)  # clean: simulates
+        name = self.bad_records(base, evals, field, value)  # the caller's array is the repository's
+        with pytest.raises(StoreError, match=f"^invalid evaluation record at {name}$"):
+            simulation(repo, policy, runs)
+
+    @pytest.mark.parametrize("field", EVAL_FIELDS.values(), ids=EVAL_FIELDS.keys())
+    @pytest.mark.parametrize("simulation", SIMULATIONS.values(), ids=SIMULATIONS.keys())
+    def test_given_to_in_memory(self, base, simulation, field):
+        labels, predictions, evals = repo_arrays(base)
+        runs = [(_loo_portfolios(base, 3, NORMALIZED_LOSS), 2)]
+        name = self.bad_records(base, evals, field, float("nan"))
+        repo = rebuild_repo(base, labels, predictions, evals)
+        with pytest.raises(StoreError, match=f"^invalid evaluation record at {name}$"):
+            simulation(repo, BudgetPolicy(1e12, 0, repo), runs)
+
+    def test_negative_zero_is_a_checked_value(self, base):
+        labels, predictions, evals = repo_arrays(base)
+        evals[:, :, 2:] = -0.0  # fit and inference times of -0.0 pass min >= 0
+        repo = rebuild_repo(base, labels, predictions, evals)
+        for r in simulate_portfolio(repo, BudgetPolicy(1e12, 0, repo), 3, 2):
+            assert (r.sim_fit_time_s.hex(), r.sim_infer_time_s.hex()) == ((0.0).hex(),) * 2
+
+
 # -- the budget walk as it was before array indexing: one eval_table scalar per config
 
 
@@ -408,6 +477,145 @@ def test_walk_equals_prefix_len_and_sum(case):
     want_trained = order[:k] if k else [0]
     want_fit = _sum_in_order(times[:k] if k else [fits[0]])
     assert (trained, fb, fit.hex()) == (want_trained, k == 0, want_fit.hex())
+
+
+# -- the simulation's array passes against a per-task reference of one-call functions
+
+FIT_STEPS = (-0.0, 0.0, 0.1, 0.2, 0.3)
+VAL_LOSSES = (-0.0, 0.0, 0.25, 0.5)  # few levels: ties within a trained prefix
+INFER_STEPS = (-0.0, 0.0, 0.001, 0.003)
+PREDICTION_LEVELS = {ProblemType.REGRESSION: (-0.0, 0.0, 0.5, -0.5, 1.0),
+                     ProblemType.BINARY: (-0.0, 0.0, 0.25, 0.5, 1.0)}
+# multiclass rows summing to one, or 1.2e-10 inside the tolerance: the greedy
+# then checks every later step
+ROW_TOTALS = (1.0, HIGHEST_SUM - 2**-33)
+
+
+def drawn_repo(rng, problems, folds, sizes) -> Repository:
+    """Tasks of ``problems`` (one dataset each) and two families of ``sizes``
+    configs, each family's first config its default, with values drawn from
+    few levels: ties, ``-0.0`` and rows near the row-sum tolerance."""
+    tasks, labels, predictions = [], [], []
+    m = sum(sizes)
+    for d, problem in enumerate(problems):
+        o = 4 if problem is ProblemType.MULTICLASS else 1
+        for fold in range(folds):
+            n = int(rng.integers(4, 8))
+            tasks.append(TaskMeta(f"d{d}", fold, problem, n_val=n, n_test=n, o=o))
+            if problem is ProblemType.REGRESSION:
+                ys = [rng.choice([-1.0, 0.0, 0.5], n) for _ in range(2)]
+            else:
+                ys = [np.r_[0, 1, rng.integers(0, 2 if o == 1 else o, n - 2)] for _ in range(2)]
+            labels.append(tuple(ys))
+            if problem is ProblemType.MULTICLASS:
+                total = ROW_TOTALS[int(rng.integers(len(ROW_TOTALS)))]
+                slabs = [np.array([[row_summing_to(total, f) for f in rng.uniform(0.2, 0.8, n)]
+                                   for _ in range(m)]) for _ in range(2)]
+            else:
+                levels = PREDICTION_LEVELS[problem]
+                slabs = [rng.choice(levels, (m, n, 1)) for _ in range(2)]
+            predictions.append(tuple(np.asarray(slab, dtype=np.float32) for slab in slabs))
+    configs = [ConfigMeta(f"{family}-{i:03d}", family, is_default=i == 0)
+               for family, size in zip(("gbm", "mlp"), sizes) for i in range(size)]
+    evals = np.stack([rng.choice(levels, (len(tasks), m))
+                      for levels in (VAL_LOSSES, VAL_LOSSES, FIT_STEPS, INFER_STEPS)], axis=2)
+    return Repository.in_memory(tasks, configs, folds, labels, predictions, evals)
+
+
+@st.composite
+def simulation_cases(draw):
+    """A drawn repository, budget, family c_max and order seed, and runs: some
+    equal to an earlier one, each at its own step count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    problems = draw(st.lists(st.sampled_from(list(ProblemType)), min_size=2, max_size=3))
+    repo = drawn_repo(rng, problems, draw(st.integers(1, 2)),
+                      (draw(st.integers(1, 5)), draw(st.integers(1, 5))))
+    runs = []
+    for steps in draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1, max_size=3)):
+        if runs and draw(st.booleans()):
+            portfolios = runs[int(rng.integers(len(runs)))][0]
+        else:
+            portfolios = {}
+            for d in repo.datasets:
+                order = rng.permutation(repo.n_configs)[:rng.integers(1, repo.n_configs + 1)]
+                portfolios[d] = Portfolio(order.tolist(), [0.0] * len(order), RAW_LOSS)
+        runs.append((portfolios, steps))
+    # 0.05 trains nothing when the first fit time is above zero
+    budget = draw(st.sampled_from([0.05, 0.15, 0.3, 0.45, 1e12]))
+    return (repo, budget, draw(st.sampled_from([1, 2, 4])), draw(st.sampled_from([None, 3])),
+            runs)
+
+
+def one_call_methods(repo, policy, c_max, runs, order_seed):
+    """``_simulate_methods``' results, method by method and task by task, from
+    ``anytime_filter``, ``caruana_select``, ``ensemble_predict`` and
+    ``task_loss``, and the stored records of the default and tuned picks.
+    Returns ``(by_family, ensembles)``, or the set of messages of the
+    ValueErrors some method raised."""
+    evals = repo.eval_table
+    messages = set()
+
+    def ensemble(t, included, fb, pool, steps):
+        meta = repo.tasks[t]
+        try:
+            w = caruana_select(t, pool, steps, repo)
+            val, test = (task_loss(meta, ensemble_predict(w, t, split, repo), repo.labels(t, split))
+                         for split in (VAL, TEST))
+        except ValueError as e:
+            messages.add(str(e))
+            return None
+        return SimResult(meta.dataset_id, meta.fold, included, fb, val, test,
+                         _sum_in_order(evals[t, included, 2].tolist()),
+                         _sum_in_order(evals[t, list(w.counts), 3].tolist()))
+
+    by_family = {}
+    for family in repo.families:
+        default = [j for j in repo.family_configs(family) if repo.configs[j].is_default][0]
+        order = _family_order(repo, family, order_seed)
+        rows = {mode: [] for mode in ("default", "tuned", "tuned+ensemble")}
+        for t, meta in enumerate(repo.tasks):
+            rec = evals[t, default].tolist()
+            rows["default"].append(SimResult(meta.dataset_id, meta.fold, [default], False,
+                                             rec[0], rec[1], rec[2] + 0.0, rec[3]))
+            portfolio = Portfolio(order, [0.0] * len(order), RAW_LOSS)
+            included, fb = anytime_filter(portfolio, t, policy, repo)
+            ranked = sorted(included, key=lambda j: (evals[t, j, 0], j))
+            rec = evals[t, ranked[0]].tolist()
+            fit = _sum_in_order(evals[t, included, 2].tolist())
+            rows["tuned"].append(SimResult(meta.dataset_id, meta.fold, included, fb,
+                                           rec[0], rec[1], fit, rec[3]))
+            rows["tuned+ensemble"].append(
+                ensemble(t, included, fb, ranked[:TUNED_ENSEMBLE_POOL], c_max))
+        by_family.update({(family, mode): results for mode, results in rows.items()})
+    ensembles = []
+    for portfolios, steps in runs:
+        ensembles.append([])
+        for t, meta in enumerate(repo.tasks):
+            included, fb = anytime_filter(portfolios[meta.dataset_id], t, policy, repo)
+            ensembles[-1].append(ensemble(t, included, fb, included, steps))
+    return messages or (by_family, ensembles)
+
+
+def all_result_bits(by_family, ensembles):
+    return ({key: [result_bits(r) for r in results] for key, results in by_family.items()},
+            [[result_bits(r) for r in results] for results in ensembles])
+
+
+@given(simulation_cases())
+@settings(max_examples=150, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+def test_array_passes_equal_one_call_methods(case):
+    repo, budget, c_max, order_seed, runs = case
+    policy = BudgetPolicy(budget, 0, repo)
+    want = one_call_methods(repo, policy, c_max, runs, order_seed)
+    if isinstance(want, set):
+        with pytest.raises(ValueError) as raised:
+            _simulate_methods(repo, policy, c_max, repo.families, runs, order_seed)
+        assert str(raised.value) in want
+        return
+    got = _simulate_methods(repo, policy, c_max, repo.families, runs, order_seed)
+    assert list(got[0]) == list(want[0])
+    assert all_result_bits(*got) == all_result_bits(*want)
 
 
 # -- straight-line reference implementations (independent of the library paths)
