@@ -47,6 +47,7 @@ one-task forms):
 - Pools: each goes to the greedy loop as an ascending array of distinct
   ordinals (:func:`_sorted_prefixes`), which it takes as it is.
 """
+
 from __future__ import annotations
 
 import zlib
@@ -318,7 +319,8 @@ def _simulate_methods(repo: Repository, policy: BudgetPolicy, c_max: int,
         pools.append(family_pools)
         walks.append(family_walks)
     tasks = np.arange(repo.n_tasks)
-    of_task = np.array([repo.datasets.index(meta.dataset_id) for meta in repo.tasks])
+    dataset_index = {dataset: i for i, dataset in enumerate(repo.datasets)}
+    of_task = np.array([dataset_index[meta.dataset_id] for meta in repo.tasks])
     for portfolios, _ in runs:
         orders = [list(portfolios[dataset].configs) for dataset in repo.datasets]
         ordinals, k, run_walks = _walks(repo, tasks, orders, of_task, policy)
