@@ -180,10 +180,14 @@ def _sorted_prefixes(ordinals: np.ndarray, k: np.ndarray, fallback: int) -> list
 
 def _ensemble_results(repo: Repository, t: int, walks: list[tuple[list[int], bool, float]],
                       weights: list[EnsembleWeights]) -> list[SimResult]:
-    """One SimResult per budget walk and its pool's ensemble weights on task ``t``."""
+    """One SimResult per budget walk and its pool's ensemble weights on task ``t``.
+
+    Each result keeps its walk's list of trained configs, which no other
+    result shares.
+    """
     meta = repo.tasks[t]
     infer_times = repo.eval_table[t, :, 3].tolist()
-    return [SimResult(meta.dataset_id, meta.fold, list(trained), fb, val, test, fit,
+    return [SimResult(meta.dataset_id, meta.fold, trained, fb, val, test, fit,
                       _sum_in_order([infer_times[j] for j in w.counts]))
             for (trained, fb, fit), w, val, test in zip(walks, weights,
                                                         *_ensemble_losses(repo, t, weights))]

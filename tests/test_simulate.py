@@ -245,15 +245,18 @@ class TestSimulateSingleFamily:
 
 EVAL_FIELDS = {"loss_val": 0, "loss_test": 1, "fit_time": 2, "infer_time": 3}
 BAD_VALUES = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "negative": -2.5}
-# each takes (repo, policy, runs): simulate_portfolio, the three family modes, and
-# ablate's driver with families and runs learned before the table went bad
-SIMULATIONS = {
-    "portfolio": lambda repo, policy, runs: simulate_portfolio(repo, policy, 3, 2),
-    **{f"family-{mode}": (lambda mode: lambda repo, policy, runs: simulate_single_family(
-        repo, "gbm", mode, policy, 2))(mode) for mode in ("default", "tuned", "tuned+ensemble")},
-    "ablate-driver": lambda repo, policy, runs: _simulate_methods(repo, policy, 2, repo.families,
-                                                                  runs),
-}
+SIMULATIONS = ("portfolio", "family-default", "family-tuned", "family-tuned+ensemble",
+               "ablate-driver")
+
+
+def run_simulation(name, repo, policy, runs):
+    """One of SIMULATIONS: simulate_portfolio, a family mode, or ablate's driver
+    with every family and ``runs``, learned before the table went bad."""
+    if name == "portfolio":
+        return simulate_portfolio(repo, policy, 3, 2)
+    if name == "ablate-driver":
+        return _simulate_methods(repo, policy, 2, repo.families, runs)
+    return simulate_single_family(repo, "gbm", name.removeprefix("family-"), policy, 2)
 
 
 class TestCheckedEvaluations:
@@ -274,26 +277,26 @@ class TestCheckedEvaluations:
 
     @pytest.mark.parametrize("value", BAD_VALUES.values(), ids=BAD_VALUES.keys())
     @pytest.mark.parametrize("field", EVAL_FIELDS.values(), ids=EVAL_FIELDS.keys())
-    @pytest.mark.parametrize("simulation", SIMULATIONS.values(), ids=SIMULATIONS.keys())
+    @pytest.mark.parametrize("simulation", SIMULATIONS)
     def test_written_after_construction(self, base, simulation, field, value):
         labels, predictions, evals = repo_arrays(base)
         repo = rebuild_repo(base, labels, predictions, evals)
         policy = BudgetPolicy(1e12, 0, repo)
         runs = [(_loo_portfolios(repo, 3, NORMALIZED_LOSS), 2)]
-        simulation(repo, policy, runs)  # clean: simulates
+        run_simulation(simulation, repo, policy, runs)  # clean: simulates
         name = self.bad_records(base, evals, field, value)  # the caller's array is the repository's
         with pytest.raises(StoreError, match=f"^invalid evaluation record at {name}$"):
-            simulation(repo, policy, runs)
+            run_simulation(simulation, repo, policy, runs)
 
     @pytest.mark.parametrize("field", EVAL_FIELDS.values(), ids=EVAL_FIELDS.keys())
-    @pytest.mark.parametrize("simulation", SIMULATIONS.values(), ids=SIMULATIONS.keys())
+    @pytest.mark.parametrize("simulation", SIMULATIONS)
     def test_given_to_in_memory(self, base, simulation, field):
         labels, predictions, evals = repo_arrays(base)
         runs = [(_loo_portfolios(base, 3, NORMALIZED_LOSS), 2)]
         name = self.bad_records(base, evals, field, float("nan"))
         repo = rebuild_repo(base, labels, predictions, evals)
         with pytest.raises(StoreError, match=f"^invalid evaluation record at {name}$"):
-            simulation(repo, BudgetPolicy(1e12, 0, repo), runs)
+            run_simulation(simulation, repo, BudgetPolicy(1e12, 0, repo), runs)
 
     def test_negative_zero_is_a_checked_value(self, base):
         labels, predictions, evals = repo_arrays(base)
