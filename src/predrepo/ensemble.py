@@ -11,8 +11,9 @@ therefore :func:`_best_prefix` of one run per distinct pool.
 
 There is one greedy loop. It takes candidate pools of one task, each with
 its own step count. Each pool is an ascending array of distinct ordinals:
-the simulation hands its pools over so, and any other pool goes through
-:meth:`Repository.config_ordinals`. Equal pools share one run, as long as
+the simulation hands its pools over so, and :func:`caruana_select` and
+:func:`evaluate_ensemble` resolve their candidates into one, once a call,
+with :meth:`Repository.config_ordinals`. Equal pools share one run, as long as
 the largest count any of them asks for, and each then gets the best prefix
 of its own count. The distinct pools run side by side, each exactly as a
 run of that pool alone would, and :func:`caruana_select` is the call with
@@ -128,9 +129,8 @@ def caruana_select(task, candidate_configs, c_max: int, repo: Repository) -> Ens
     loss (earliest such prefix on ties). Step one therefore always picks the
     best single candidate.
     """
-    if isinstance(candidate_configs, np.ndarray):  # resolved entry by entry, not taken as is
-        candidate_configs = list(candidate_configs)
-    return _select_pools(repo, task, [candidate_configs], c_max)[0]
+    t = repo.task_index(task)
+    return _select_pools(repo, t, [np.array(repo.config_ordinals(candidate_configs))], [c_max])[0]
 
 
 def _best_prefix(trajectory: list[tuple[int, float]], steps: int) -> EnsembleWeights:
@@ -145,29 +145,23 @@ def _best_prefix(trajectory: list[tuple[int, float]], steps: int) -> EnsembleWei
     return EnsembleWeights(counts=counts, steps=best, trajectory=trajectory)
 
 
-def _select_pools(repo: Repository, task, pools, c_max) -> list[EnsembleWeights]:
-    """:func:`caruana_select` of each candidate pool of one task, in one greedy loop.
+def _select_pools(repo: Repository, t: int, pools: list[np.ndarray], counts: list[int]
+                  ) -> list[EnsembleWeights]:
+    """:func:`caruana_select` of each candidate pool of task ``t``, in one greedy loop.
 
-    ``c_max`` is one step count for every pool or a list of one per pool. A
-    pool is an ``np.ndarray`` of ascending, distinct, in-range config
-    ordinals, taken as it is (the simulation hands its pools over so), or
-    any other iterable of configs, resolved by
-    :meth:`Repository.config_ordinals`. Equal pools run once, to the most
-    steps any of them asks for, and each gets the best prefix of its own
-    count.
+    Each pool is an ascending array of distinct, in-range config ordinals,
+    and ``counts`` holds one step count per pool. Equal pools run once, to
+    the most steps any of them asks for, and each gets the best prefix of
+    its own count.
     """
-    counts = list(c_max) if isinstance(c_max, list) else [c_max] * len(pools)
     if min(counts) < 1:
         raise ValueError(f"c_max must be >= 1, got {min(counts)}")
-    t = repo.task_index(task)
-    requests = [pool if type(pool) is np.ndarray else np.array(repo.config_ordinals(pool))
-                for pool in pools]
-    keys = [pool.tobytes() for pool in requests]
+    keys = [pool.tobytes() for pool in pools]
     # each distinct pool's run, with the most steps any request asks of it
     lengths: dict[bytes, int] = {}
     for key, steps in zip(keys, counts, strict=True):
         lengths[key] = max(steps, lengths.get(key, 0))
-    pools = list(dict(zip(keys, requests)).values())  # one array per key, in key order
+    pools = list(dict(zip(keys, pools)).values())  # one array per key, in key order
     c_max = max(counts)
     meta = repo.tasks[t]
     loss_of = metrics.StackLoss(meta, repo.labels(t, VAL))
@@ -286,21 +280,15 @@ def _ensemble_losses(repo: Repository, t: int, weights: list[EnsembleWeights]
     return losses[0], losses[1]
 
 
-def _select_and_score(repo: Repository, t: int, candidates, c_max: int
-                      ) -> tuple[EnsembleWeights, float, float]:
-    """Greedy weights of task ``t`` and the validation and test losses of that ensemble."""
-    w = caruana_select(t, candidates, c_max, repo)
-    [val], [test] = _ensemble_losses(repo, t, [w])
-    return w, val, test
-
-
 def evaluate_ensemble(datasets, folds, configs, ensemble_size: int,
                       repo: Repository) -> np.ndarray:
     """Ensemble losses per (dataset, fold): shape (len(datasets), len(folds), 2).
 
     The last axis is (val_loss, test_loss), in the order of the input lists.
     """
-    ordinals = repo.config_ordinals(configs)
-    results = [_select_and_score(repo, repo.task_index((d, f)), ordinals, ensemble_size)[1:]
-               for d in datasets for f in folds]
-    return np.array(results, dtype=np.float64).reshape(len(datasets), len(folds), 2)
+    pool = np.array(repo.config_ordinals(configs))
+    # each task resolved just before its run, so errors come in the order of one call per task
+    tasks = (repo.task_index((d, f)) for d in datasets for f in folds)
+    losses = [_ensemble_losses(repo, t, _select_pools(repo, t, [pool], [ensemble_size]))
+              for t in tasks]
+    return np.array(losses, dtype=np.float64).reshape(len(datasets), len(folds), 2)

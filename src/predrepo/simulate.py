@@ -45,7 +45,7 @@ one-task forms):
   ``sorted`` and ``np.lexsort`` would place differently, and both read
   ``-0.0`` and ``0.0`` as equal.
 - Pools: each goes to the greedy loop as an ascending array of distinct
-  ordinals (:func:`_sorted_prefixes`), which it takes as it is.
+  ordinals (:func:`_sorted_prefixes`), the one pool form it takes.
 """
 
 from __future__ import annotations
@@ -171,8 +171,7 @@ def anytime_filter(portfolio: Portfolio, task, policy: BudgetPolicy,
 
 def _sorted_prefixes(ordinals: np.ndarray, k: np.ndarray, fallback: int) -> list[np.ndarray]:
     """Each row's first ``k[r]`` ordinals in ascending order, or ``[fallback]``
-    where ``k[r]`` is 0: the sorted pools :func:`ensemble._select_pools` takes as
-    they are."""
+    where ``k[r]`` is 0: the pool form :func:`ensemble._select_pools` takes."""
     kept = np.arange(ordinals.shape[1]) < k[:, None]
     cut = np.sort(np.where(kept, ordinals, np.iinfo(np.intp).max), axis=1)
     return [row[:n] if n else np.array([fallback]) for row, n in zip(cut, k.tolist())]
@@ -253,6 +252,8 @@ def _family_rows(repo: Repository, default: int, order: list[int], policy: Budge
     The tuned pick and pool come from one ``np.lexsort`` of each task's row by
     (untrained, stored validation loss, ordinal): the trained configs by loss,
     the lowest ordinal first on ties, and the untrained ones after them all.
+    Each value the two rows take from a stored record gets ``+ 0.0``, so a
+    stored ``-0.0`` reads ``0.0`` as in the other rows.
     """
     tasks = np.arange(repo.n_tasks)
     ordinals, k, walks = _walks(repo, tasks, [order], np.zeros_like(tasks), policy)
@@ -262,10 +263,9 @@ def _family_rows(repo: Repository, default: int, order: list[int], policy: Budge
     best = np.where(k > 0, ranked[:, 0], policy.fallback_config)
     plain, tuned = [], []
     for meta, rec, top, (trained, fb, fit) in zip(
-            repo.tasks, repo.eval_table[:, default].tolist(),
-            repo.eval_table[tasks, best].tolist(), walks):
-        plain.append(SimResult(meta.dataset_id, meta.fold, [default], False,
-                               rec[0], rec[1], rec[2] + 0.0, rec[3]))
+            repo.tasks, (repo.eval_table[:, default] + 0.0).tolist(),
+            (repo.eval_table[tasks, best] + 0.0).tolist(), walks):
+        plain.append(SimResult(meta.dataset_id, meta.fold, [default], False, *rec))
         tuned.append(SimResult(meta.dataset_id, meta.fold, list(trained), fb,
                                top[0], top[1], fit, top[3]))
     pools = _sorted_prefixes(ranked, np.minimum(k, TUNED_ENSEMBLE_POOL), policy.fallback_config)
@@ -278,9 +278,10 @@ def simulate_single_family(repo: Repository, family: str, mode: str,
     """Simulate one model family on every task.
 
     ``default`` reports the family's default config as stored, except that a
-    ``-0.0`` fit time reads ``0.0`` as in the other rows. ``tuned`` walks the
+    stored ``-0.0`` reads ``0.0`` as in the other rows. ``tuned`` walks the
     family's configs in repository order (or a seeded shuffle) under the
-    budget and keeps the one with the best stored validation loss.
+    budget and keeps the one with the best stored validation loss, its
+    record read the same way.
     ``tuned+ensemble`` runs greedy selection over the best 20 configs that fit.
     """
     if mode not in FAMILY_MODES:

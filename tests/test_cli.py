@@ -16,6 +16,7 @@ import predrepo
 from predrepo import (
     BudgetPolicy,
     FamilySpec,
+    caruana_select,
     generate_repo,
     mean_normalized_error,
     open_repo,
@@ -24,7 +25,7 @@ from predrepo import (
     write_repo,
 )
 from predrepo.cli import TASK_CSV_HEADER, main
-from predrepo.ensemble import _select_and_score
+from predrepo.ensemble import _ensemble_losses
 from predrepo.simulate import SimResult, _loo_portfolios, _sum_in_order, anytime_filter
 from predrepo.store import STORE_FILES
 
@@ -70,7 +71,8 @@ def one_pool_runs(repo, policy, portfolios, c_max) -> list[SimResult]:
     out = []
     for t, meta in enumerate(repo.tasks):
         included, fb = anytime_filter(portfolios[meta.dataset_id], t, policy, repo)
-        w, val, test = _select_and_score(repo, t, included, c_max)
+        w = caruana_select(t, included, c_max, repo)
+        [val], [test] = _ensemble_losses(repo, t, [w])
         members = [j for j, c in w.counts.items() if c > 0]
         out.append(SimResult(meta.dataset_id, meta.fold, included, fb, val, test,
                              _sum_in_order(repo.eval_table[t, included, 2].tolist()),
@@ -481,14 +483,15 @@ class TestSimulateCommand:
         assert got != tuned_rows(None)  # the seed reaches the search
 
     def test_negative_zero_fit_times_print_as_zero(self, tmp_path, capsys):
-        # -0.0 is a valid fit time; a sum of trained fit times starts from 0.0, so a
-        # walk that trains only -0.0 configs prints 0, not -0
+        # -0.0 is a valid fit and inference time; a sum of times starts from 0.0, so a
+        # walk that trains only -0.0 configs prints 0, not -0, and so does a time
+        # the default and tuned rows read from a stored record
         repo = generate_repo(small_spec(seed=21))  # two first picks, neither gbm's first
         labels, predictions, evals = repo_arrays(repo)
         zero = [repo.family_configs("gbm")[0]]
         zero += [pf.configs[0] for pf in _loo_portfolios(repo, 5, "normalized_loss").values()]
         evals[:, :, 2] = 1000.0  # above the budget: a walk trains no other config
-        evals[:, zero, 2] = -0.0
+        evals[:, zero, 2:] = -0.0
         write_repo(rebuild_repo(repo, labels, predictions, evals), tmp_path / "r")
         all_csv = tmp_path / "all.csv"
         code, _, _ = run(capsys, "simulate", "--repo", str(tmp_path / "r"), "--budget-s", "600",
@@ -497,7 +500,8 @@ class TestSimulateCommand:
         assert code == 0
         rows = parse_csv(all_csv.read_text())[1]
         for method in ("gbm (default)", "gbm (tuned)", "Portfolio"):
-            assert [r[5] for r in rows if r[0] == method] == ["0"] * repo.n_tasks
+            for column in (5, 6):  # time_fit_s, time_infer_s
+                assert [r[column] for r in rows if r[0] == method] == ["0"] * repo.n_tasks
 
 
 class TestAblateCommand:
@@ -738,10 +742,9 @@ def count_greedy(monkeypatch) -> list[tuple[int, list[int]]]:
     calls = []
     select = predrepo.ensemble._select_pools
 
-    def counted(repo, task, pools, c_max):
-        counts = list(c_max) if isinstance(c_max, list) else [c_max] * len(pools)
-        calls.append((repo.task_index(task), counts))
-        return select(repo, task, pools, c_max)
+    def counted(repo, t, pools, counts):
+        calls.append((t, list(counts)))
+        return select(repo, t, pools, counts)
 
     for module in (predrepo.ensemble, predrepo.simulate):
         monkeypatch.setattr(module, "_select_pools", counted)

@@ -340,8 +340,17 @@ def weights_bits(w):
     return w.counts, w.steps, [(j, loss.hex()) for j, loss in w.trajectory]
 
 
+def select_pools(repo, t, pools, c_max):
+    """``_select_pools`` on pools of any configs, each resolved as
+    ``caruana_select`` resolves its candidates; ``c_max`` is one step count
+    for every pool or a list of one per pool."""
+    counts = c_max if isinstance(c_max, list) else [c_max] * len(pools)
+    resolved = [np.array(repo.config_ordinals(pool)) for pool in pools]
+    return _select_pools(repo, t, resolved, counts)
+
+
 def pooled_outcome(repo, t, pools, c_max):
-    return outcome(lambda: [weights_bits(w) for w in _select_pools(repo, t, pools, c_max)])
+    return outcome(lambda: [weights_bits(w) for w in select_pools(repo, t, pools, c_max)])
 
 
 def assert_pooled_equals_own_runs(repo, t, pools, c_max):
@@ -386,7 +395,7 @@ class TestPooledRuns:
         # uneven sizes from 1 to 20; pools overlap and may repeat a config
         repo = wide_repo()
         assert_pooled_equals_own_runs(repo, t, pools, c_max)
-        for pool, w in zip(pools, _select_pools(repo, t, pools, c_max)):
+        for pool, w in zip(pools, select_pools(repo, t, pools, c_max)):
             assert w.trajectory == full_average_select(t, pool, c_max, repo)
 
     @settings(max_examples=40, deadline=None)
@@ -423,10 +432,10 @@ class TestPooledRuns:
         got = assert_pooled_equals_own_runs(repo, 0, pools, 9)
         assert isinstance(got, list)
         check_calls[0] = 0
-        _select_pools(repo, 0, pools, 9)
+        select_pools(repo, 0, pools, 9)
         assert check_calls[0] == 9  # the candidates once, then each later step once
         check_calls[0] = 0
-        _select_pools(repo, 0, [pools[0], pools[3]], 9)
+        select_pools(repo, 0, [pools[0], pools[3]], 9)
         assert check_calls[0] == 1
 
     def test_the_screen_band_grows_with_the_longest_run(self, check_calls):
@@ -438,7 +447,7 @@ class TestPooledRuns:
         check_calls[0] = 0
         assert isinstance(assert_pooled_equals_own_runs(repo, 0, [[1, 2], range(7)], 9), list)
         check_calls[0] = 0
-        _select_pools(repo, 0, [[1, 2], range(7)], [5, 9])
+        select_pools(repo, 0, [[1, 2], range(7)], [5, 9])
         assert check_calls[0] == 9  # the candidates once, then each later step once
 
     def test_nan_in_one_pool_raises_its_message(self):
@@ -465,7 +474,7 @@ class TestPooledRuns:
     def test_final_losses_equal_task_loss(self):
         repo = wide_repo()
         for t, meta in enumerate(repo.tasks):
-            weights = _select_pools(repo, t, [range(20), [3, 7], [21, 0, 5, 9]], 10)
+            weights = select_pools(repo, t, [range(20), [3, 7], [21, 0, 5, 9]], 10)
             for split, losses in zip((VAL, TEST), _ensemble_losses(repo, t, weights)):
                 want = [task_loss(meta, ensemble_predict(w, t, split, repo), repo.labels(t, split))
                         for w in weights]
@@ -485,7 +494,7 @@ class TestPooledRuns:
         for t, meta in enumerate(repo.tasks):
             # the first three pools are one pool: the first two requests are one
             # ensemble, and the one-step request may be one with them too
-            weights = _select_pools(repo, t, [range(20), [19, *range(19)], range(20), [3, 7]],
+            weights = select_pools(repo, t, [range(20), [19, *range(19)], range(20), [3, 7]],
                                     [8, 8, 1, 8])
             scored.clear()
             got = _ensemble_losses(repo, t, weights)
@@ -505,7 +514,7 @@ def assert_counted_equals_own_runs(repo, t, pools, counts):
     messages."""
     own = [outcome(lambda: weights_bits(caruana_select(t, pool, c, repo)))
            for pool, c in zip(pools, counts)]
-    got = outcome(lambda: [weights_bits(w) for w in _select_pools(repo, t, pools, counts)])
+    got = outcome(lambda: [weights_bits(w) for w in select_pools(repo, t, pools, counts)])
     if all(isinstance(o, tuple) for o in own):
         assert got == own
     else:
@@ -571,7 +580,7 @@ class TestBestPrefixRuns:
 
         monkeypatch.setattr(metrics.StackLoss, "score", counted)
         repo = wide_repo()
-        _select_pools(repo, 0, [[3, 5, 9]], 6)
+        select_pools(repo, 0, [[3, 5, 9]], 6)
         one, scored[:] = list(scored), []
         assert_counted_equals_own_runs(repo, 0, [[3, 5, 9], [9, 5, 3], [5, 3, 9, 9]], [6, 2, 4])
         assert one == [3] * 6
@@ -579,9 +588,9 @@ class TestBestPrefixRuns:
 
     def test_counts_are_checked(self, synth_repo):
         with pytest.raises(ValueError, match="c_max must be >= 1, got 0"):
-            _select_pools(synth_repo, 0, [[1], [2]], [3, 0])
+            select_pools(synth_repo, 0, [[1], [2]], [3, 0])
         with pytest.raises(ValueError, match="shorter"):
-            _select_pools(synth_repo, 0, [[1], [2]], [3])
+            select_pools(synth_repo, 0, [[1], [2]], [3])
 
 
 # ensembles of 1-6 members in any order, counts 1-3, some of them equal
@@ -716,6 +725,55 @@ class TestEvaluateEnsemble:
         assert np.array_equal(via_method, via_function)
         m = synth_repo.predict_val(dataset=synth_repo.datasets[0], fold=1, config=ids[0])
         assert m.shape[0] == synth_repo.tasks[1].n_val
+
+
+    def test_config_ordinals_resolved_once_per_call(self, synth_repo, monkeypatch):
+        calls = []
+        resolve = Repository.config_ordinals
+
+        def counted(self, configs):
+            calls.append(configs)
+            return resolve(self, configs)
+
+        monkeypatch.setattr(Repository, "config_ordinals", counted)
+        ids = [c.config_id for c in synth_repo.configs[:4]]
+        evaluate_ensemble(synth_repo.datasets[:2], [0, 1], ids, 5, synth_repo)
+        assert calls == [ids]  # not once more for each of the four tasks
+
+
+# candidate lists with unsorted and repeated entries
+ARRAY_CANDIDATES = st.lists(st.integers(0, 21), min_size=1, max_size=12)
+
+
+class TestArrayCandidates:
+    """An array of candidates names the configs its entries name, as the list
+    of those entries does: ``np.int64`` ordinals or ``np.str_`` config ids."""
+
+    @staticmethod
+    def forms(repo, ordinals):
+        """The list of ordinals, then the same candidates in the other forms."""
+        ids = [repo.configs[j].config_id for j in ordinals]
+        return ordinals, [np.array(ordinals), ids, np.array(ids)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(t=st.integers(0, 7), ordinals=ARRAY_CANDIDATES, c_max=st.integers(1, 8))
+    def test_caruana_select(self, t, ordinals, c_max):
+        repo = wide_repo()
+        reference, others = self.forms(repo, ordinals)
+        want = weights_bits(caruana_select(t, reference, c_max, repo))
+        for candidates in others:
+            assert weights_bits(caruana_select(t, candidates, c_max, repo)) == want
+
+    @settings(max_examples=15, deadline=None)
+    @given(ordinals=ARRAY_CANDIDATES, size=st.integers(1, 6))
+    def test_evaluate_ensemble(self, ordinals, size):
+        repo = wide_repo()
+        reference, others = self.forms(repo, ordinals)
+        folds = sorted({task.fold for task in repo.tasks})
+        want = evaluate_ensemble(repo.datasets, folds, reference, size, repo)
+        for candidates in others:
+            got = evaluate_ensemble(repo.datasets, folds, candidates, size, repo)
+            assert got.tobytes() == want.tobytes()
 
 
 def eager_evaluate(repo, datasets, folds, configs, size):

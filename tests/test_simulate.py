@@ -32,7 +32,7 @@ from predrepo import (
     simulate_single_family,
     task_loss,
 )
-from predrepo.ensemble import _select_and_score
+from predrepo.ensemble import _ensemble_losses
 from predrepo.simulate import (
     TUNED_ENSEMBLE_POOL,
     _family_order,
@@ -302,7 +302,12 @@ class TestCheckedEvaluations:
         labels, predictions, evals = repo_arrays(base)
         evals[:, :, 2:] = -0.0  # fit and inference times of -0.0 pass min >= 0
         repo = rebuild_repo(base, labels, predictions, evals)
-        for r in simulate_portfolio(repo, BudgetPolicy(1e12, 0, repo), 3, 2):
+        policy = BudgetPolicy(1e12, 0, repo)
+        results = simulate_portfolio(repo, policy, 3, 2)
+        for family in repo.families:
+            for mode in ("default", "tuned"):  # these rows read the times as stored
+                results += simulate_single_family(repo, family, mode, policy, 2)
+        for r in results:
             assert (r.sim_fit_time_s.hex(), r.sim_infer_time_s.hex()) == ((0.0).hex(),) * 2
 
 
@@ -341,11 +346,12 @@ def scalar_family_result(repo, t, order, mode, policy, c_max):
     included, fb = scalar_filter_order(order, t, policy, repo)
     if mode == "tuned":
         best = min(included, key=lambda j: (repo.eval_table[t, j, 0], j))
-        rec = repo.eval_table[t, best]
+        rec = (repo.eval_table[t, best] + 0.0).tolist()
         fit = float(sum(repo.eval_table[t, j, 2] for j in included))
-        return included, fb, float(rec[0]), float(rec[1]), fit, float(rec[3])
+        return included, fb, rec[0], rec[1], fit, rec[3]
     pool = sorted(included, key=lambda j: (repo.eval_table[t, j, 0], j))[:TUNED_ENSEMBLE_POOL]
-    w, val, test = _select_and_score(repo, t, pool, c_max)
+    w = caruana_select(t, pool, c_max, repo)
+    [val], [test] = _ensemble_losses(repo, t, [w])
     return (included, fb, val, test) + scalar_ensemble_times(repo, t, w, included)
 
 
@@ -432,7 +438,8 @@ class TestArrayBudgetWalk:
             for t, r in enumerate(simulate_portfolio(repo, policy, 8, self.C_MAX)):
                 order = list(portfolios[repo.tasks[t].dataset_id].configs)
                 included, fb = scalar_filter_order(order, t, policy, repo)
-                w, val, test = _select_and_score(repo, t, included, self.C_MAX)
+                w = caruana_select(t, included, self.C_MAX, repo)
+                [val], [test] = _ensemble_losses(repo, t, [w])
                 want = (included, fb, val, test) + scalar_ensemble_times(repo, t, w, included)
                 assert result_bits(r) == expected_bits(*want)
                 fallbacks += r.used_fallback
@@ -577,13 +584,12 @@ def one_call_methods(repo, policy, c_max, runs, order_seed):
         order = _family_order(repo, family, order_seed)
         rows = {mode: [] for mode in ("default", "tuned", "tuned+ensemble")}
         for t, meta in enumerate(repo.tasks):
-            rec = evals[t, default].tolist()
-            rows["default"].append(SimResult(meta.dataset_id, meta.fold, [default], False,
-                                             rec[0], rec[1], rec[2] + 0.0, rec[3]))
+            rec = (evals[t, default] + 0.0).tolist()
+            rows["default"].append(SimResult(meta.dataset_id, meta.fold, [default], False, *rec))
             portfolio = Portfolio(order, [0.0] * len(order), RAW_LOSS)
             included, fb = anytime_filter(portfolio, t, policy, repo)
             ranked = sorted(included, key=lambda j: (evals[t, j, 0], j))
-            rec = evals[t, ranked[0]].tolist()
+            rec = (evals[t, ranked[0]] + 0.0).tolist()
             fit = _sum_in_order(evals[t, included, 2].tolist())
             rows["tuned"].append(SimResult(meta.dataset_id, meta.fold, included, fb,
                                            rec[0], rec[1], fit, rec[3]))
